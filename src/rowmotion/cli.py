@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 
 from . import harness, polytopes, subsets
-from .backends import parse_backend
-from .dynamics import detect_order
+from .backends import RationalField, parse_backend
+from .dynamics import Dynamics, detect_order
 from .errors import GenericityFailure, RowmotionError
 from .harness import THEOREMS, CheckSpec, build_poset, emit_report
 
@@ -136,6 +136,9 @@ def cmd_poset(args):
                 fh.write(text)
             print(f"wrote {args.serialize}")
         return 0
+    # Chains from the bottom to each element: the inverse down transfer of all-ones labels.
+    dyn = Dynamics(p, RationalField())
+    paths = dyn.inv_down_transfer(dyn.labeling([Fraction(1)] * p.n))
     info = {
         "elements": p.n,
         "names": list(p.element_names),
@@ -143,7 +146,7 @@ def cmd_poset(args):
         "graded": p.is_graded,
         "ranks": list(p.rank) if p.rank else None,
         "linear_extension": list(p.default_linear_extension),
-        "maximal_chains": len(p.maximal_chains()),
+        "maximal_chains": int(sum(paths[m] for m in p.maximal_elements())),
     }
     if args.format == "json":
         out = json.dumps(info, indent=2, sort_keys=True) + "\n"
@@ -157,11 +160,10 @@ def cmd_poset(args):
     return 0
 
 
-def _parse_labeling(text, n):
-    values = [Fraction(s) for s in json.loads(text)]
-    if len(values) != n:
-        raise ValueError(f"labeling needs {n} entries")
-    return tuple(values)
+_PL_MAPS = {
+    "antichain": (polytopes.random_chain_polytope_point, polytopes.pl_antichain_rowmotion),
+    "order": (polytopes.random_order_polytope_point, polytopes.pl_order_rowmotion),
+}
 
 
 def cmd_orbit(args):
@@ -178,17 +180,13 @@ def cmd_orbit(args):
         return 0
     if realm == "pl":
         map_id = args.map_id or "antichain"
-        if map_id == "antichain":
-            start = (_parse_labeling(args.labeling, p.n) if args.labeling
-                     else polytopes.random_chain_polytope_point(p, seed))
-            step = lambda f: polytopes.pl_antichain_rowmotion(p, f)
-        elif map_id == "order":
-            start = (_parse_labeling(args.labeling, p.n) if args.labeling
-                     else polytopes.random_order_polytope_point(p, seed))
-            step = lambda f: polytopes.pl_order_rowmotion(p, f)
-        else:
+        if map_id not in _PL_MAPS:
             raise ValueError("--map for the pl realm must be 'order' or 'antichain'")
-        order = detect_order(step, start, lambda a, b: a == b, max_iter=args.max_iter)
+        sample, rowmotion = _PL_MAPS[map_id]
+        start = (polytopes.as_labeling(p, json.loads(args.labeling)) if args.labeling
+                 else sample(p, seed))
+        order = detect_order(lambda f: rowmotion(p, f), start, lambda a, b: a == b,
+                             max_iter=args.max_iter)
         report = {"map": f"pl-{map_id}", "poset": args.poset, "seed": seed,
                   "order": order if order is not None else "exceeded"}
         _emit([report], args.format, args.out)

@@ -119,23 +119,26 @@ class Dynamics:
 
     def inv_down_transfer(self, f):
         """Sum over saturated chains from the bottom, highest label first."""
-        b = self.backend
-        out = [None] * self.poset.n
-        for x in self.extension:
-            lower = [out[u] for u in self.poset.down_adjacency[x]]
-            tail = b.sum(lower) if lower else b.one()
-            out[x] = b.mul(f[x], tail)
-        return self.labeling(out)
+        return self.labeling(self._inv_transfer(f, self.extension, down=True))
 
     def inv_up_transfer(self, f):
         """Sum over saturated chains towards the top, highest label first."""
+        return self.labeling(self._inv_transfer(f, reversed(self.extension), down=False))
+
+    def _inv_transfer(self, f, elements, down):
+        """The inverse transfer recurrence on ``elements``, None elsewhere.
+
+        ``elements`` must contain, before each element, all of its lower
+        covers (``down``) or all of its upper covers (otherwise).
+        """
         b = self.backend
+        covers = self.poset.down_adjacency if down else self.poset.up_adjacency
         out = [None] * self.poset.n
-        for x in reversed(self.extension):
-            upper = [out[w] for w in self.poset.up_adjacency[x]]
-            head = b.sum(upper) if upper else b.one()
-            out[x] = b.mul(head, f[x])
-        return self.labeling(out)
+        for x in elements:
+            near = [out[y] for y in covers[x]]
+            acc = b.sum(near) if near else b.one()
+            out[x] = b.mul(f[x], acc) if down else b.mul(acc, f[x])
+        return out
 
     # -- order toggles ---------------------------------------------------------
 
@@ -175,14 +178,21 @@ class Dynamics:
         Each chain splits at v; labels below v are multiplied top-down,
         then the labels from the top of the chain down to v.  The toggle
         puts v's own label last, the elggot (through_value_first) first.
+        The sum factors through the inverse transfer recurrences D and U,
+        run on v's strict lower and upper sets only: (Σ_{u⋖v} D[u]) · U[v]
+        for the toggle, D[v] · (Σ_{w⋗v} U[w]) for the elggot.
         """
         b = self.backend
-        terms = []
-        for chain, pos in self.poset.chains_through(v):
-            cut = pos + 1 if through_value_first else pos
-            seq = tuple(reversed(chain[:cut])) + tuple(reversed(chain[cut:]))
-            terms.append(b.product(g[x] for x in seq))
-        return b.sum(terms)
+        less, ext = self.poset.less, self.extension
+        down = self._inv_transfer(g, [x for x in ext if less(x, v)], down=True)
+        up = self._inv_transfer(g, [x for x in reversed(ext) if less(v, x)], down=False)
+        lower = [down[u] for u in self.poset.down_adjacency[v]]
+        upper = [up[w] for w in self.poset.up_adjacency[v]]
+        lower_sum = b.sum(lower) if lower else b.one()
+        upper_sum = b.sum(upper) if upper else b.one()
+        if through_value_first:
+            return b.mul(b.mul(g[v], lower_sum), upper_sum)
+        return b.mul(lower_sum, b.mul(upper_sum, g[v]))
 
     def antichain_toggle(self, v, g):
         """C over the rotated chain sum through v."""
@@ -256,8 +266,9 @@ class Dynamics:
             return self.rank_toggle("antichain", i, f)
         raise ValueError(f"unknown toggle-word atom {atom}")
 
-    def _lower_set_in_extension_order(self, v):
-        below = self.poset.strict_down_set(v)
+    def _lower_set(self, elements):
+        """Elements strictly below some element of ``elements``, in extension order."""
+        below = set().union(*(self.poset.strict_down_set(v) for v in elements))
         return tuple(x for x in self.extension if x in below)
 
     def eta_word(self, v):
@@ -265,18 +276,10 @@ class Dynamics:
         return self.eta_set_word((v,))
 
     def eta_set_word(self, elements):
-        below = set()
-        for v in elements:
-            below |= self.poset.strict_down_set(v)
-        lower = tuple(x for x in self.extension if x in below)
-        return tuple(Atom("T", x) for x in reversed(lower))
+        return tuple(Atom("T", x) for x in reversed(self._lower_set(elements)))
 
     def eta_inverse_word(self, elements):
-        below = set()
-        for v in elements:
-            below |= self.poset.strict_down_set(v)
-        lower = tuple(x for x in self.extension if x in below)
-        return tuple(Atom("E", x) for x in lower)
+        return tuple(Atom("E", x) for x in self._lower_set(elements))
 
     def star_order_toggle_word(self, v):
         """Antichain-toggle word that mimics the order toggle at v."""
@@ -293,16 +296,10 @@ class Dynamics:
 
     def star_antichain_toggle_word(self, v):
         """Order-toggle word conjugated by eta that mimics the antichain toggle."""
-        lower = self._lower_set_in_extension_order(v)
-        return (tuple(Atom("E", x) for x in lower)
-                + (Atom("T", v),)
-                + tuple(Atom("T", x) for x in reversed(lower)))
+        return self.eta_inverse_word((v,)) + (Atom("T", v),) + self.eta_word(v)
 
     def star_antichain_elggot_word(self, v):
-        lower = self._lower_set_in_extension_order(v)
-        return (tuple(Atom("E", x) for x in lower)
-                + (Atom("E", v),)
-                + tuple(Atom("T", x) for x in reversed(lower)))
+        return self.eta_inverse_word((v,)) + (Atom("E", v),) + self.eta_word(v)
 
     def star_order_toggle(self, v, g):
         return self.apply_word(self.star_order_toggle_word(v), g)

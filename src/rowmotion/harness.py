@@ -23,6 +23,7 @@ from .poset import chain_product, parse_poset, random_poset, root_poset_a
 DEFAULT_POINTS = 20
 DEFAULT_MAX_RETRIES = 5
 DEFAULT_MAX_ITER = 64
+MODEL_NOTE = "generic-matrix evaluation (randomized identity testing, not symbolic)"
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class OrbitReport:
             "statistic_averages": {k: str(v) for k, v in self.statistic_averages.items()},
         }
         if self.backend.startswith("matrix:") and self.backend != "matrix:1":
-            out["model"] = "generic-matrix evaluation (randomized identity testing, not symbolic)"
+            out["model"] = MODEL_NOTE
         return out
 
 
@@ -361,7 +362,7 @@ def _model_note(backend):
     """Matrix rings only approximate a skew field: generic evaluation, not
     symbolic identity.  Flag that caveat on every noncommutative report."""
     if not backend.is_commutative:
-        return "generic-matrix evaluation (randomized identity testing, not symbolic)"
+        return MODEL_NOTE
     return None
 
 

@@ -3,7 +3,9 @@
 Labelings are tuples of :class:`fractions.Fraction`, one value per poset
 element.  Maps are only applied inside their defining polytopes; a
 labeling outside the domain raises :class:`DomainViolation` rather than
-being clamped.
+being clamped.  Inside the domain every map is the tropicalization of the
+birational one: the generic :class:`Dynamics` over the max-plus semiring
+with C = 1.
 """
 
 from __future__ import annotations
@@ -11,10 +13,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .backends import TropicalSemiring
+from .dynamics import Dynamics
 from .errors import DomainViolation
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_TROPICAL = TropicalSemiring(const_c=ONE)
 
 
 def as_labeling(p, values):
@@ -26,6 +31,18 @@ def as_labeling(p, values):
 
 def indicator(p, members):
     return tuple(ONE if v in members else ZERO for v in range(p.n))
+
+
+def _tropical(p, method, f, *args):
+    """Apply one Dynamics map over the max-plus semiring to a tuple labeling."""
+    dyn = Dynamics(p, _TROPICAL)
+    return method(dyn, *args, dyn.labeling(f)).values
+
+
+def _max_chain_sum(p, f):
+    """The largest maximal-chain sum: one max-plus inverse down transfer."""
+    best = _tropical(p, Dynamics.inv_down_transfer, f)
+    return max((best[m] for m in p.maximal_elements()), default=ZERO)
 
 
 # -- polytope membership -----------------------------------------------------
@@ -53,7 +70,7 @@ def in_chain_polytope(p, f):
     """Non-negative labelings whose every maximal-chain sum is at most 1."""
     if any(x < ZERO for x in f):
         return False
-    return all(sum(f[v] for v in chain) <= ONE for chain in p.maximal_chains())
+    return _max_chain_sum(p, f) <= ONE
 
 
 def _require(p, f, predicate, name):
@@ -71,57 +88,44 @@ def pl_order_toggle(p, v, f):
     elements.  An involution on the order polytope.
     """
     _require(p, f, in_order_polytope, "order polytope")
-    lower = max((f[u] for u in p.down_adjacency[v]), default=ZERO)
-    upper = min((f[w] for w in p.up_adjacency[v]), default=ONE)
-    new = lower + upper - f[v]
-    return f[:v] + (new,) + f[v + 1:]
+    return _tropical(p, Dynamics.order_toggle, f, v)
 
 
 def pl_antichain_toggle(p, v, g):
     """Chain polytope toggle: 1 minus the best chain sum through v."""
     _require(p, g, in_chain_polytope, "chain polytope")
-    best = max(sum(g[x] for x in chain) for (chain, _) in p.chains_through(v))
-    new = ONE - best
-    return g[:v] + (new,) + g[v + 1:]
+    return _tropical(p, Dynamics.antichain_toggle, g, v)
 
 
 # -- transfer maps -----------------------------------------------------------
 
 
 def pl_complement(p, f):
-    return tuple(ONE - x for x in f)
+    return _tropical(p, Dynamics.theta, f)
 
 
 def pl_down_transfer(p, f):
     """f(x) minus the best lower-cover value; order polytope -> chain polytope."""
     _require(p, f, in_order_polytope, "order polytope")
-    return tuple(f[x] - max((f[u] for u in p.down_adjacency[x]), default=ZERO)
-                 for x in range(p.n))
+    return _tropical(p, Dynamics.down_transfer, f)
 
 
 def pl_up_transfer(p, f):
     """f(x) minus the best upper-cover value; order-reversing -> chain polytope."""
     _require(p, f, in_order_reversing, "order-reversing polytope")
-    return tuple(f[x] - max((f[w] for w in p.up_adjacency[x]), default=ZERO)
-                 for x in range(p.n))
+    return _tropical(p, Dynamics.up_transfer, f)
 
 
 def pl_inv_down_transfer(p, f):
     """Best chain sum from the bottom; chain polytope -> order polytope."""
     _require(p, f, in_chain_polytope, "chain polytope")
-    out = [None] * p.n
-    for x in p.default_linear_extension:
-        out[x] = f[x] + max((out[u] for u in p.down_adjacency[x]), default=ZERO)
-    return tuple(out)
+    return _tropical(p, Dynamics.inv_down_transfer, f)
 
 
 def pl_inv_up_transfer(p, f):
     """Best chain sum towards the top; chain polytope -> order-reversing."""
     _require(p, f, in_chain_polytope, "chain polytope")
-    out = [None] * p.n
-    for x in reversed(p.default_linear_extension):
-        out[x] = f[x] + max((out[w] for w in p.up_adjacency[x]), default=ZERO)
-    return tuple(out)
+    return _tropical(p, Dynamics.inv_up_transfer, f)
 
 
 _TRANSFERS = {
@@ -143,20 +147,20 @@ def pl_transfer(p, op, f):
 
 
 # -- rowmotion ---------------------------------------------------------------
+#
+# Each toggle maps its polytope to itself, so the domain is checked once.
 
 
 def pl_order_rowmotion(p, f):
     """Toggle product over a linear extension, applied top-down."""
-    for v in reversed(p.default_linear_extension):
-        f = pl_order_toggle(p, v, f)
-    return f
+    _require(p, f, in_order_polytope, "order polytope")
+    return _tropical(p, Dynamics.order_rowmotion, f)
 
 
 def pl_antichain_rowmotion(p, g):
     """Toggle product over a linear extension, applied bottom-up."""
-    for v in p.default_linear_extension:
-        g = pl_antichain_toggle(p, v, g)
-    return g
+    _require(p, g, in_chain_polytope, "chain polytope")
+    return _tropical(p, Dynamics.antichain_rowmotion, g)
 
 
 # -- random points ------------------------------------------------------------
@@ -172,8 +176,7 @@ def random_chain_polytope_point(p, seed, denominator_bound=64):
     """A generic rational point of the chain polytope (not uniform)."""
     rng = random.Random(seed)
     raw = [_random_fraction(rng, denominator_bound) for _ in range(p.n)]
-    worst = max((sum(raw[v] for v in chain) for chain in p.maximal_chains()),
-                default=ZERO)
+    worst = _max_chain_sum(p, raw)
     if worst > ONE:
         scale = Fraction(rng.randint(1, denominator_bound), denominator_bound + 1) / worst
         raw = [x * scale for x in raw]

@@ -4,8 +4,9 @@ Elements are dense integer indices ``0..n-1`` with a display-name table.
 Relations supplied to the constructor may be any strict order relations;
 they are transitively closed, checked for cycles, and reduced to the
 cover relation.  Instances are immutable after construction and safe to
-share between concurrent tasks; the maximal-chain index is computed
-lazily on first use and cached.
+share between concurrent tasks.  The maximal-chain index is computed
+lazily on first use and cached; it is a reference enumeration that the
+toggle calculus itself never reads.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ class Poset:
         rank: per-element rank list, or None when the poset is ungraded.
     """
 
-    def __init__(self, n, relations, element_names=None,
-                 chain_budget=DEFAULT_CHAIN_BUDGET):
+    def __init__(self, n, relations, element_names=None):
         if n < 0:
             raise ValueError("element count must be non-negative")
         self.n = n
@@ -39,7 +39,6 @@ class Poset:
         if len(element_names) != n:
             raise ValueError("need exactly one name per element")
         self.element_names = tuple(element_names)
-        self.chain_budget = chain_budget
 
         for (u, v) in relations:
             if not (0 <= u < n and 0 <= v < n):
@@ -202,17 +201,16 @@ class Poset:
     # -- maximal chains --------------------------------------------------
 
     def maximal_chains(self):
-        """All maximal chains, bottom-to-top, as tuples of elements."""
+        """All maximal chains, bottom-to-top; at most ``DEFAULT_CHAIN_BUDGET``."""
         if self._chains is None:
             chains = []
-            budget = self.chain_budget
 
             def extend(chain, v):
                 ups = self.up_adjacency[v]
                 if not ups:
-                    if len(chains) >= budget:
+                    if len(chains) >= DEFAULT_CHAIN_BUDGET:
                         raise ChainBudgetExceeded(
-                            f"more than {budget} maximal chains")
+                            f"more than {DEFAULT_CHAIN_BUDGET} maximal chains")
                     chains.append(tuple(chain))
                     return
                 for w in ups:
@@ -250,7 +248,7 @@ class Poset:
 # -- builders ------------------------------------------------------------
 
 
-def chain_product(a, b, chain_budget=DEFAULT_CHAIN_BUDGET):
+def chain_product(a, b):
     """The product of chains [a] x [b].
 
     Elements (i, j) with 1 <= i <= a, 1 <= j <= b, indexed column by
@@ -272,7 +270,7 @@ def chain_product(a, b, chain_budget=DEFAULT_CHAIN_BUDGET):
             relations.append((k, index[(i + 1, j)]))
         if j + 1 <= b:
             relations.append((k, index[(i, j + 1)]))
-    return Poset(a * b, relations, names, chain_budget=chain_budget)
+    return Poset(a * b, relations, names)
 
 
 def chain_product_index(a, b):
@@ -286,7 +284,7 @@ def chain_product_index(a, b):
     return index
 
 
-def root_poset_a(m, chain_budget=DEFAULT_CHAIN_BUDGET):
+def root_poset_a(m):
     """The positive root poset of type A_m.
 
     Elements are the intervals [i, j] with 1 <= i <= j <= m, listed rank
@@ -307,7 +305,7 @@ def root_poset_a(m, chain_budget=DEFAULT_CHAIN_BUDGET):
             relations.append((k, index[(i, j + 1)]))
         if i - 1 >= 1:
             relations.append((k, index[(i - 1, j)]))
-    return Poset(len(names), relations, names, chain_budget=chain_budget)
+    return Poset(len(names), relations, names)
 
 
 def root_poset_a_index(m):
@@ -321,7 +319,7 @@ def root_poset_a_index(m):
     return index
 
 
-def parse_poset(text, chain_budget=DEFAULT_CHAIN_BUDGET):
+def parse_poset(text):
     """Parse the poset text format.
 
     First non-comment line: element count n.  Subsequent lines "i<j"
@@ -352,10 +350,10 @@ def parse_poset(text, chain_budget=DEFAULT_CHAIN_BUDGET):
         relations.append((u, v))
     if n is None:
         raise ValueError("missing element count line")
-    return Poset(n, relations, chain_budget=chain_budget)
+    return Poset(n, relations)
 
 
-def random_poset(n, seed, density=0.35, chain_budget=DEFAULT_CHAIN_BUDGET):
+def random_poset(n, seed, density=0.35):
     """A pseudo-random poset on n elements, deterministic in the seed.
 
     Relations i < j are proposed on index-increasing pairs with the given
@@ -368,10 +366,10 @@ def random_poset(n, seed, density=0.35, chain_budget=DEFAULT_CHAIN_BUDGET):
         for j in range(i + 1, n):
             if rng.random() < density:
                 relations.append((i, j))
-    return Poset(n, relations, chain_budget=chain_budget)
+    return Poset(n, relations)
 
 
-def random_graded_poset(seed, max_rank=3, max_width=3, chain_budget=DEFAULT_CHAIN_BUDGET):
+def random_graded_poset(seed, max_rank=3, max_width=3):
     """A pseudo-random graded poset: ranked levels with covers only
     between adjacent ranks, every non-top element covered and every
     non-bottom element covering something."""
@@ -397,4 +395,4 @@ def random_graded_poset(seed, max_rank=3, max_width=3, chain_budget=DEFAULT_CHAI
                 if rng.random() < 0.3:
                     edges.add((u, v))
         relations.extend(sorted(edges))
-    return Poset(total, relations, chain_budget=chain_budget)
+    return Poset(total, relations)

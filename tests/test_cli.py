@@ -18,6 +18,12 @@ def test_poset_inspect(capsys):
     assert "maximal_chains: 3" in out
 
 
+def test_poset_counts_chains_past_the_enumeration_budget(capsys):
+    code, out, _ = run(capsys, "poset", "--poset", "chain 12x13")
+    assert code == 0
+    assert "maximal_chains: 1352078" in out  # binomial(23, 11)
+
+
 def test_poset_serialize_roundtrip(capsys, tmp_path):
     path = tmp_path / "out.poset"
     code, _, _ = run(capsys, "poset", "--poset", "rootA 3", "--serialize", str(path))

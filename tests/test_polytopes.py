@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from rowmotion.backends import MatrixRing, RationalField, TropicalSemiring
+from rowmotion.dynamics import Dynamics
 from rowmotion.errors import DomainViolation
-from rowmotion.poset import chain_product
+from rowmotion.poset import chain_product, random_graded_poset, random_poset, root_poset_a
 from rowmotion.polytopes import (
     in_chain_polytope,
     in_order_polytope,
@@ -190,3 +192,118 @@ def test_random_points_lie_in_their_polytopes(p33):
         assert in_order_polytope(p33, random_order_polytope_point(p33, seed))
         assert in_chain_polytope(p33, random_chain_polytope_point(p33, seed))
         assert in_order_reversing(p33, random_order_reversing_point(p33, seed))
+
+
+# -- differential oracle: the piecewise-linear maps written out by hand ---------------
+#
+# The library runs every map as the tropical Dynamics; these are the
+# direct max/min formulas, with maximal-chain enumeration for the chain sums.
+
+
+def oracle_order_toggle(p, v, f):
+    lower = max((f[u] for u in p.down_adjacency[v]), default=F(0))
+    upper = min((f[w] for w in p.up_adjacency[v]), default=F(1))
+    return f[:v] + (lower + upper - f[v],) + f[v + 1:]
+
+
+def oracle_antichain_toggle(p, v, g):
+    best = max(sum(g[x] for x in chain) for (chain, _) in p.chains_through(v))
+    return g[:v] + (1 - best,) + g[v + 1:]
+
+
+def oracle_complement(p, f):
+    return tuple(1 - x for x in f)
+
+
+def oracle_down_transfer(p, f):
+    return tuple(f[x] - max((f[u] for u in p.down_adjacency[x]), default=F(0))
+                 for x in range(p.n))
+
+
+def oracle_up_transfer(p, f):
+    return tuple(f[x] - max((f[w] for w in p.up_adjacency[x]), default=F(0))
+                 for x in range(p.n))
+
+
+def oracle_inv_down_transfer(p, f):
+    out = [None] * p.n
+    for x in p.default_linear_extension:
+        out[x] = f[x] + max((out[u] for u in p.down_adjacency[x]), default=F(0))
+    return tuple(out)
+
+
+def oracle_inv_up_transfer(p, f):
+    out = [None] * p.n
+    for x in reversed(p.default_linear_extension):
+        out[x] = f[x] + max((out[w] for w in p.up_adjacency[x]), default=F(0))
+    return tuple(out)
+
+
+def oracle_order_rowmotion(p, f):
+    for v in reversed(p.default_linear_extension):
+        f = oracle_order_toggle(p, v, f)
+    return f
+
+
+def oracle_antichain_rowmotion(p, g):
+    for v in p.default_linear_extension:
+        g = oracle_antichain_toggle(p, v, g)
+    return g
+
+
+def oracle_in_chain_polytope(p, f):
+    return (all(x >= 0 for x in f)
+            and all(sum(f[v] for v in chain) <= 1 for chain in p.maximal_chains()))
+
+
+def oracle_posets():
+    return ([chain_product(2, 3), chain_product(3, 3), root_poset_a(3)]
+            + [random_poset(n, seed) for n, seed in ((6, 1), (7, 101), (8, 5))]
+            + [random_graded_poset(seed) for seed in (1, 2, 7)])
+
+
+@pytest.mark.parametrize("p", oracle_posets(), ids=repr)
+def test_pl_maps_match_hand_written_formulas(p):
+    for seed in range(8):
+        f = random_order_polytope_point(p, seed)
+        h = random_order_reversing_point(p, seed)
+        g = random_chain_polytope_point(p, seed)
+        assert pl_complement(p, f) == oracle_complement(p, f)
+        assert pl_down_transfer(p, f) == oracle_down_transfer(p, f)
+        assert pl_up_transfer(p, h) == oracle_up_transfer(p, h)
+        assert pl_inv_down_transfer(p, g) == oracle_inv_down_transfer(p, g)
+        assert pl_inv_up_transfer(p, g) == oracle_inv_up_transfer(p, g)
+        assert pl_order_rowmotion(p, f) == oracle_order_rowmotion(p, f)
+        assert pl_antichain_rowmotion(p, g) == oracle_antichain_rowmotion(p, g)
+        for v in range(p.n):
+            assert pl_order_toggle(p, v, f) == oracle_order_toggle(p, v, f)
+            assert pl_antichain_toggle(p, v, g) == oracle_antichain_toggle(p, v, g)
+
+
+@pytest.mark.parametrize("p", oracle_posets(), ids=repr)
+def test_chain_polytope_membership_matches_enumeration(p):
+    for seed in range(8):
+        g = random_chain_polytope_point(p, seed)
+        worst = max(sum(g[v] for v in chain) for chain in p.maximal_chains())
+        candidates = [g, tuple(-x for x in g), g[:-1] + (F(-1, 64),)]
+        if worst:  # rescaled so the maximum chain sum is exactly 1, then 1 + 1/64
+            edge, over = (tuple(x * bound / worst for x in g) for bound in (F(1), F(65, 64)))
+            assert in_chain_polytope(p, edge) and not in_chain_polytope(p, over)
+            candidates += [edge, over]
+        for f in candidates:
+            assert in_chain_polytope(p, f) == oracle_in_chain_polytope(p, f)
+
+
+def test_antichain_maps_never_enumerate_chains():
+    def refuse(*args):
+        raise AssertionError("maximal chains enumerated")
+
+    p = chain_product(3, 4)
+    p.maximal_chains = p.chains_through = refuse
+    for backend in (RationalField(), MatrixRing(2), MatrixRing(3), TropicalSemiring()):
+        dyn = Dynamics(p, backend)
+        g = dyn.random_labeling(5)
+        assert dyn.equal(dyn.antichain_rowmotion(g), dyn.antichain_rowmotion_via_transfers(g))
+    g = random_chain_polytope_point(p, 5)
+    assert in_chain_polytope(p, g)
+    assert in_chain_polytope(p, pl_antichain_rowmotion(p, g))

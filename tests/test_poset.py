@@ -222,8 +222,9 @@ def test_chains_are_maximal_and_positions_correct(p23, a3):
                            for i in range(len(chain) - 1))
 
 
-def test_chain_budget_exceeded():
-    p = Poset(4, [], chain_budget=3)  # 4-antichain has 4 maximal chains
+def test_chain_budget_exceeded(monkeypatch):
+    monkeypatch.setattr("rowmotion.poset.DEFAULT_CHAIN_BUDGET", 3)
+    p = Poset(4, [])  # 4-antichain has 4 maximal chains
     with pytest.raises(ChainBudgetExceeded):
         p.maximal_chains()
 
