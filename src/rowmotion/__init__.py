@@ -27,7 +27,6 @@ from .harness import (
     labeling_orbit_report,
     run_check,
     scan_conjecture,
-    verify_all,
 )
 from .matrices import RationalMatrix
 from .poset import (
@@ -50,5 +49,5 @@ __all__ = [
     "derive_seed", "detect_order", "emit_report", "labeling_orbit_report",
     "parallel_sum", "parse_backend", "parse_poset", "random_graded_poset",
     "random_labeling", "random_poset", "root_poset_a", "root_poset_a_index",
-    "run_check", "scan_conjecture", "verify_all",
+    "run_check", "scan_conjecture",
 ]

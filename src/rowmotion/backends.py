@@ -19,7 +19,8 @@ from fractions import Fraction
 from .errors import NotInvertible
 from .matrices import RationalMatrix
 
-DEFAULT_SAMPLE_RANGE = (1, 50)
+DEFAULT_SAMPLE_RANGE = (1, 50)  # positive, so every sampled rational is nonzero
+TROPICAL_DENOMINATOR_BOUND = 50
 
 
 def derive_seed(*parts):
@@ -29,11 +30,17 @@ def derive_seed(*parts):
     return int.from_bytes(digest, "big")
 
 
-def _sample_fraction(rng, lo, hi):
+def _sample_fraction(rng):
+    lo, hi = DEFAULT_SAMPLE_RANGE
     num = rng.randint(lo, hi)
-    while num == 0:
-        num = rng.randint(lo, hi)
-    den = rng.randint(max(1, lo), hi)
+    den = rng.randint(lo, hi)
+    return Fraction(num, den)
+
+
+def unit_interval_fraction(rng, denominator_bound):
+    """A rational in [0, 1]: a denominator up to the bound, then a numerator up to it."""
+    den = rng.randint(1, denominator_bound)
+    num = rng.randint(0, den)
     return Fraction(num, den)
 
 
@@ -101,11 +108,10 @@ class RationalField(AlgebraBackend):
 
     name = "rational"
 
-    def __init__(self, const_c=Fraction(2), sample_range=DEFAULT_SAMPLE_RANGE):
+    def __init__(self, const_c=Fraction(2)):
         self._c = Fraction(const_c)
         if self._c == 0:
             raise ValueError("the constant C must be nonzero")
-        self.sample_range = sample_range
 
     def add(self, x, y):
         return x + y
@@ -125,9 +131,7 @@ class RationalField(AlgebraBackend):
         return self._c
 
     def sample_generic(self, seed):
-        rng = random.Random(seed)
-        lo, hi = self.sample_range
-        return _sample_fraction(rng, lo, hi)
+        return _sample_fraction(random.Random(seed))
 
 
 class MatrixRing(AlgebraBackend):
@@ -138,7 +142,7 @@ class MatrixRing(AlgebraBackend):
     matrix, hence central by construction.
     """
 
-    def __init__(self, d, const_c=Fraction(2), sample_range=DEFAULT_SAMPLE_RANGE):
+    def __init__(self, d, const_c=Fraction(2)):
         if d < 1:
             raise ValueError("matrix dimension must be positive")
         self.d = d
@@ -146,7 +150,6 @@ class MatrixRing(AlgebraBackend):
         if c == 0:
             raise ValueError("the constant C must be nonzero")
         self._c = RationalMatrix.scalar(d, c)
-        self.sample_range = sample_range
         self.name = f"matrix:{d}"
 
     @property
@@ -176,9 +179,7 @@ class MatrixRing(AlgebraBackend):
 
     def sample_generic(self, seed):
         rng = random.Random(seed)
-        lo, hi = self.sample_range
-        return RationalMatrix(tuple(tuple(_sample_fraction(rng, lo, hi)
-                                          for _ in range(self.d))
+        return RationalMatrix(tuple(tuple(_sample_fraction(rng) for _ in range(self.d))
                                     for _ in range(self.d)))
 
 
@@ -192,9 +193,8 @@ class TropicalSemiring(AlgebraBackend):
     name = "tropical"
     is_tropical = True
 
-    def __init__(self, const_c=Fraction(1), sample_denominator_bound=50):
+    def __init__(self, const_c=Fraction(1)):
         self._c = Fraction(const_c)
-        self.sample_denominator_bound = sample_denominator_bound
 
     def add(self, x, y):
         return max(x, y)
@@ -212,10 +212,7 @@ class TropicalSemiring(AlgebraBackend):
         return self._c
 
     def sample_generic(self, seed):
-        rng = random.Random(seed)
-        den = rng.randint(1, self.sample_denominator_bound)
-        num = rng.randint(0, den)
-        return Fraction(num, den)
+        return unit_interval_fraction(random.Random(seed), TROPICAL_DENOMINATOR_BOUND)
 
 
 def parallel_sum(backend, values):

@@ -92,6 +92,12 @@ def build_parser():
     return parser
 
 
+def _at_least_one(flag, value):
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 def _emit(rows, fmt, out):
     data = emit_report(rows, format=fmt)
     if out:
@@ -167,6 +173,7 @@ _PL_MAPS = {
 
 
 def cmd_orbit(args):
+    max_iter = _at_least_one("--max-iter", args.max_iter)
     p = build_poset(args.poset)
     seed = args.seed if args.seed is not None else _default_seed()
     realm = args.realm
@@ -186,7 +193,7 @@ def cmd_orbit(args):
         start = (polytopes.as_labeling(p, json.loads(args.labeling)) if args.labeling
                  else sample(p, seed))
         order = detect_order(lambda f: rowmotion(p, f), start, lambda a, b: a == b,
-                             max_iter=args.max_iter)
+                             max_iter=max_iter)
         report = {"map": f"pl-{map_id}", "poset": args.poset, "seed": seed,
                   "order": order if order is not None else "exceeded"}
         _emit([report], args.format, args.out)
@@ -200,7 +207,7 @@ def cmd_orbit(args):
     if map_id not in ("bar", "bor"):
         raise ValueError("--map for algebraic realms must be 'bar' or 'bor'")
     rep = harness.labeling_orbit_report(p, backend, map_id, seed,
-                                        poset_name=args.poset, max_iter=args.max_iter)
+                                        poset_name=args.poset, max_iter=max_iter)
     _emit([rep.to_dict()], args.format, args.out)
     return 0
 
@@ -234,11 +241,14 @@ def cmd_verify(args):
 
 
 def cmd_scan(args):
-    a_max, b_max = (int(x) for x in args.max_ab.split("x", 1))
+    try:
+        a_max, b_max = (int(x) for x in args.max_ab.split("x", 1))
+    except ValueError:
+        raise ValueError(f"--max expects AxB, got {args.max_ab!r}") from None
     base = args.seed if args.seed is not None else _default_seed()
-    seeds = [base + i for i in range(args.seeds)]
-    rows = harness.scan_conjecture(a_max, b_max, args.backend, seeds=seeds,
-                                   map_id=args.map_id, max_iter=args.max_iter)
+    seeds = [base + i for i in range(_at_least_one("--seeds", args.seeds))]
+    rows = harness.scan_conjecture(a_max, b_max, args.backend, seeds=seeds, map_id=args.map_id,
+                                   max_iter=_at_least_one("--max-iter", args.max_iter))
     _emit(rows, args.format, args.out)
     return 0
 

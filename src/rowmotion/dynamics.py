@@ -32,14 +32,13 @@ from .errors import NotCentral, NotGraded, NotInvertible
 class Labeling:
     """One backend value per poset element."""
 
-    backend_name: str
     values: tuple
 
     def __getitem__(self, v):
         return self.values[v]
 
     def replace(self, v, value):
-        return Labeling(self.backend_name, self.values[:v] + (value,) + self.values[v + 1:])
+        return Labeling(self.values[:v] + (value,) + self.values[v + 1:])
 
 
 class Atom(NamedTuple):
@@ -48,11 +47,6 @@ class Atom(NamedTuple):
 
     def __str__(self):
         return f"{self.kind}[{self.index}]"
-
-
-ToggleWord = tuple  # of Atom
-
-ATOM_KINDS = ("T", "E", "tau", "eps", "rank_T", "rank_tau")
 
 
 class Dynamics:
@@ -69,10 +63,10 @@ class Dynamics:
         values = tuple(values)
         if len(values) != self.poset.n:
             raise ValueError(f"expected {self.poset.n} values")
-        return Labeling(self.backend.name, values)
+        return Labeling(values)
 
     def random_labeling(self, seed):
-        return Labeling(self.backend.name, random_labeling(self.backend, self.poset, seed))
+        return Labeling(random_labeling(self.backend, self.poset, seed))
 
     def equal(self, f, g):
         b = self.backend

@@ -23,6 +23,7 @@ from .poset import chain_product, parse_poset, random_poset, root_poset_a
 DEFAULT_POINTS = 20
 DEFAULT_MAX_RETRIES = 5
 DEFAULT_MAX_ITER = 64
+SCAN_ELEMENT_BUDGET = 12
 MODEL_NOTE = "generic-matrix evaluation (randomized identity testing, not symbolic)"
 
 
@@ -33,7 +34,6 @@ class CheckSpec:
     backend_spec: str
     points: int = DEFAULT_POINTS
     seed: int = 0
-    max_retries: int = DEFAULT_MAX_RETRIES
 
     def __post_init__(self):
         if self.points < 1:
@@ -57,6 +57,7 @@ class OrbitReport:
     minimal: bool
     failures: int = 0  # degenerate starts that were resampled
     statistic_averages: dict = field(default_factory=dict)
+    model: str | None = None
 
     def to_dict(self):
         out = {
@@ -71,8 +72,8 @@ class OrbitReport:
             "failures": self.failures,
             "statistic_averages": {k: str(v) for k, v in self.statistic_averages.items()},
         }
-        if self.backend.startswith("matrix:") and self.backend != "matrix:1":
-            out["model"] = MODEL_NOTE
+        if self.model:
+            out["model"] = self.model
         return out
 
 
@@ -329,20 +330,12 @@ def run_check(spec: CheckSpec, poset=None, backend=None):
     dyn = Dynamics(p, b)
     passes = failures = retries = 0
     for i in range(spec.points):
-        for attempt in range(spec.max_retries + 1):
-            point_seed = derive_seed(spec.seed, i, attempt)
-            g = dyn.random_labeling(point_seed)
-            rng = random.Random(derive_seed("aux", spec.seed, i, attempt))
-            try:
-                ok = thm.check(dyn, g, rng)
-            except NotInvertible:
-                retries += 1
-                continue
-            break
-        else:
-            raise GenericityFailure(
-                f"{spec.theorem} on {spec.poset_spec}/{b.describe()}: "
-                f"point {i} stayed degenerate through {spec.max_retries} retries")
+        def attempt(k):
+            g = dyn.random_labeling(derive_seed(spec.seed, i, k))
+            return thm.check(dyn, g, random.Random(derive_seed("aux", spec.seed, i, k)))
+        ok, degenerate = _redraw(
+            attempt, f"{spec.theorem} on {spec.poset_spec}/{b.describe()}: point {i}")
+        retries += degenerate
         if ok:
             passes += 1
         else:
@@ -356,6 +349,22 @@ def run_check(spec: CheckSpec, poset=None, backend=None):
     if model_note:
         report["model"] = model_note
     return report
+
+
+def _redraw(attempt, what):
+    """The first of ``attempt(k)``, k = 0..DEFAULT_MAX_RETRIES, that is not
+    degenerate, with the number of degenerate attempts before it.
+
+    Each attempt draws its own sample point from k; GenericityFailure when
+    every one raises NotInvertible.
+    """
+    for k in range(DEFAULT_MAX_RETRIES + 1):
+        try:
+            return attempt(k), k
+        except NotInvertible:
+            continue
+    raise GenericityFailure(
+        f"{what} stayed degenerate through {DEFAULT_MAX_RETRIES} retries")
 
 
 def _model_note(backend):
@@ -376,12 +385,6 @@ def default_check_specs(poset_specs=("chain 2x3", "rootA 3"), points=DEFAULT_POI
     return out
 
 
-def verify_all(poset_specs=("chain 2x3", "rootA 3"), points=DEFAULT_POINTS, seed=0):
-    reports = [run_check(s) for s in default_check_specs(poset_specs, points, seed)]
-    reports.sort(key=lambda r: (r["theorem"], r["poset"], r["backend"], r["seed"]))
-    return reports
-
-
 # -- orbit scans ------------------------------------------------------------------
 
 
@@ -392,7 +395,7 @@ _MAP_STEPS = {
 
 
 def labeling_orbit_report(poset, backend, map_id, seed, poset_name=None,
-                          max_iter=DEFAULT_MAX_ITER, max_retries=DEFAULT_MAX_RETRIES):
+                          max_iter=DEFAULT_MAX_ITER):
     """Detected order of a rowmotion map from a random labeling.
 
     Resamples the start with derived seeds when the orbit hits a
@@ -400,31 +403,26 @@ def labeling_orbit_report(poset, backend, map_id, seed, poset_name=None,
     """
     dyn = Dynamics(poset, backend)
     step = _MAP_STEPS[map_id](dyn)
-    failures = 0
-    for attempt in range(max_retries + 1):
-        start = dyn.random_labeling(derive_seed("orbit", seed, attempt))
-        try:
-            order = detect_order(step, start, dyn.equal, max_iter=max_iter)
-        except NotInvertible:
-            failures += 1
-            continue
-        return OrbitReport(
-            map_id=map_id, poset=poset_name or repr(poset), backend=backend.describe(),
-            seed=seed, order=order, iterates=order if order is not None else max_iter,
-            returned_to_start=order is not None,
-            minimal=order is not None, failures=failures)
-    raise GenericityFailure(
-        f"orbit of {map_id} stayed degenerate through {max_retries} retries")
+
+    def attempt(k):
+        start = dyn.random_labeling(derive_seed("orbit", seed, k))
+        return detect_order(step, start, dyn.equal, max_iter=max_iter)
+    order, failures = _redraw(attempt, f"orbit of {map_id}")
+    return OrbitReport(
+        map_id=map_id, poset=poset_name or repr(poset), backend=backend.describe(),
+        seed=seed, order=order, iterates=order if order is not None else max_iter,
+        returned_to_start=order is not None,
+        minimal=order is not None, failures=failures, model=_model_note(backend))
 
 
 def scan_conjecture(a_max, b_max, backend_spec, seeds=(0, 1, 2), map_id="bor",
-                    max_iter=DEFAULT_MAX_ITER, element_budget=12):
+                    max_iter=DEFAULT_MAX_ITER):
     """Observed rowmotion orders on chain products, reported not asserted."""
     rows = []
     for a in range(1, a_max + 1):
         for b in range(a, b_max + 1):
             expected = a + b
-            if a * b > element_budget:
+            if a * b > SCAN_ELEMENT_BUDGET:
                 rows.append({"a": a, "b": b, "backend": backend_spec,
                              "observed": "skipped", "expected": expected,
                              "status": "skipped"})

@@ -50,8 +50,6 @@ class RationalMatrix:
         return RationalMatrix(tuple(tuple(sum(a * b for a, b in zip(row, col))
                                           for col in cols) for row in self.rows))
 
-    __mul__ = __matmul__
-
     def __eq__(self, other):
         return isinstance(other, RationalMatrix) and self.rows == other.rows
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .backends import TropicalSemiring
+from .backends import TropicalSemiring, unit_interval_fraction
 from .dynamics import Dynamics
 from .errors import DomainViolation
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+POINT_DENOMINATOR_BOUND = 64
 _TROPICAL = TropicalSemiring(const_c=ONE)
 
 
@@ -166,36 +167,33 @@ def pl_antichain_rowmotion(p, g):
 # -- random points ------------------------------------------------------------
 
 
-def _random_fraction(rng, denominator_bound=64):
-    den = rng.randint(1, denominator_bound)
-    num = rng.randint(0, den)
-    return Fraction(num, den)
+def _raw_point(p, rng):
+    return [unit_interval_fraction(rng, POINT_DENOMINATOR_BOUND) for _ in range(p.n)]
 
 
-def random_chain_polytope_point(p, seed, denominator_bound=64):
+def random_chain_polytope_point(p, seed):
     """A generic rational point of the chain polytope (not uniform)."""
     rng = random.Random(seed)
-    raw = [_random_fraction(rng, denominator_bound) for _ in range(p.n)]
+    raw = _raw_point(p, rng)
     worst = _max_chain_sum(p, raw)
     if worst > ONE:
-        scale = Fraction(rng.randint(1, denominator_bound), denominator_bound + 1) / worst
+        bound = POINT_DENOMINATOR_BOUND
+        scale = Fraction(rng.randint(1, bound), bound + 1) / worst
         raw = [x * scale for x in raw]
     return tuple(raw)
 
 
-def random_order_polytope_point(p, seed, denominator_bound=64):
+def random_order_polytope_point(p, seed):
     """A generic rational point of the order polytope (not uniform)."""
-    rng = random.Random(seed)
-    raw = [_random_fraction(rng, denominator_bound) for _ in range(p.n)]
+    raw = _raw_point(p, random.Random(seed))
     out = [None] * p.n
     for x in p.default_linear_extension:
         out[x] = max([raw[x]] + [out[u] for u in p.down_adjacency[x]])
     return tuple(out)
 
 
-def random_order_reversing_point(p, seed, denominator_bound=64):
-    rng = random.Random(seed)
-    raw = [_random_fraction(rng, denominator_bound) for _ in range(p.n)]
+def random_order_reversing_point(p, seed):
+    raw = _raw_point(p, random.Random(seed))
     out = [None] * p.n
     for x in reversed(p.default_linear_extension):
         out[x] = max([raw[x]] + [out[w] for w in p.up_adjacency[x]])

@@ -15,6 +15,9 @@ import random
 from .errors import ChainBudgetExceeded, CycleDetected, DanglingElement
 
 DEFAULT_CHAIN_BUDGET = 10**6
+RANDOM_POSET_DENSITY = 0.35
+GRADED_MAX_RANK = 3
+GRADED_MAX_WIDTH = 3
 
 
 class Poset:
@@ -99,10 +102,6 @@ class Poset:
 
     def maximal_elements(self):
         return tuple(v for v in range(self.n) if not self.up_adjacency[v])
-
-    def up_set(self, v):
-        """All x with x >= v."""
-        return frozenset(x for x in range(self.n) if self.leq(v, x))
 
     def down_set(self, v):
         """All x with x <= v."""
@@ -194,10 +193,6 @@ class Poset:
         backtrack()
         return out
 
-    def count_linear_extensions(self):
-        """Brute-force count; intended for desk-scale posets only."""
-        return len(self.linear_extensions(limit=10**9))
-
     # -- maximal chains --------------------------------------------------
 
     def maximal_chains(self):
@@ -258,12 +253,8 @@ def chain_product(a, b):
     """
     if a < 1 or b < 1:
         raise ValueError("chain lengths must be positive")
-    index = {}
-    names = []
-    for j in range(1, b + 1):
-        for i in range(1, a + 1):
-            index[(i, j)] = len(names)
-            names.append(f"({i},{j})")
+    index = chain_product_index(a, b)
+    names = [f"({i},{j})" for (i, j) in index]
     relations = []
     for (i, j), k in index.items():
         if i + 1 <= a:
@@ -292,13 +283,8 @@ def root_poset_a(m):
     """
     if m < 1:
         raise ValueError("m must be positive")
-    index = {}
-    names = []
-    for r in range(m):
-        for i in range(1, m - r + 1):
-            j = i + r
-            index[(i, j)] = len(names)
-            names.append(f"[{i},{j}]")
+    index = root_poset_a_index(m)
+    names = [f"[{i},{j}]" for (i, j) in index]
     relations = []
     for (i, j), k in index.items():
         if j + 1 <= m:
@@ -353,29 +339,30 @@ def parse_poset(text):
     return Poset(n, relations)
 
 
-def random_poset(n, seed, density=0.35):
+def random_poset(n, seed):
     """A pseudo-random poset on n elements, deterministic in the seed.
 
-    Relations i < j are proposed on index-increasing pairs with the given
-    density and reduced to covers, so the identity is always a linear
-    extension.
+    Relations i < j are proposed on index-increasing pairs with
+    probability ``RANDOM_POSET_DENSITY`` and reduced to covers, so the
+    identity is always a linear extension.
     """
     rng = random.Random(seed)
     relations = []
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < density:
+            if rng.random() < RANDOM_POSET_DENSITY:
                 relations.append((i, j))
     return Poset(n, relations)
 
 
-def random_graded_poset(seed, max_rank=3, max_width=3):
+def random_graded_poset(seed):
     """A pseudo-random graded poset: ranked levels with covers only
     between adjacent ranks, every non-top element covered and every
-    non-bottom element covering something."""
+    non-bottom element covering something.  At most ``GRADED_MAX_RANK``
+    ranks above the bottom, each of at most ``GRADED_MAX_WIDTH`` elements."""
     rng = random.Random(seed)
-    r = rng.randint(1, max_rank)
-    sizes = [rng.randint(1, max_width) for _ in range(r + 1)]
+    r = rng.randint(1, GRADED_MAX_RANK)
+    sizes = [rng.randint(1, GRADED_MAX_WIDTH) for _ in range(r + 1)]
     offsets = []
     total = 0
     for s in sizes:

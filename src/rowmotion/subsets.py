@@ -15,6 +15,7 @@ from fractions import Fraction
 from .errors import CompositionMismatch, KindMismatch, OrbitBudgetExceeded
 
 DEFAULT_ORBIT_BUDGET = 10**7
+MAX_ENUMERATED_ELEMENTS = 20  # 2^20 masks take seconds (chain 4x5); each element doubles it
 
 
 class Kind(str, Enum):
@@ -217,8 +218,10 @@ def rowmotion_filter(p, s):
 
 
 def _all_states(p, validator, kind):
-    if p.n > 24:
-        raise OrbitBudgetExceeded("state-space enumeration beyond desk scale")
+    if p.n > MAX_ENUMERATED_ELEMENTS:
+        raise OrbitBudgetExceeded(
+            f"state-space enumeration of {p.n} elements is beyond desk scale "
+            f"(at most {MAX_ENUMERATED_ELEMENTS})")
     out = []
     for mask in range(1 << p.n):
         members = frozenset(v for v in range(p.n) if mask >> v & 1)
@@ -239,8 +242,11 @@ def all_antichains(p):
     return _all_states(p, is_antichain, Kind.ANTICHAIN)
 
 
-def orbit(p, step, start, budget=DEFAULT_ORBIT_BUDGET):
-    """The forward orbit of ``start`` under ``step`` up to first return."""
+def orbit(p, step, start):
+    """The forward orbit of ``start`` under ``step`` up to first return.
+
+    Raises OrbitBudgetExceeded past ``DEFAULT_ORBIT_BUDGET`` states.
+    """
     seen = {start}
     out = [start]
     current = start
@@ -252,27 +258,27 @@ def orbit(p, step, start, budget=DEFAULT_ORBIT_BUDGET):
             raise CompositionMismatch("orbit re-entered without closing; step is not invertible")
         seen.add(current)
         out.append(current)
-        if len(out) > budget:
-            raise OrbitBudgetExceeded(f"orbit exceeds {budget} states")
+        if len(out) > DEFAULT_ORBIT_BUDGET:
+            raise OrbitBudgetExceeded(f"orbit exceeds {DEFAULT_ORBIT_BUDGET} states")
 
 
-def orbit_partition(p, step, states, budget=DEFAULT_ORBIT_BUDGET):
+def orbit_partition(p, step, states):
     """Partition ``states`` into orbits of ``step``."""
     remaining = set(states)
     orbits = []
     for s in states:
         if s not in remaining:
             continue
-        o = orbit(p, step, s, budget=budget)
+        o = orbit(p, step, s)
         orbits.append(o)
         remaining -= set(o)
     return orbits
 
 
-def map_order(p, step, states, budget=DEFAULT_ORBIT_BUDGET):
+def map_order(p, step, states):
     """Least t >= 1 with step^t = identity on all given states."""
     order = 1
-    for o in orbit_partition(p, step, states, budget=budget):
+    for o in orbit_partition(p, step, states):
         order = math.lcm(order, len(o))
     return order
 
@@ -281,8 +287,8 @@ def cardinality(s):
     return Fraction(len(s.members))
 
 
-def homomesy_average(p, step, start, statistic=cardinality, budget=DEFAULT_ORBIT_BUDGET):
+def homomesy_average(p, step, start, statistic=cardinality):
     """Exact orbit average of a statistic under ``step``."""
-    o = orbit(p, step, start, budget=budget)
+    o = orbit(p, step, start)
     total = sum((Fraction(statistic(s)) for s in o), Fraction(0))
     return total / len(o)

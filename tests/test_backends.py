@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rowmotion import backends
 from rowmotion.backends import (
     MatrixRing,
     RationalField,
@@ -173,8 +174,9 @@ def test_matrix_d1_matches_rational_field_bit_for_bit():
     assert [m.rows[0][0] for m in matrix] == list(rational)
 
 
-def test_rational_samples_fully_reduced_nonzero():
-    b = RationalField(sample_range=(-9, 9))
+def test_rational_samples_fully_reduced_nonzero(monkeypatch):
+    monkeypatch.setattr(backends, "DEFAULT_SAMPLE_RANGE", (1, 9))
+    b = RationalField()
     for seed in range(200):
         q = b.sample_generic(seed)
         assert q != 0

@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from rowmotion.cli import main
 from rowmotion.errors import NotInvertible
@@ -190,3 +193,24 @@ def test_output_deterministic_across_runs(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("scan", "--seeds", "0"), "--seeds"),
+    (("scan", "--max", "3"), "--max"),
+    (("scan", "--max-iter", "0"), "--max-iter"),
+    (("orbit", "--realm", "birational", "--poset", "chain 2x2", "--max-iter", "0"),
+     "--max-iter"),
+    (("orbit", "--realm", "birational", "--poset", "chain 2x2", "--max-iter", "-1"),
+     "--max-iter"),
+])
+def test_bad_values_exit_2_naming_the_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and flag in err and not out
+
+
+def test_orbit_comb_refuses_large_state_space_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "orbit", "--realm", "comb", "--poset", "chain 4x6")
+    assert code == 2 and "24 elements" in err
+    assert time.perf_counter() - start < 1.0

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from rowmotion.backends import MatrixRing, RationalField
+from rowmotion import harness
+from rowmotion.backends import MatrixRing, RationalField, parse_backend
 from rowmotion.errors import GenericityFailure, NotInvertible
 from rowmotion.harness import (
     THEOREMS,
@@ -75,13 +76,17 @@ def test_run_check_deterministic():
 
 
 def test_run_check_genericity_failure(monkeypatch):
+    points = []
+
     def always_degenerate(dyn, g, rng):
+        points.append(g)
         raise NotInvertible(context="forced")
     monkeypatch.setitem(THEOREMS, "always-degenerate",
                         TheoremCheck(always_degenerate, False, ("rational",), "fixture"))
-    with pytest.raises(GenericityFailure):
-        run_check(CheckSpec("always-degenerate", "chain 1x1", "rational",
-                            points=1, max_retries=2))
+    monkeypatch.setattr(harness, "DEFAULT_MAX_RETRIES", 2)
+    with pytest.raises(GenericityFailure, match="point 0 stayed degenerate through 2 retries"):
+        run_check(CheckSpec("always-degenerate", "chain 1x1", "rational", points=1))
+    assert len(set(points)) == len(points) == 3
 
 
 def test_run_check_retries_then_passes(monkeypatch):
@@ -153,17 +158,45 @@ def test_scan_reports_exceeded_rows_without_failing():
 def test_orbit_report_genericity_failure(monkeypatch):
     from rowmotion import harness as h
 
+    starts = []
+
     def always_degenerate(step, start, equal, max_iter=64):
+        starts.append(start)
         raise NotInvertible(context="forced")
 
     monkeypatch.setattr(h, "detect_order", always_degenerate)
-    with pytest.raises(GenericityFailure):
-        labeling_orbit_report(chain_product(1, 1), RationalField(), "bar",
-                              seed=0, max_retries=2)
+    monkeypatch.setattr(h, "DEFAULT_MAX_RETRIES", 2)
+    with pytest.raises(GenericityFailure, match="orbit of bar stayed degenerate through 2 retries"):
+        labeling_orbit_report(chain_product(1, 1), RationalField(), "bar", seed=0)
+    assert len(set(starts)) == len(starts) == 3
 
 
-def test_scan_skips_beyond_element_budget():
-    rows = scan_conjecture(4, 4, "rational", seeds=(0,), element_budget=12)
+def test_orbit_report_counts_degenerate_starts(monkeypatch):
+    real = harness.detect_order
+    starts = []
+
+    def degenerate_first(step, start, equal, max_iter=64):
+        starts.append(start)
+        if len(starts) == 1:
+            raise NotInvertible(context="first start only")
+        return real(step, start, equal, max_iter=max_iter)
+
+    monkeypatch.setattr(harness, "detect_order", degenerate_first)
+    rep = labeling_orbit_report(chain_product(2, 2), RationalField(), "bar", seed=0)
+    assert rep.failures == 1 and rep.order == 4
+    assert starts[0] != starts[1]
+
+
+def test_model_note_only_on_noncommutative_backends():
+    for spec in ("rational", "tropical", "matrix:1", "matrix:2"):
+        orbit = labeling_orbit_report(chain_product(1, 2), parse_backend(spec), "bar", seed=0)
+        check = run_check(CheckSpec("reciprocity", "chain 1x2", spec, points=1))
+        assert ("model" in orbit.to_dict()) == ("model" in check) == (spec == "matrix:2")
+
+
+def test_scan_skips_beyond_element_budget(monkeypatch):
+    monkeypatch.setattr(harness, "SCAN_ELEMENT_BUDGET", 12)
+    rows = scan_conjecture(4, 4, "rational", seeds=(0,))
     by_ab = {(r["a"], r["b"]): r for r in rows}
     assert by_ab[(4, 4)]["status"] == "skipped"
     assert by_ab[(3, 4)]["status"] == "consistent"

@@ -33,8 +33,12 @@ from rowmotion.subsets import (
     down_transfer,
     inverse_down_transfer,
     inverse_up_transfer,
+    rowmotion_antichain,
+    rowmotion_filter,
+    rowmotion_ideal,
     toggle_antichain,
     toggle_filter,
+    toggle_ideal,
     up_transfer,
 )
 
@@ -103,6 +107,41 @@ def test_pl_transfers_restrict_to_combinatorial_maps(p23):
             indicator(p23, inverse_down_transfer(p23, s).members)
         assert pl_inv_up_transfer(p23, g) == \
             indicator(p23, inverse_up_transfer(p23, s).members)
+
+
+def test_comb_maps_are_pl_maps_at_vertices_of_random_posets():
+    """Seeded cross-check: at 0/1 labelings every combinatorial map is its PL map."""
+    posets = ([random_poset(n, seed) for n in range(3, 10) for seed in (n, 10 + n)]
+              + [random_graded_poset(seed) for seed in range(10)])
+    for p in posets:
+        def ind(s):
+            return indicator(p, s.members)
+
+        def through_complement(pl_map, f):  # ideal indicators are 1 - filter indicators
+            return pl_complement(p, pl_map(pl_complement(p, f)))
+
+        for s in all_filters(p):
+            f = ind(s)
+            assert pl_order_rowmotion(p, f) == ind(rowmotion_filter(p, s))
+            assert pl_complement(p, f) == ind(complement(p, s))
+            assert pl_down_transfer(p, f) == ind(down_transfer(p, s))
+            for v in range(p.n):
+                assert pl_order_toggle(p, v, f) == ind(toggle_filter(p, v, s))
+        for s in all_ideals(p):
+            f = ind(s)
+            assert through_complement(lambda h: pl_order_rowmotion(p, h), f) == \
+                ind(rowmotion_ideal(p, s))
+            assert pl_up_transfer(p, f) == ind(up_transfer(p, s))
+            for v in range(p.n):
+                assert through_complement(lambda h: pl_order_toggle(p, v, h), f) == \
+                    ind(toggle_ideal(p, v, s))
+        for s in all_antichains(p):
+            g = ind(s)
+            assert pl_antichain_rowmotion(p, g) == ind(rowmotion_antichain(p, s))
+            assert pl_inv_down_transfer(p, g) == ind(inverse_down_transfer(p, s))
+            assert pl_inv_up_transfer(p, g) == ind(inverse_up_transfer(p, s))
+            for v in range(p.n):
+                assert pl_antichain_toggle(p, v, g) == ind(toggle_antichain(p, v, s))
 
 
 def test_pl_toggles_are_involutions_at_random_points(a3):

@@ -271,7 +271,9 @@ def test_orbit_partition_covers_state_space(p23):
     assert sum(len(o) for o in orbits) == len(all_antichains(p23))
 
 
-def test_orbit_budget_exceeded(p23):
+def test_orbit_budget_exceeded(p23, monkeypatch):
+    from rowmotion import subsets
     from rowmotion.errors import OrbitBudgetExceeded
+    monkeypatch.setattr(subsets, "DEFAULT_ORBIT_BUDGET", 2)
     with pytest.raises(OrbitBudgetExceeded):
-        orbit(p23, rowmotion_antichain, antichain(p23, []), budget=2)
+        orbit(p23, rowmotion_antichain, antichain(p23, []))
