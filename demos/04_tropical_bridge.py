@@ -24,7 +24,7 @@ def main():
 
     print("Running the generic antichain rowmotion on the tropical backend")
     print("reproduces the piecewise-linear chain-polytope rowmotion exactly:")
-    lhs = dyn.antichain_rowmotion(dyn.labeling(g)).values
+    lhs = dyn.antichain_rowmotion(dyn.labeling(g))
     rhs = pl.pl_antichain_rowmotion(p, g)
     print("  equal:", lhs == rhs)
     print()

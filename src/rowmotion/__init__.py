@@ -17,7 +17,7 @@ from .backends import (
     parse_backend,
     random_labeling,
 )
-from .dynamics import Atom, Dynamics, Labeling, detect_order
+from .dynamics import Atom, Dynamics, detect_order
 from .harness import (
     THEOREMS,
     CheckSpec,
@@ -43,7 +43,7 @@ from .poset import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraBackend", "Atom", "CheckSpec", "Dynamics", "Labeling", "MatrixRing",
+    "AlgebraBackend", "Atom", "CheckSpec", "Dynamics", "MatrixRing",
     "OrbitReport", "Poset", "RationalField", "RationalMatrix", "THEOREMS",
     "TropicalSemiring", "build_poset", "chain_product", "chain_product_index",
     "derive_seed", "detect_order", "emit_report", "labeling_orbit_report",

@@ -21,6 +21,7 @@ from .matrices import RationalMatrix
 
 DEFAULT_SAMPLE_RANGE = (1, 50)  # positive, so every sampled rational is nonzero
 TROPICAL_DENOMINATOR_BOUND = 50
+MAX_MATRIX_DIMENSION = 8  # parse_backend's limit: one matrix:8 orbit already takes seconds
 
 
 def derive_seed(*parts):
@@ -239,7 +240,7 @@ def random_labeling(backend, p, seed):
 
 
 def parse_backend(spec, const_c=None):
-    """Parse a backend descriptor: rational | matrix:d | tropical."""
+    """Parse a backend descriptor: rational | matrix:d (d <= MAX_MATRIX_DIMENSION) | tropical."""
     spec = spec.strip().lower()
     kwargs = {}
     if const_c is not None:
@@ -249,6 +250,9 @@ def parse_backend(spec, const_c=None):
     if spec == "tropical":
         return TropicalSemiring(**kwargs)
     if spec.startswith("matrix:"):
-        d = int(spec.split(":", 1)[1])
-        return MatrixRing(d, **kwargs)
+        d = spec.split(":", 1)[1]
+        if not (d.isdecimal() and 1 <= int(d) <= MAX_MATRIX_DIMENSION):
+            raise ValueError(f"backend {spec!r} needs an integer d from 1 "
+                             f"to {MAX_MATRIX_DIMENSION}")
+        return MatrixRing(int(d), **kwargs)
     raise ValueError(f"unknown backend {spec!r}; choose rational, matrix:d, or tropical")

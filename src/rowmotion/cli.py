@@ -56,7 +56,7 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--const-c", dest="const_c", help="central constant C as p/q")
     sp.add_argument("--max-iter", type=int, default=harness.DEFAULT_MAX_ITER)
-    sp.add_argument("--labeling", help="JSON array of rational strings 'p/q' (pl realm)")
+    sp.add_argument("--labeling", help="JSON array of numbers or 'p/q' strings (pl realm)")
 
     sp = sub.add_parser("verify", help="run theorem checks from the registry")
     sp.add_argument("--all", action="store_true", help="run every registered theorem")
@@ -172,6 +172,17 @@ _PL_MAPS = {
 }
 
 
+def _parse_labeling(p, text):
+    """A JSON array of numbers or 'p/q' strings; decimals are read exactly."""
+    try:
+        values = json.loads(text, parse_float=Fraction)
+        if not isinstance(values, list):
+            raise ValueError("not a JSON array")
+        return polytopes.as_labeling(p, values)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"--labeling {text!r}: {exc}") from None
+
+
 def cmd_orbit(args):
     max_iter = _at_least_one("--max-iter", args.max_iter)
     p = build_poset(args.poset)
@@ -190,8 +201,7 @@ def cmd_orbit(args):
         if map_id not in _PL_MAPS:
             raise ValueError("--map for the pl realm must be 'order' or 'antichain'")
         sample, rowmotion = _PL_MAPS[map_id]
-        start = (polytopes.as_labeling(p, json.loads(args.labeling)) if args.labeling
-                 else sample(p, seed))
+        start = _parse_labeling(p, args.labeling) if args.labeling else sample(p, seed)
         order = detect_order(lambda f: rowmotion(p, f), start, lambda a, b: a == b,
                              max_iter=max_iter)
         report = {"map": f"pl-{map_id}", "poset": args.poset, "seed": seed,

@@ -21,24 +21,10 @@ for toggles and the complement map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .backends import parallel_sum, random_labeling
 from .errors import NotCentral, NotGraded, NotInvertible
-
-
-@dataclass(frozen=True)
-class Labeling:
-    """One backend value per poset element."""
-
-    values: tuple
-
-    def __getitem__(self, v):
-        return self.values[v]
-
-    def replace(self, v, value):
-        return Labeling(self.values[:v] + (value,) + self.values[v + 1:])
 
 
 class Atom(NamedTuple):
@@ -58,19 +44,21 @@ class Dynamics:
         self.extension = poset.default_linear_extension
 
     # -- labelings ---------------------------------------------------------
+    #
+    # A labeling is a tuple with one backend value per poset element.
 
     def labeling(self, values):
         values = tuple(values)
         if len(values) != self.poset.n:
             raise ValueError(f"expected {self.poset.n} values")
-        return Labeling(values)
+        return values
 
     def random_labeling(self, seed):
-        return Labeling(random_labeling(self.backend, self.poset, seed))
+        return random_labeling(self.backend, self.poset, seed)
 
     def equal(self, f, g):
         b = self.backend
-        return all(b.equals(x, y) for x, y in zip(f.values, g.values))
+        return all(b.equals(x, y) for x, y in zip(f, g))
 
     # -- transfer maps -------------------------------------------------------
 
@@ -78,7 +66,7 @@ class Dynamics:
         """Complement: pointwise C times the inverse."""
         b = self.backend
         out = []
-        for v, x in enumerate(f.values):
+        for v, x in enumerate(f):
             try:
                 out.append(b.mul(b.constant_c(), b.invert(x)))
             except NotInvertible as exc:
@@ -87,28 +75,25 @@ class Dynamics:
 
     def down_transfer(self, f):
         """f(x) times the inverted sum of lower-cover values."""
-        b = self.backend
-        out = []
-        for x in range(self.poset.n):
-            lower = [f[u] for u in self.poset.down_adjacency[x]]
-            den = b.sum(lower) if lower else b.one()
-            try:
-                out.append(b.mul(f[x], b.invert(den)))
-            except NotInvertible as exc:
-                raise NotInvertible(context=f"down transfer at {self._name(x)}") from exc
-        return self.labeling(out)
+        return self._transfer(f, down=True)
 
     def up_transfer(self, f):
         """Inverted sum of upper-cover values times f(x)."""
+        return self._transfer(f, down=False)
+
+    def _transfer(self, f, down):
         b = self.backend
+        covers = self.poset.down_adjacency if down else self.poset.up_adjacency
         out = []
         for x in range(self.poset.n):
-            upper = [f[w] for w in self.poset.up_adjacency[x]]
-            num = b.sum(upper) if upper else b.one()
+            near = [f[y] for y in covers[x]]
+            acc = b.sum(near) if near else b.one()
             try:
-                out.append(b.mul(b.invert(num), f[x]))
+                inv = b.invert(acc)
             except NotInvertible as exc:
-                raise NotInvertible(context=f"up transfer at {self._name(x)}") from exc
+                side = "down" if down else "up"
+                raise NotInvertible(context=f"{side} transfer at {self._name(x)}") from exc
+            out.append(b.mul(f[x], inv) if down else b.mul(inv, f[x]))
         return self.labeling(out)
 
     def inv_down_transfer(self, f):
@@ -136,33 +121,28 @@ class Dynamics:
 
     # -- order toggles ---------------------------------------------------------
 
-    def _order_toggle_parts(self, f, v):
-        b = self.backend
-        lower = [f[u] for u in self.poset.down_adjacency[v]]
-        upper = [f[w] for w in self.poset.up_adjacency[v]]
-        lower_sum = b.sum(lower) if lower else b.one()
-        upper_par = parallel_sum(b, upper) if upper else b.constant_c()
-        return lower_sum, upper_par
-
     def order_toggle(self, v, f):
         """Lower-cover sum, inverted value, parallel sum of upper covers."""
-        b = self.backend
-        try:
-            lower_sum, upper_par = self._order_toggle_parts(f, v)
-            new = b.mul(b.mul(lower_sum, b.invert(f[v])), upper_par)
-        except NotInvertible as exc:
-            raise NotInvertible(context=f"order toggle at {self._name(v)}") from exc
-        return f.replace(v, new)
+        return self._order_toggle(v, f, elggot=False)
 
     def order_elggot(self, v, f):
         """Inverse of the order toggle (same data, mirrored product)."""
+        return self._order_toggle(v, f, elggot=True)
+
+    def _order_toggle(self, v, f, elggot):
         b = self.backend
+        lower = [f[u] for u in self.poset.down_adjacency[v]]
+        upper = [f[w] for w in self.poset.up_adjacency[v]]
         try:
-            lower_sum, upper_par = self._order_toggle_parts(f, v)
-            new = b.mul(b.mul(upper_par, b.invert(f[v])), lower_sum)
+            left = b.sum(lower) if lower else b.one()
+            right = parallel_sum(b, upper) if upper else b.constant_c()
+            if elggot:
+                left, right = right, left
+            new = b.mul(b.mul(left, b.invert(f[v])), right)
         except NotInvertible as exc:
-            raise NotInvertible(context=f"order elggot at {self._name(v)}") from exc
-        return f.replace(v, new)
+            kind = "elggot" if elggot else "toggle"
+            raise NotInvertible(context=f"order {kind} at {self._name(v)}") from exc
+        return f[:v] + (new,) + f[v + 1:]
 
     # -- antichain toggles --------------------------------------------------------
 
@@ -190,23 +170,21 @@ class Dynamics:
 
     def antichain_toggle(self, v, g):
         """C over the rotated chain sum through v."""
-        b = self.backend
-        try:
-            total = self._chain_sum(g, v, through_value_first=False)
-            new = b.mul(b.constant_c(), b.invert(total))
-        except NotInvertible as exc:
-            raise NotInvertible(context=f"antichain toggle at {self._name(v)}") from exc
-        return g.replace(v, new)
+        return self._antichain_toggle(v, g, elggot=False)
 
     def antichain_elggot(self, v, g):
         """Inverse of the antichain toggle (opposite rotation split)."""
+        return self._antichain_toggle(v, g, elggot=True)
+
+    def _antichain_toggle(self, v, g, elggot):
         b = self.backend
         try:
-            total = self._chain_sum(g, v, through_value_first=True)
+            total = self._chain_sum(g, v, through_value_first=elggot)
             new = b.mul(b.constant_c(), b.invert(total))
         except NotInvertible as exc:
-            raise NotInvertible(context=f"antichain elggot at {self._name(v)}") from exc
-        return g.replace(v, new)
+            kind = "elggot" if elggot else "toggle"
+            raise NotInvertible(context=f"antichain {kind} at {self._name(v)}") from exc
+        return g[:v] + (new,) + g[v + 1:]
 
     # -- rowmotion ----------------------------------------------------------------
 
@@ -277,15 +255,16 @@ class Dynamics:
 
     def star_order_toggle_word(self, v):
         """Antichain-toggle word that mimics the order toggle at v."""
-        cov = self.poset.down_adjacency[v]
-        return (tuple(Atom("tau", u) for u in cov)
-                + (Atom("tau", v),)
-                + tuple(Atom("eps", u) for u in reversed(cov)))
+        return self._star_order_word(v, Atom("tau", v))
 
     def star_order_elggot_word(self, v):
+        return self._star_order_word(v, Atom("eps", v))
+
+    def _star_order_word(self, v, middle):
+        """``middle`` conjugated by the antichain toggles at v's lower covers."""
         cov = self.poset.down_adjacency[v]
         return (tuple(Atom("tau", u) for u in cov)
-                + (Atom("eps", v),)
+                + (middle,)
                 + tuple(Atom("eps", u) for u in reversed(cov)))
 
     def star_antichain_toggle_word(self, v):
@@ -321,13 +300,14 @@ class Dynamics:
             f = toggle(v, f)
         return f
 
-    def order_gyration_word(self):
-        """Even-rank order toggles first, then odd ranks."""
+    def _even_then_odd_ranks(self):
         self._require_graded()
         r = self.poset.top_rank
-        ranks = [i for i in range(r + 1) if i % 2 == 0] + \
-                [i for i in range(r + 1) if i % 2 == 1]
-        return tuple(Atom("rank_T", i) for i in ranks)
+        return list(range(0, r + 1, 2)) + list(range(1, r + 1, 2))
+
+    def order_gyration_word(self):
+        """Even-rank order toggles first, then odd ranks."""
+        return tuple(Atom("rank_T", i) for i in self._even_then_odd_ranks())
 
     def antichain_gyration_word(self):
         """Odd-rank antichain toggles bottom-up, then even ranks top-down."""
@@ -345,12 +325,8 @@ class Dynamics:
         backend it does not, and this word is the form that makes the
         gyration diagram commute.
         """
-        self._require_graded()
-        r = self.poset.top_rank
-        ranks = [i for i in range(r + 1) if i % 2 == 0] + \
-                [i for i in range(r + 1) if i % 2 == 1]
         word = []
-        for i in ranks:
+        for i in self._even_then_odd_ranks():
             for v in self.poset.rank_elements(i):
                 word.extend(self.star_order_toggle_word(v))
         return tuple(word)

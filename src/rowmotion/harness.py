@@ -106,24 +106,15 @@ def _theta_invup(dyn, g):
 
 
 def _check_involution(dyn, g, rng):
-    if dyn.backend.is_commutative or dyn.backend.is_tropical:
-        for v in range(dyn.poset.n):
-            if not dyn.equal(dyn.order_toggle(v, dyn.order_toggle(v, g)), g):
-                return False
-            if not dyn.equal(dyn.antichain_toggle(v, dyn.antichain_toggle(v, g)), g):
-                return False
-        return True
-    # NC toggles are not involutions; the analogue is the inverse pair.
-    for v in range(dyn.poset.n):
-        if not dyn.equal(dyn.order_elggot(v, dyn.order_toggle(v, g)), g):
-            return False
-        if not dyn.equal(dyn.order_toggle(v, dyn.order_elggot(v, g)), g):
-            return False
-        if not dyn.equal(dyn.antichain_elggot(v, dyn.antichain_toggle(v, g)), g):
-            return False
-        if not dyn.equal(dyn.antichain_toggle(v, dyn.antichain_elggot(v, g)), g):
-            return False
-    return True
+    if dyn.backend.is_commutative:
+        pairs = [(dyn.order_toggle, dyn.order_toggle),
+                 (dyn.antichain_toggle, dyn.antichain_toggle)]
+    else:  # NC toggles are not involutions; the analogue is the inverse pair.
+        pairs = [(dyn.order_toggle, dyn.order_elggot), (dyn.order_elggot, dyn.order_toggle),
+                 (dyn.antichain_toggle, dyn.antichain_elggot),
+                 (dyn.antichain_elggot, dyn.antichain_toggle)]
+    return all(dyn.equal(undo(v, do(v, g)), g)
+               for v in range(dyn.poset.n) for do, undo in pairs)
 
 
 def _check_commutation(dyn, g, rng):
@@ -156,8 +147,8 @@ def _check_extension_independence(dyn, g, rng):
 def _check_reciprocity(dyn, g, rng):
     from .backends import parallel_sum
     b = dyn.backend
-    k = rng.randint(2, max(2, min(5, len(g.values))))
-    xs = list(g.values[:k])
+    k = rng.randint(2, max(2, min(5, len(g))))
+    xs = list(g[:k])
     par = parallel_sum(b, xs)
     inv_sum = b.sum([b.invert(x) for x in xs])
     return (b.equals(b.mul(par, inv_sum), b.one())
@@ -190,33 +181,25 @@ def _check_nor_transfer(dyn, g, rng):
     return dyn.equal(dyn.order_rowmotion(g), dyn.order_rowmotion_via_transfers(g))
 
 
-def _check_t_star(dyn, g, rng):
+def _check_across_bridge(dyn, g, pairs):
+    """theta o inv-up carries each map ``before`` at v to its partner ``after``."""
     side = _theta_invup(dyn, g)
-    for v in range(dyn.poset.n):
-        if not dyn.equal(_theta_invup(dyn, dyn.star_order_toggle(v, g)),
-                         dyn.order_toggle(v, side)):
-            return False
-        if not dyn.equal(_theta_invup(dyn, dyn.star_order_elggot(v, g)),
-                         dyn.order_elggot(v, side)):
-            return False
-    return True
+    return all(dyn.equal(_theta_invup(dyn, before(v, g)), after(v, side))
+               for v in range(dyn.poset.n) for before, after in pairs)
+
+
+def _check_t_star(dyn, g, rng):
+    return _check_across_bridge(dyn, g, [(dyn.star_order_toggle, dyn.order_toggle),
+                                         (dyn.star_order_elggot, dyn.order_elggot)])
 
 
 def _check_tau_star(dyn, g, rng):
-    side = _theta_invup(dyn, g)
-    for v in range(dyn.poset.n):
-        if not dyn.equal(_theta_invup(dyn, dyn.antichain_toggle(v, g)),
-                         dyn.star_antichain_toggle(v, side)):
-            return False
-        if not dyn.equal(_theta_invup(dyn, dyn.antichain_elggot(v, g)),
-                         dyn.star_antichain_elggot(v, side)):
-            return False
-    return True
+    return _check_across_bridge(dyn, g, [(dyn.antichain_toggle, dyn.star_antichain_toggle),
+                                         (dyn.antichain_elggot, dyn.star_antichain_elggot)])
 
 
 def _check_gyration(dyn, g, rng):
-    kind = "antichain" if (dyn.backend.is_commutative or dyn.backend.is_tropical) \
-        else "antichain_starred"
+    kind = "antichain" if dyn.backend.is_commutative else "antichain_starred"
     lhs = _theta_invup(dyn, dyn.gyration(kind, g))
     rhs = dyn.gyration("order", _theta_invup(dyn, g))
     return dyn.equal(lhs, rhs)

@@ -37,7 +37,7 @@ def indicator(p, members):
 def _tropical(p, method, f, *args):
     """Apply one Dynamics map over the max-plus semiring to a tuple labeling."""
     dyn = Dynamics(p, _TROPICAL)
-    return method(dyn, *args, dyn.labeling(f)).values
+    return method(dyn, *args, dyn.labeling(f))
 
 
 def _max_chain_sum(p, f):
@@ -127,24 +127,6 @@ def pl_inv_up_transfer(p, f):
     """Best chain sum towards the top; chain polytope -> order-reversing."""
     _require(p, f, in_chain_polytope, "chain polytope")
     return _tropical(p, Dynamics.inv_up_transfer, f)
-
-
-_TRANSFERS = {
-    "complement": pl_complement,
-    "down": pl_down_transfer,
-    "up": pl_up_transfer,
-    "inv_down": pl_inv_down_transfer,
-    "inv_up": pl_inv_up_transfer,
-}
-
-
-def pl_transfer(p, op, f):
-    """Dispatch one of the five transfer maps by name."""
-    try:
-        fn = _TRANSFERS[op]
-    except KeyError:
-        raise ValueError(f"unknown transfer map {op!r}; choose from {sorted(_TRANSFERS)}")
-    return fn(p, f)
 
 
 # -- rowmotion ---------------------------------------------------------------

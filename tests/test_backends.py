@@ -192,6 +192,11 @@ def test_parse_backend():
         RationalMatrix.scalar(2, F(5, 3))
     with pytest.raises(ValueError):
         parse_backend("floaty")
+    d_max = backends.MAX_MATRIX_DIMENSION
+    assert parse_backend(f"matrix:{d_max}").d == d_max
+    for spec in ("matrix:0", f"matrix:{d_max + 1}", "matrix:x", "matrix:"):
+        with pytest.raises(ValueError, match=spec):
+            parse_backend(spec)
 
 
 def test_central_embedding():

@@ -87,6 +87,24 @@ def test_orbit_pl_with_labeling(capsys):
     assert json.loads(out)[0]["order"] == 5
 
 
+def test_orbit_pl_labeling_reads_decimals_exactly(capsys):
+    # ten times 0.1 is exactly 1, on the chain polytope's boundary
+    labeling = "[" + ",".join(["0.1"] * 10) + "]"
+    code, out, err = run(capsys, "orbit", "--realm", "pl", "--poset", "chain 1x10",
+                         "--labeling", labeling, "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)[0]["order"] == 11
+
+
+@pytest.mark.parametrize("spec", ["matrix:40", "matrix:x"])
+def test_orbit_rejects_bad_matrix_dimension_at_once(capsys, spec):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "orbit", "--realm", "nc", "--poset", "chain 2x3",
+                         "--backend", spec)
+    assert code == 2 and spec in err and not out
+    assert time.perf_counter() - start < 1.0
+
+
 def test_verify_single_theorem(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "bar-transfer",
                        "--poset", "chain 2x3", "--points", "5", "--seed", "7")
@@ -203,6 +221,8 @@ def test_output_deterministic_across_runs(capsys):
      "--max-iter"),
     (("orbit", "--realm", "birational", "--poset", "chain 2x2", "--max-iter", "-1"),
      "--max-iter"),
+    (("orbit", "--realm", "pl", "--poset", "chain 2x2", "--labeling", "[1"), "--labeling"),
+    (("orbit", "--realm", "pl", "--poset", "chain 1x1", "--labeling", "{}"), "--labeling"),
 ])
 def test_bad_values_exit_2_naming_the_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)

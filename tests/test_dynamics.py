@@ -56,10 +56,10 @@ def test_a3_transfers_match_symbolic_expansion(a3, seed):
     vals = random_values(derive_seed("fig1", seed), 6)
     g = dyn.labeling(vals)
     oracles = a3_transfer_oracles(*vals)
-    assert dyn.down_transfer(g).values == oracles["down"]
-    assert dyn.up_transfer(g).values == oracles["up"]
-    assert dyn.inv_down_transfer(g).values == oracles["inv_down"]
-    assert dyn.inv_up_transfer(g).values == oracles["inv_up"]
+    assert dyn.down_transfer(g) == oracles["down"]
+    assert dyn.up_transfer(g) == oracles["up"]
+    assert dyn.inv_down_transfer(g) == oracles["inv_down"]
+    assert dyn.inv_up_transfer(g) == oracles["inv_up"]
 
 
 def test_transfer_roundtrips_all_backends(p23, a3):
@@ -85,14 +85,23 @@ def test_theta_involution_and_zero(p23):
 
 def test_not_invertible_names_failing_stage(p23):
     dyn = rational_dyn(p23)
-    g = dyn.labeling([F(0)] + [F(1)] * 5)
-    with pytest.raises(NotInvertible) as err:
-        dyn.order_toggle(0, g)
-    assert "order toggle at (1,1)" in str(err.value)
+    bottom_zero = dyn.labeling([F(0)] + [F(1)] * 5)
+    top_zero = dyn.labeling([F(1)] * 5 + [F(0)])
     # zero at (2,2) kills the single chain product through (2,1)
-    with pytest.raises(NotInvertible) as err:
-        dyn.antichain_toggle(1, dyn.labeling([F(1), F(1), F(1), F(0), F(1), F(1)]))
-    assert "antichain toggle at (2,1)" in str(err.value)
+    middle_zero = dyn.labeling([F(1), F(1), F(1), F(0), F(1), F(1)])
+    cases = [
+        (dyn.theta, bottom_zero, "complement at (1,1)"),
+        (dyn.down_transfer, bottom_zero, "down transfer at (2,1)"),
+        (dyn.up_transfer, top_zero, "up transfer at (2,2)"),
+        (lambda f: dyn.order_toggle(0, f), bottom_zero, "order toggle at (1,1)"),
+        (lambda f: dyn.order_elggot(0, f), bottom_zero, "order elggot at (1,1)"),
+        (lambda g: dyn.antichain_toggle(1, g), middle_zero, "antichain toggle at (2,1)"),
+        (lambda g: dyn.antichain_elggot(1, g), middle_zero, "antichain elggot at (2,1)"),
+    ]
+    for stage, labeling, name in cases:
+        with pytest.raises(NotInvertible) as err:
+            stage(labeling)
+        assert name in str(err.value)
 
 
 def test_theta_involution_matrices(p23):
@@ -408,10 +417,10 @@ def test_matrix_d1_agrees_with_rational_bitwise(p23):
     mat = Dynamics(p23, MatrixRing(1, const_c=c))
     g_rat = rat.random_labeling(31)
     g_mat = mat.random_labeling(31)
-    assert [m.rows[0][0] for m in g_mat.values] == list(g_rat.values)
+    assert [m.rows[0][0] for m in g_mat] == list(g_rat)
     bar_rat = rat.antichain_rowmotion(g_rat)
     bar_mat = mat.antichain_rowmotion(g_mat)
-    assert [m.rows[0][0] for m in bar_mat.values] == list(bar_rat.values)
+    assert [m.rows[0][0] for m in bar_mat] == list(bar_rat)
 
 
 # -- starred toggles and the toggle-group isomorphism ---------------------------
@@ -749,22 +758,22 @@ def test_tropical_operations_equal_pl_maps(p23):
     for seed in range(100):
         f = pl.random_order_polytope_point(p23, seed)
         lab = dyn.labeling(f)
-        assert dyn.theta(lab).values == pl.pl_complement(p23, f)
-        assert dyn.down_transfer(lab).values == pl.pl_down_transfer(p23, f)
+        assert dyn.theta(lab) == pl.pl_complement(p23, f)
+        assert dyn.down_transfer(lab) == pl.pl_down_transfer(p23, f)
         for v in range(p23.n):
-            assert dyn.order_toggle(v, lab).values == pl.pl_order_toggle(p23, v, f)
-        assert dyn.order_rowmotion(lab).values == pl.pl_order_rowmotion(p23, f)
+            assert dyn.order_toggle(v, lab) == pl.pl_order_toggle(p23, v, f)
+        assert dyn.order_rowmotion(lab) == pl.pl_order_rowmotion(p23, f)
 
         h = pl.random_order_reversing_point(p23, seed)
-        assert dyn.up_transfer(dyn.labeling(h)).values == pl.pl_up_transfer(p23, h)
+        assert dyn.up_transfer(dyn.labeling(h)) == pl.pl_up_transfer(p23, h)
 
         g = pl.random_chain_polytope_point(p23, seed)
         glab = dyn.labeling(g)
-        assert dyn.inv_down_transfer(glab).values == pl.pl_inv_down_transfer(p23, g)
-        assert dyn.inv_up_transfer(glab).values == pl.pl_inv_up_transfer(p23, g)
+        assert dyn.inv_down_transfer(glab) == pl.pl_inv_down_transfer(p23, g)
+        assert dyn.inv_up_transfer(glab) == pl.pl_inv_up_transfer(p23, g)
         for v in range(p23.n):
-            assert dyn.antichain_toggle(v, glab).values == pl.pl_antichain_toggle(p23, v, g)
-        assert dyn.antichain_rowmotion(glab).values == pl.pl_antichain_rowmotion(p23, g)
+            assert dyn.antichain_toggle(v, glab) == pl.pl_antichain_toggle(p23, v, g)
+        assert dyn.antichain_rowmotion(glab) == pl.pl_antichain_rowmotion(p23, g)
 
 
 # -- chain-enumeration oracle for the antichain toggles ------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from rowmotion import harness
 from rowmotion.backends import MatrixRing, RationalField, parse_backend
+from rowmotion.dynamics import Dynamics
 from rowmotion.errors import GenericityFailure, NotInvertible
 from rowmotion.harness import (
     THEOREMS,
@@ -60,6 +61,17 @@ def test_run_check_reciprocity_matrix_50_points():
 def test_run_check_involution_singleton_one_point():
     rep = run_check(CheckSpec("involution", "chain 1x1", "rational", points=1, seed=3))
     assert rep["passes"] == 1 and rep["status"] == "pass"
+
+
+def test_run_check_involution_noncommutative_inverse_pairs():
+    rep = run_check(CheckSpec("involution", "chain 2x3", "matrix:2"))
+    assert rep["status"] == "pass" and rep["passes"] == rep["points"]
+
+
+def test_run_check_involution_noncommutative_catches_wrong_elggot(monkeypatch):
+    monkeypatch.setattr(Dynamics, "order_elggot", Dynamics.order_toggle)
+    rep = run_check(CheckSpec("involution", "chain 2x3", "matrix:2"))
+    assert rep["status"] == "fail"
 
 
 def test_run_check_skips_ungraded_for_graded_theorems():

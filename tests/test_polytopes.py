@@ -19,7 +19,6 @@ from rowmotion.polytopes import (
     pl_inv_up_transfer,
     pl_order_rowmotion,
     pl_order_toggle,
-    pl_transfer,
     pl_up_transfer,
     random_chain_polytope_point,
     random_order_polytope_point,
@@ -167,11 +166,9 @@ def test_pl_toggles_stay_in_polytopes(a3, p23):
                 assert in_chain_polytope(p, g)
 
 
-def test_pl_transfer_dispatch_and_complement(p23):
+def test_pl_complement_of_zero_is_one(p23):
     zero = (F(0),) * 6
-    assert pl_transfer(p23, "complement", zero) == (F(1),) * 6
-    with pytest.raises(ValueError):
-        pl_transfer(p23, "sideways", zero)
+    assert pl_complement(p23, zero) == (F(1),) * 6
 
 
 def test_pl_domain_violation(p23):
