@@ -1,10 +1,13 @@
 """Exact rowmotion and toggle dynamics on finite posets.
 
-Four realms over one toggle calculus: combinatorial sets, piecewise-
-linear labelings on Stanley's polytopes, birational labelings over the
-rationals, and a noncommutative realm evaluated on exact rational
-matrices.  The tropical backend ties the algebraic realms back to the
-piecewise-linear one.
+Four realms: combinatorial sets, piecewise-linear labelings on Stanley's
+polytopes, birational labelings over the rationals, and a noncommutative
+realm evaluated on exact rational matrices.  The last three share one
+toggle calculus over different backends; the tropical backend ties the
+algebraic realms back to the piecewise-linear one.  The combinatorial
+realm is separate, faster set code, which the tests check against the
+piecewise-linear maps at 0/1 labelings
+(``test_comb_maps_are_pl_maps_at_vertices_of_random_posets``).
 """
 
 from .backends import (

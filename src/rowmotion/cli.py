@@ -172,6 +172,18 @@ _PL_MAPS = {
 }
 
 
+def _parse_const_c(text):
+    """The --const-c value as an exact Fraction, or None when the flag is absent."""
+    if text is None:
+        return None
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"--const-c {text!r}: zero denominator") from None
+    except ValueError as exc:
+        raise ValueError(f"--const-c {text!r}: {exc}") from None
+
+
 def _parse_labeling(p, text):
     """A JSON array of numbers or 'p/q' strings; decimals are read exactly."""
     try:
@@ -212,7 +224,7 @@ def cmd_orbit(args):
     expected_family = REALM_BACKENDS[realm].split(":")[0]
     if backend_spec.split(":")[0] != expected_family:
         raise ValueError(f"--backend {backend_spec} is inconsistent with --realm {realm}")
-    backend = parse_backend(backend_spec, const_c=args.const_c)
+    backend = parse_backend(backend_spec, const_c=_parse_const_c(args.const_c))
     map_id = args.map_id or "bar"
     if map_id not in ("bar", "bor"):
         raise ValueError("--map for algebraic realms must be 'bar' or 'bor'")
@@ -230,6 +242,7 @@ def cmd_verify(args):
     theorems = sorted(THEOREMS) if args.all or not args.theorem else args.theorem
     poset_specs = args.poset or ["chain 2x3", "rootA 3"]
     seed = args.seed if args.seed is not None else _default_seed()
+    const_c = _parse_const_c(args.const_c)
     reports = []
     for tid in theorems:
         if tid not in THEOREMS:
@@ -240,7 +253,7 @@ def cmd_verify(args):
                 if args.verbose:
                     print(f"checking {tid} on {ps} over {bs}: "
                           f"{THEOREMS[tid].description}", file=sys.stderr)
-                backend = parse_backend(bs, const_c=args.const_c) if args.const_c else None
+                backend = parse_backend(bs, const_c=const_c) if const_c is not None else None
                 reports.append(harness.run_check(
                     CheckSpec(tid, ps, bs, points=args.points, seed=seed),
                     backend=backend))

@@ -12,18 +12,20 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .backends import derive_seed, parse_backend
 from .dynamics import Dynamics, detect_order
 from .errors import GenericityFailure, NotInvertible
+from .matrices import RationalMatrix
 from .poset import chain_product, parse_poset, random_poset, root_poset_a
 
 DEFAULT_POINTS = 20
 DEFAULT_MAX_RETRIES = 5
 DEFAULT_MAX_ITER = 64
 SCAN_ELEMENT_BUDGET = 12
+MAX_LABEL_BITS = 2**14
 MODEL_NOTE = "generic-matrix evaluation (randomized identity testing, not symbolic)"
 
 
@@ -53,10 +55,7 @@ class OrbitReport:
     seed: int
     order: int | None
     iterates: int
-    returned_to_start: bool
-    minimal: bool
     failures: int = 0  # degenerate starts that were resampled
-    statistic_averages: dict = field(default_factory=dict)
     model: str | None = None
 
     def to_dict(self):
@@ -67,10 +66,10 @@ class OrbitReport:
             "seed": self.seed,
             "order": self.order if self.order is not None else "exceeded",
             "iterates": self.iterates,
-            "returned_to_start": self.returned_to_start,
-            "minimal": self.minimal,
+            "returned_to_start": self.order is not None,
+            "minimal": self.order is not None,
             "failures": self.failures,
-            "statistic_averages": {k: str(v) for k, v in self.statistic_averages.items()},
+            "statistic_averages": {},
         }
         if self.model:
             out["model"] = self.model
@@ -84,18 +83,21 @@ def build_poset(spec):
     """Builders behind the CLI poset strings.
 
     "chain AxB" | "rootA M" | "random N SEED" | a file path in the poset
-    text format.
+    text format.  A malformed spec raises ValueError quoting the spec.
     """
     words = spec.split()
-    if words and words[0] == "chain" and len(words) == 2 and "x" in words[1]:
-        a, b = words[1].split("x", 1)
-        return chain_product(int(a), int(b))
-    if words and words[0].lower() == "roota" and len(words) == 2:
-        return root_poset_a(int(words[1]))
-    if words and words[0] == "random" and len(words) == 3:
-        return random_poset(int(words[1]), int(words[2]))
-    with open(spec, "r", encoding="utf-8") as fh:
-        return parse_poset(fh.read())
+    try:
+        if words and words[0] == "chain" and len(words) == 2 and "x" in words[1]:
+            a, b = words[1].split("x", 1)
+            return chain_product(int(a), int(b))
+        if words and words[0].lower() == "roota" and len(words) == 2:
+            return root_poset_a(int(words[1]))
+        if words and words[0] == "random" and len(words) == 3:
+            return random_poset(int(words[1]), int(words[2]))
+        with open(spec, "r", encoding="utf-8") as fh:
+            return parse_poset(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"poset spec {spec!r}: {exc}") from None
 
 
 # -- theorem registry -----------------------------------------------------------
@@ -300,35 +302,30 @@ def run_check(spec: CheckSpec, poset=None, backend=None):
     thm = THEOREMS[spec.theorem]
     p = build_poset(spec.poset_spec) if poset is None else poset
     b = parse_backend(spec.backend_spec) if backend is None else backend
-    model_note = _model_note(b)
+    points = passes = failures = retries = 0
     if thm.needs_graded and not p.is_graded:
-        report = {
-            "theorem": spec.theorem, "poset": spec.poset_spec,
-            "backend": b.describe(), "seed": spec.seed, "points": 0,
-            "passes": 0, "failures": 0, "retries": 0, "status": "skipped (ungraded)",
-        }
-        if model_note:
-            report["model"] = model_note
-        return report
-    dyn = Dynamics(p, b)
-    passes = failures = retries = 0
-    for i in range(spec.points):
-        def attempt(k):
-            g = dyn.random_labeling(derive_seed(spec.seed, i, k))
-            return thm.check(dyn, g, random.Random(derive_seed("aux", spec.seed, i, k)))
-        ok, degenerate = _redraw(
-            attempt, f"{spec.theorem} on {spec.poset_spec}/{b.describe()}: point {i}")
-        retries += degenerate
-        if ok:
-            passes += 1
-        else:
-            failures += 1
+        status = "skipped (ungraded)"
+    else:
+        dyn = Dynamics(p, b)
+        points = spec.points
+        for i in range(points):
+            def attempt(k):
+                g = dyn.random_labeling(derive_seed(spec.seed, i, k))
+                return thm.check(dyn, g, random.Random(derive_seed("aux", spec.seed, i, k)))
+            ok, degenerate = _redraw(
+                attempt, f"{spec.theorem} on {spec.poset_spec}/{b.describe()}: point {i}")
+            retries += degenerate
+            if ok:
+                passes += 1
+            else:
+                failures += 1
+        status = "pass" if failures == 0 else "fail"
     report = {
         "theorem": spec.theorem, "poset": spec.poset_spec,
-        "backend": b.describe(), "seed": spec.seed, "points": spec.points,
-        "passes": passes, "failures": failures, "retries": retries,
-        "status": "pass" if failures == 0 else "fail",
+        "backend": b.describe(), "seed": spec.seed, "points": points,
+        "passes": passes, "failures": failures, "retries": retries, "status": status,
     }
+    model_note = _model_note(b)
     if model_note:
         report["model"] = model_note
     return report
@@ -382,20 +379,44 @@ def labeling_orbit_report(poset, backend, map_id, seed, poset_name=None,
     """Detected order of a rowmotion map from a random labeling.
 
     Resamples the start with derived seeds when the orbit hits a
-    degenerate labeling; raises GenericityFailure past the budget.
+    degenerate labeling; raises GenericityFailure past the budget.  The
+    order is None ("exceeded") after ``max_iter`` steps, or as soon as a
+    label outgrows ``MAX_LABEL_BITS``: labels of a non-periodic orbit grow
+    without bound, so the next steps would only get slower.
     """
     dyn = Dynamics(poset, backend)
     step = _MAP_STEPS[map_id](dyn)
 
     def attempt(k):
         start = dyn.random_labeling(derive_seed("orbit", seed, k))
-        return detect_order(step, start, dyn.equal, max_iter=max_iter)
-    order, failures = _redraw(attempt, f"orbit of {map_id}")
+        applied = 0
+
+        def bounded_step(g):
+            nonlocal applied
+            g = step(g)
+            applied += 1
+            if max(map(_label_bits, g), default=0) > MAX_LABEL_BITS:
+                raise _LabelsTooLarge
+            return g
+        try:
+            return detect_order(bounded_step, start, dyn.equal, max_iter=max_iter), applied
+        except _LabelsTooLarge:
+            return None, applied
+    (order, iterates), failures = _redraw(attempt, f"orbit of {map_id}")
     return OrbitReport(
         map_id=map_id, poset=poset_name or repr(poset), backend=backend.describe(),
-        seed=seed, order=order, iterates=order if order is not None else max_iter,
-        returned_to_start=order is not None,
-        minimal=order is not None, failures=failures, model=_model_note(backend))
+        seed=seed, order=order, iterates=iterates, failures=failures,
+        model=_model_note(backend))
+
+
+class _LabelsTooLarge(Exception):
+    """A label of an orbit outgrew ``MAX_LABEL_BITS``."""
+
+
+def _label_bits(x):
+    """Numerator plus denominator bits of a Fraction, or of a matrix's largest entry."""
+    entries = [e for row in x.rows for e in row] if isinstance(x, RationalMatrix) else [x]
+    return max(e.numerator.bit_length() + e.denominator.bit_length() for e in entries)
 
 
 def scan_conjecture(a_max, b_max, backend_spec, seeds=(0, 1, 2), map_id="bor",

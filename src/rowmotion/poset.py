@@ -2,19 +2,21 @@
 
 Elements are dense integer indices ``0..n-1`` with a display-name table.
 Relations supplied to the constructor may be any strict order relations;
-they are transitively closed, checked for cycles, and reduced to the
-cover relation.  Instances are immutable after construction and safe to
-share between concurrent tasks.  The maximal-chain index is computed
-lazily on first use and cached; it is a reference enumeration that the
-toggle calculus itself never reads.
+one topological sweep checks them for cycles and reduces them to the cover
+relation.  At most ``MAX_ELEMENTS`` elements are accepted.  Instances are
+immutable after construction and safe to share between concurrent tasks.
+The maximal-chain index is computed lazily on first use and cached; it is
+a reference enumeration that the toggle calculus itself never reads.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from .errors import ChainBudgetExceeded, CycleDetected, DanglingElement
 
 DEFAULT_CHAIN_BUDGET = 10**6
+MAX_ELEMENTS = 1800
 RANDOM_POSET_DENSITY = 0.35
 GRADED_MAX_RANK = 3
 GRADED_MAX_WIDTH = 3
@@ -36,6 +38,7 @@ class Poset:
     def __init__(self, n, relations, element_names=None):
         if n < 0:
             raise ValueError("element count must be non-negative")
+        _check_size(n)
         self.n = n
         if element_names is None:
             element_names = [str(i) for i in range(n)]
@@ -46,41 +49,45 @@ class Poset:
         for (u, v) in relations:
             if not (0 <= u < n and 0 <= v < n):
                 raise DanglingElement(f"relation ({u},{v}) references a missing element")
-
-        lt = [[False] * n for _ in range(n)]
+        preds = [[] for _ in range(n)]
+        succs = [[] for _ in range(n)]
         for (u, v) in relations:
             if u == v:
                 raise CycleDetected(f"element {u} declared below itself")
-            lt[u][v] = True
-        # Warshall closure; n is desk-scale so cubic cost is irrelevant.
-        for k in range(n):
-            ltk = lt[k]
-            for i in range(n):
-                if lt[i][k]:
-                    lti = lt[i]
-                    for j in range(n):
-                        if ltk[j]:
-                            lti[j] = True
-        for i in range(n):
-            if lt[i][i]:
-                raise CycleDetected(f"element {i} lies on a directed cycle")
-        self._lt = tuple(tuple(row) for row in lt)
+            preds[v].append(u)
+            succs[u].append(v)
 
-        covers = set()
-        for u in range(n):
-            for v in range(n):
-                if lt[u][v] and not any(lt[u][w] and lt[w][v] for w in range(n)):
-                    covers.add((u, v))
-        self.covers = frozenset(covers)
+        # One Kahn sweep, smallest ready element first: it visits the lexicographically
+        # first linear extension, a visited element's strict down-set mask is complete,
+        # and its lower covers are the declared predecessors below none of the others.
+        indeg = [len(ps) for ps in preds]
+        ready = [v for v in range(n) if not indeg[v]]
+        order, below, down = [], [0] * n, [()] * n
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
+            indirect = 0
+            for u in preds[v]:
+                indirect |= below[u]
+            down[v] = tuple(sorted({u for u in preds[v] if not indirect >> u & 1}))
+            below[v] = indirect | sum(1 << u for u in down[v])
+            for w in succs[v]:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    heapq.heappush(ready, w)
+        if len(order) < n:
+            raise CycleDetected(f"elements {[v for v in range(n) if indeg[v]]} "
+                                "lie on or above a directed cycle")
+
+        columns = (map("1".__eq__, format(m, f"0{n}b")[::-1]) for m in below)
+        self._lt = tuple(zip(*columns))  # less(u, v) is bit u of v's down-set mask
+        self.covers = frozenset((u, v) for v in range(n) for u in down[v])
         up = [[] for _ in range(n)]
-        down = [[] for _ in range(n)]
-        for (u, v) in sorted(covers):
+        for (u, v) in sorted(self.covers):
             up[u].append(v)
-            down[v].append(u)
-        self.up_adjacency = tuple(tuple(sorted(s)) for s in up)
-        self.down_adjacency = tuple(tuple(sorted(s)) for s in down)
-
-        self.default_linear_extension = self._lex_first_extension()
+        self.up_adjacency = tuple(map(tuple, up))
+        self.down_adjacency = tuple(down)
+        self.default_linear_extension = tuple(order)
         self.rank = self._compute_rank()
         self._chains = None
         self._chains_through = None
@@ -126,23 +133,6 @@ class Poset:
         return tuple(v for v in range(self.n) if self.rank[v] == i)
 
     # -- construction helpers ------------------------------------------
-
-    def _lex_first_extension(self):
-        indeg = [len(self.down_adjacency[v]) for v in range(self.n)]
-        ready = sorted(v for v in range(self.n) if indeg[v] == 0)
-        out = []
-        while ready:
-            v = ready.pop(0)
-            out.append(v)
-            changed = False
-            for w in self.up_adjacency[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-                    changed = True
-            if changed:
-                ready.sort()
-        return tuple(out)
 
     def _compute_rank(self):
         rank = [None] * self.n
@@ -240,6 +230,11 @@ class Poset:
         return f"Poset(n={self.n}, covers={len(self.covers)})"
 
 
+def _check_size(n):
+    if n > MAX_ELEMENTS:
+        raise ValueError(f"a poset of {n} elements exceeds the limit of {MAX_ELEMENTS}")
+
+
 # -- builders ------------------------------------------------------------
 
 
@@ -253,6 +248,7 @@ def chain_product(a, b):
     """
     if a < 1 or b < 1:
         raise ValueError("chain lengths must be positive")
+    _check_size(a * b)
     index = chain_product_index(a, b)
     names = [f"({i},{j})" for (i, j) in index]
     relations = []
@@ -283,6 +279,7 @@ def root_poset_a(m):
     """
     if m < 1:
         raise ValueError("m must be positive")
+    _check_size(m * (m + 1) // 2)
     index = root_poset_a_index(m)
     names = [f"[{i},{j}]" for (i, j) in index]
     relations = []
@@ -346,6 +343,7 @@ def random_poset(n, seed):
     probability ``RANDOM_POSET_DENSITY`` and reduced to covers, so the
     identity is always a linear extension.
     """
+    _check_size(n)
     rng = random.Random(seed)
     relations = []
     for i in range(n):

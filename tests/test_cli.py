@@ -1,11 +1,19 @@
 import json
+import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from rowmotion.cli import main
 from rowmotion.errors import NotInvertible
 from rowmotion.harness import THEOREMS, TheoremCheck
+from rowmotion.poset import MAX_ELEMENTS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -223,10 +231,60 @@ def test_output_deterministic_across_runs(capsys):
      "--max-iter"),
     (("orbit", "--realm", "pl", "--poset", "chain 2x2", "--labeling", "[1"), "--labeling"),
     (("orbit", "--realm", "pl", "--poset", "chain 1x1", "--labeling", "{}"), "--labeling"),
+    (("orbit", "--realm", "nc", "--poset", "chain 2x2", "--const-c", "1/0"), "--const-c"),
+    (("verify", "--theorem", "involution", "--points", "2", "--const-c", "1/0"), "--const-c"),
+    (("orbit", "--realm", "nc", "--poset", "chain 2x2", "--const-c", "abc"), "--const-c"),
+    (("poset", "--poset", "rootA x"), "'rootA x'"),
+    (("poset", "--poset", "chain axb"), "'chain axb'"),
+    (("poset", "--poset", "random 5 x"), "'random 5 x'"),
 ])
 def test_bad_values_exit_2_naming_the_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert code == 2 and flag in err and not out
+
+
+def _poset_file(tmp_path, n):
+    path = tmp_path / "big.poset"
+    path.write_text(f"{n}\n0<1\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("spec", [
+    f"chain 1x{MAX_ELEMENTS + 1}",
+    f"random {MAX_ELEMENTS + 1} 1",
+    f"rootA {math.isqrt(2 * MAX_ELEMENTS) + 1}",  # m(m + 1)/2 > MAX_ELEMENTS
+    _poset_file,
+])
+def test_poset_size_limit_exits_2_at_once(capsys, tmp_path, spec):
+    if callable(spec):
+        spec = spec(tmp_path, MAX_ELEMENTS + 1)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "poset", "--poset", spec)
+    assert code == 2 and not out
+    assert spec in err and f"limit of {MAX_ELEMENTS}" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_poset_largest_admitted_size_builds(capsys, tmp_path):
+    for spec in (f"chain 1x{MAX_ELEMENTS}", _poset_file(tmp_path, MAX_ELEMENTS)):
+        code, out, _ = run(capsys, "poset", "--poset", spec)
+        assert code == 0 and f"elements: {MAX_ELEMENTS}" in out
+
+
+@pytest.mark.parametrize("realm", ["birational", "nc"])
+def test_orbit_of_non_periodic_labels_stops_at_the_label_size_bound(realm):
+    # Labels on "random 7 1" grow without bound, so each step takes longer
+    # than the one before; the run must stop on its own.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run(
+        [sys.executable, "-m", "rowmotion.cli", "orbit", "--realm", realm,
+         "--poset", "random 7 1", "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout)[0]
+    assert report["order"] == "exceeded" and report["iterates"] < 64
 
 
 def test_orbit_comb_refuses_large_state_space_at_once(capsys):

@@ -142,8 +142,17 @@ def test_orbit_report_2x3_rational():
 def test_orbit_report_exceeded():
     p = chain_product(2, 3)
     rep = labeling_orbit_report(p, RationalField(), "bar", seed=0, max_iter=3)
-    assert rep.order is None
+    assert rep.order is None and rep.iterates == 3
     assert rep.to_dict()["order"] == "exceeded"
+
+
+@pytest.mark.parametrize("backend", [RationalField(), MatrixRing(2)])
+def test_orbit_report_stops_when_a_label_outgrows_the_bound(monkeypatch, backend):
+    p = chain_product(2, 3)
+    monkeypatch.setattr("rowmotion.harness.MAX_LABEL_BITS", 16)
+    d = labeling_orbit_report(p, backend, "bar", seed=0).to_dict()
+    assert d["order"] == "exceeded" and 1 <= d["iterates"] < 5
+    assert not d["returned_to_start"] and not d["minimal"]
 
 
 def test_scan_conjecture_small_table():

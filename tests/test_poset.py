@@ -1,13 +1,22 @@
 import itertools
+import random
 
 import pytest
 
-from rowmotion.errors import ChainBudgetExceeded, CycleDetected, DanglingElement
+from rowmotion import poset as poset_module
+from rowmotion.errors import (
+    ChainBudgetExceeded,
+    CycleDetected,
+    DanglingElement,
+    RowmotionError,
+)
+from rowmotion.harness import build_poset
 from rowmotion.poset import (
     Poset,
     chain_product,
     chain_product_index,
     parse_poset,
+    random_graded_poset,
     random_poset,
     root_poset_a,
     root_poset_a_index,
@@ -27,6 +36,140 @@ def brute_force_covers(n, relations):
                     changed = True
     return {(u, v) for (u, v) in closure
             if not any((u, w) in closure and (w, v) in closure for w in range(n))}
+
+
+def reference_order(n, relations):
+    """Oracle for the constructor: the same checks in the same order, then
+    Warshall's transitive closure, a cubic cover scan, a sorted Kahn pass
+    over the covers for the default extension, and ranks along it.
+
+    Returns (lt table, covers, up adjacency, down adjacency, extension, rank).
+    """
+    for (u, v) in relations:
+        if not (0 <= u < n and 0 <= v < n):
+            raise DanglingElement(f"relation ({u},{v}) references a missing element")
+    lt = [[False] * n for _ in range(n)]
+    for (u, v) in relations:
+        if u == v:
+            raise CycleDetected(f"element {u} declared below itself")
+        lt[u][v] = True
+    for k in range(n):
+        for i in range(n):
+            if lt[i][k]:
+                for j in range(n):
+                    if lt[k][j]:
+                        lt[i][j] = True
+    if any(lt[i][i] for i in range(n)):
+        raise CycleDetected("directed cycle")
+    covers = {(u, v) for u in range(n) for v in range(n)
+              if lt[u][v] and not any(lt[u][w] and lt[w][v] for w in range(n))}
+    up = tuple(tuple(sorted(v for (x, v) in covers if x == u)) for u in range(n))
+    down = tuple(tuple(sorted(u for (u, x) in covers if x == v)) for v in range(n))
+    indeg = [len(d) for d in down]
+    ready = sorted(v for v in range(n) if indeg[v] == 0)
+    extension = []
+    while ready:
+        v = ready.pop(0)
+        extension.append(v)
+        for w in up[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+        ready.sort()
+    rank = [None] * n
+    for v in extension:
+        lower = {rank[u] for u in down[v]}
+        if len(lower) > 1:
+            rank = None
+            break
+        rank[v] = lower.pop() + 1 if lower else 0
+    if rank is not None and len({rank[v] for v in range(n) if not up[v]}) > 1:
+        rank = None
+    return (tuple(map(tuple, lt)), covers, up, down, tuple(extension),
+            None if rank is None else tuple(rank))
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Make every builder record the relations it hands to ``Poset``."""
+    class RecordingPoset(Poset):
+        def __init__(self, n, relations, element_names=None):
+            self.declared = list(relations)
+            super().__init__(n, self.declared, element_names)
+    monkeypatch.setattr(poset_module, "Poset", RecordingPoset)
+
+
+def assert_matches_reference(p, relations):
+    lt, covers, up, down, extension, rank = reference_order(p.n, relations)
+    assert p.covers == covers
+    assert p.up_adjacency == up and p.down_adjacency == down
+    assert p.default_linear_extension == extension
+    assert p.rank == rank
+    assert all(p.less(u, v) == lt[u][v] for u in range(p.n) for v in range(p.n))
+
+
+def test_sweep_matches_reference_on_seeded_random_posets(recorded):
+    for seed in range(300):
+        p = random_poset(seed % 17, seed)
+        assert_matches_reference(p, p.declared)
+    for seed in range(100):
+        p = random_graded_poset(seed)
+        assert_matches_reference(p, p.declared)
+
+
+def test_sweep_matches_reference_on_relabeled_redundant_relations(recorded):
+    # Relabeling moves the lexicographically first extension off the identity;
+    # the repeats and the closure pairs are relations the sweep must absorb.
+    for seed in range(100):
+        rng = random.Random(seed)
+        n = 2 + seed % 11
+        base = random_poset(n, 1000 + seed)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        closure = [(u, v) for u in range(n) for v in range(n) if base.less(u, v)]
+        relations = [(perm[u], perm[v]) for (u, v) in base.declared + closure[:3]]
+        relations += relations[:2]
+        rng.shuffle(relations)
+        assert_matches_reference(Poset(n, relations), relations)
+
+
+NAMED_SPECS = (
+    [f"chain {a}x{b}" for a in range(1, 4) for b in range(a, 13) if a * b <= 12]
+    + ["chain 1x10", "chain 2x8", "chain 3x6", "chain 4x4", "chain 4x6", "chain 5x5",
+       "chain 6x6", "chain 8x8", "chain 12x13"]
+    + [f"rootA {m}" for m in range(1, 7)]
+    + ["random 5 7", "random 6 303", "random 7 1", "random 7 11", "random 7 101",
+       "random 7 202"]
+    + [f"random 16 {s}" for s in range(1, 7)]
+)
+
+
+@pytest.mark.parametrize("spec", NAMED_SPECS)
+def test_sweep_matches_reference_on_named_specs(recorded, spec):
+    p = build_poset(spec)
+    assert_matches_reference(p, p.declared)
+
+
+@pytest.mark.parametrize("n,relations", [
+    (1, [(0, 0)]),
+    (2, [(0, 1), (1, 0)]),
+    (2, [(0, 5)]),
+    (2, [(-1, 0)]),
+    (2, [(0, 0), (0, 5)]),  # the dangling check runs first
+    (4, [(0, 1), (1, 2), (2, 1), (2, 3)]),
+    (3, [(0, 1), (1, 2), (2, 0)]),
+])
+def test_sweep_raises_like_reference(n, relations):
+    with pytest.raises(RowmotionError) as got:
+        Poset(n, relations)
+    with pytest.raises(RowmotionError) as want:
+        reference_order(n, relations)
+    assert type(got.value) is type(want.value)
+
+
+def test_cycle_message_names_the_unordered_elements():
+    with pytest.raises(CycleDetected, match=r"elements \[1, 2, 3\]"):
+        Poset(4, [(0, 1), (1, 2), (2, 1), (2, 3)])
 
 
 def test_chain_product_2x3_shape(p23):
