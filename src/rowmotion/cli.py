@@ -184,6 +184,19 @@ def _parse_const_c(text):
         raise ValueError(f"--const-c {text!r}: {exc}") from None
 
 
+def _parse_backend(spec, const_c_text):
+    """``parse_backend(spec)`` with the --const-c value, so that an error the
+    value causes (C = 0 outside the tropical backend) names the flag."""
+    backend = parse_backend(spec)
+    const_c = _parse_const_c(const_c_text)
+    if const_c is None:
+        return backend
+    try:
+        return parse_backend(spec, const_c=const_c)
+    except ValueError as exc:
+        raise ValueError(f"--const-c {const_c_text!r}: {exc}") from None
+
+
 def _parse_labeling(p, text):
     """A JSON array of numbers or 'p/q' strings; decimals are read exactly."""
     try:
@@ -200,6 +213,8 @@ def cmd_orbit(args):
     p = build_poset(args.poset)
     seed = args.seed if args.seed is not None else _default_seed()
     realm = args.realm
+    if realm in ("comb", "pl") and args.const_c is not None:
+        raise ValueError(f"--const-c has no effect for --realm {realm}")
     if realm == "comb":
         map_id = args.map_id or "rowA"
         if map_id not in _COMB_MAPS:
@@ -224,7 +239,7 @@ def cmd_orbit(args):
     expected_family = REALM_BACKENDS[realm].split(":")[0]
     if backend_spec.split(":")[0] != expected_family:
         raise ValueError(f"--backend {backend_spec} is inconsistent with --realm {realm}")
-    backend = parse_backend(backend_spec, const_c=_parse_const_c(args.const_c))
+    backend = _parse_backend(backend_spec, args.const_c)
     map_id = args.map_id or "bar"
     if map_id not in ("bar", "bor"):
         raise ValueError("--map for algebraic realms must be 'bar' or 'bor'")
@@ -242,7 +257,6 @@ def cmd_verify(args):
     theorems = sorted(THEOREMS) if args.all or not args.theorem else args.theorem
     poset_specs = args.poset or ["chain 2x3", "rootA 3"]
     seed = args.seed if args.seed is not None else _default_seed()
-    const_c = _parse_const_c(args.const_c)
     reports = []
     for tid in theorems:
         if tid not in THEOREMS:
@@ -253,10 +267,9 @@ def cmd_verify(args):
                 if args.verbose:
                     print(f"checking {tid} on {ps} over {bs}: "
                           f"{THEOREMS[tid].description}", file=sys.stderr)
-                backend = parse_backend(bs, const_c=const_c) if const_c is not None else None
                 reports.append(harness.run_check(
                     CheckSpec(tid, ps, bs, points=args.points, seed=seed),
-                    backend=backend))
+                    backend=_parse_backend(bs, args.const_c)))
     reports.sort(key=lambda r: (r["theorem"], r["poset"], r["backend"], r["seed"]))
     _emit(reports, args.format, args.out)
     failed = sum(r["failures"] for r in reports)

@@ -237,10 +237,24 @@ def test_output_deterministic_across_runs(capsys):
     (("poset", "--poset", "rootA x"), "'rootA x'"),
     (("poset", "--poset", "chain axb"), "'chain axb'"),
     (("poset", "--poset", "random 5 x"), "'random 5 x'"),
+    (("orbit", "--realm", "birational", "--poset", "chain 2x2", "--const-c", "0"),
+     "--const-c '0'"),
+    (("orbit", "--realm", "nc", "--poset", "chain 2x2", "--const-c", "0"), "--const-c '0'"),
+    (("verify", "--theorem", "involution", "--points", "2", "--const-c", "0"), "--const-c '0'"),
+    (("orbit", "--realm", "comb", "--poset", "chain 2x2", "--const-c", "2"),
+     "--const-c has no effect for --realm comb"),
+    (("orbit", "--realm", "pl", "--poset", "chain 2x2", "--const-c", "1"),
+     "--const-c has no effect for --realm pl"),
 ])
 def test_bad_values_exit_2_naming_the_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert code == 2 and flag in err and not out
+
+
+def test_tropical_const_c_zero_is_the_max_plus_unit(capsys):
+    code, out, _ = run(capsys, "orbit", "--realm", "tropical", "--poset", "chain 2x2",
+                       "--const-c", "0", "--format", "json")
+    assert code == 0 and json.loads(out)[0]["order"] == 4
 
 
 def _poset_file(tmp_path, n):

@@ -16,6 +16,7 @@ import pytest
 from rowmotion.backends import MatrixRing, RationalField, TropicalSemiring, derive_seed
 from rowmotion.dynamics import Atom, Dynamics, detect_order
 from rowmotion.errors import NotGraded, NotInvertible
+from rowmotion.matrices import RationalMatrix
 from rowmotion.poset import chain_product, chain_product_index, root_poset_a_index
 
 F = Fraction
@@ -822,3 +823,81 @@ def test_antichain_toggles_match_chain_enumeration(backend_name):
                     continue
                 assert b.equals(dyn.antichain_toggle(v, g)[v], want[0])
                 assert b.equals(dyn.antichain_elggot(v, g)[v], want[1])
+
+
+# -- toggle-by-toggle oracle for the antichain rowmotion sweep -----------------------
+
+
+def toggle_loop_rowmotion(dyn, g, extension):
+    """Antichain rowmotion by its definition: one single toggle per element,
+    bottom-up along the extension, each rerunning its own chain sum."""
+    for v in extension:
+        g = dyn.antichain_toggle(v, g)
+    return g
+
+
+SWEEP_BACKENDS = {**ORACLE_BACKENDS, "matrix:1": lambda: MatrixRing(1)}
+
+
+def sweep_oracle_posets():
+    from rowmotion.poset import random_graded_poset, random_poset, root_poset_a
+    return ([random_poset(n, seed) for n, seed in ((6, 3), (8, 5), (9, 44))]
+            + [random_graded_poset(seed) for seed in (1, 5, 10)]
+            + [chain_product(3, 4), root_poset_a(4), chain_product(2, 8)])
+
+
+@pytest.mark.parametrize("backend_name", sorted(SWEEP_BACKENDS))
+def test_antichain_rowmotion_sweep_matches_toggle_loop(backend_name):
+    cases = 0
+    for p in sweep_oracle_posets():
+        dyn = Dynamics(p, SWEEP_BACKENDS[backend_name]())
+        exts = p.linear_extensions(limit=2)
+        assert len(exts) == 2
+        for pt in range(3):
+            g = dyn.random_labeling(derive_seed("sweep-oracle", p.serialize(), pt))
+            for ext in exts:
+                assert dyn.equal(dyn.antichain_rowmotion(g, ext),
+                                 toggle_loop_rowmotion(dyn, g, ext))
+                cases += 1
+    assert cases == 54
+
+
+def _outcome(fn):
+    """The labeling ``fn`` returns, or the stage named by its NotInvertible."""
+    try:
+        return fn()
+    except NotInvertible as exc:
+        return exc.context
+
+
+def test_antichain_rowmotion_sweep_degenerates_like_toggle_loop():
+    # Small labels of both signs make chain sums cancel, at the first element
+    # of the sweep or further along it.
+    from rowmotion.poset import random_poset, root_poset_a
+    b = RationalField()
+    degenerate = set()
+    for p in (chain_product(2, 3), root_poset_a(3), random_poset(7, 5)):
+        dyn = Dynamics(p, b)
+        for seed in range(60):
+            rng = random.Random(seed)
+            g = tuple(F(rng.choice((-2, -1, 1, 2))) for _ in range(p.n))
+            for ext in p.linear_extensions(limit=2):
+                sweep = _outcome(lambda: dyn.antichain_rowmotion(g, ext))
+                assert sweep == _outcome(lambda: toggle_loop_rowmotion(dyn, g, ext))
+                if isinstance(sweep, str):
+                    degenerate.add(sweep)
+    assert len(degenerate) >= 3
+    assert all(stage.startswith("antichain toggle at ") for stage in degenerate)
+
+
+def test_antichain_rowmotion_sweep_singular_matrix_label(p23):
+    # A singular label at x makes every chain sum through x singular.
+    dyn = Dynamics(p23, MatrixRing(2))
+    singular = RationalMatrix(((F(1), F(2)), (F(2), F(4))))
+    for x in range(p23.n):
+        g = dyn.random_labeling(x)
+        g = g[:x] + (singular,) + g[x + 1:]
+        for ext in p23.linear_extensions(limit=2):
+            sweep = _outcome(lambda: dyn.antichain_rowmotion(g, ext))
+            assert isinstance(sweep, str)
+            assert sweep == _outcome(lambda: toggle_loop_rowmotion(dyn, g, ext))

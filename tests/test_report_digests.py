@@ -1,0 +1,69 @@
+"""Golden sha256 digests of CLI reports.
+
+Rewrites of a hot path must leave every report byte-identical.  These
+digests were taken from JSON reports of the toggle-by-toggle antichain
+rowmotion; any change to a report's bytes (an order, a retry count, a
+pass count, a key) fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from rowmotion.cli import main
+
+REALMS = {"rational": "birational", "tropical": "tropical", "matrix:2": "nc", "matrix:3": "nc"}
+
+ORBIT_DIGESTS = {
+    ("chain 3x3", "rational", "bar"): "a2273e2ed80ed0f0156a6df662251bd3920053430b7858989310a6b02bf080d2",
+    ("chain 3x3", "rational", "bor"): "a360eb0640b01555f3b34f7fa6049fa1f984dfcd23a11f7b35b0bb453ce942e4",
+    ("chain 3x3", "tropical", "bar"): "db33b6fb4018b8e4eff636019e8af6e3892b70a41b469a607dd50ed3e4c984b1",
+    ("chain 3x3", "tropical", "bor"): "39596160a854fbdfc9064026907901e85ba81c0e88a18caf4f319f60d600a0dd",
+    ("chain 3x3", "matrix:2", "bar"): "6fa318252f7ad6529b92eeb591e58d45d31aa1c14536fdf0c4f280bece1b362b",
+    ("chain 3x3", "matrix:2", "bor"): "c3cca280609b87dc1e6b8f364e36e43e1a7d10cbbf448ce1d3d9523b14942261",
+    ("chain 3x3", "matrix:3", "bar"): "d8f980ba69d0e9cc99417f2c48c8fc5b077c02a49ed6706cac96ff9fe8ed5715",
+    ("chain 3x3", "matrix:3", "bor"): "12ce210af8e512694b7ca82f7d1a2ccb524499cb969cb7949dc29cd1ff5ed6c5",
+    ("rootA 4", "rational", "bar"): "69a8d774ca3e0095265015e0b6ef4f9820dae76388a51a700a22619e68114c86",
+    ("rootA 4", "rational", "bor"): "641ee5e412467fe24a1a404b54f75a7016b105379c988a9cd31d7fa99b020868",
+    ("rootA 4", "tropical", "bar"): "4edda843ded6c683d1f68a70222d0d6ac6824831701312e49e49939a65fa0f49",
+    ("rootA 4", "tropical", "bor"): "e1509ce0d0369130edc661cfefc2a9b1da736649f577708bdda177a091fb4b46",
+    ("rootA 4", "matrix:2", "bar"): "0dd08d7bf1a6c4e40be4a7c1449fc832afe774f1ab57dd27be00f29989404046",
+    ("rootA 4", "matrix:2", "bor"): "858f0c8ac9af77f51dd5117b00feda414de35ebc7ffe80b1b1731840d2c114de",
+    ("rootA 4", "matrix:3", "bar"): "674bda6e95c5f37cc37f9777dcc6ba9e4092c6194294c3d627e286f18d42ec7b",
+    ("rootA 4", "matrix:3", "bor"): "f7b9263575b78b670ec0f100792f0426aad6bdad305cf433fb3f0b94f5a29420",
+}
+
+VERIFY_DIGESTS = {
+    "bar-transfer": "467562b35f008af2d7b4a5d33ddf5ad616394b28db3ccc70bb2e115527915e18",
+    "nar-transfer": "47af6a852100a19398c8807e34ef51c4ec4fd849a437a33446ba198020d2c41c",
+    "extension-independence": "c7db469547962f031bbce28a468147e06302743fbd18caebb79c1729687b7ee2",
+    "rescale-bar": "d9b61d906af12cee8f0b7a8d75e1150a1ccf7a7ea8e4a4e3e4d64096f228335b",
+    "gyration": "40eb625e870cd7a122d6c499ff211894c42bca6f5676f3774d070f9f12d2c4d0",
+}
+
+PL_DIGEST = "7410ba9c85b9565b29583e561da7106505693e46a376461d7e6b271a89bac20a"
+
+
+def report_digest(tmp_path, *argv):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--seed", "0", "--format", "json", "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("poset,backend,map_id", sorted(ORBIT_DIGESTS))
+def test_orbit_report_digest(tmp_path, poset, backend, map_id):
+    digest = report_digest(tmp_path, "orbit", "--realm", REALMS[backend], "--backend", backend,
+                           "--map", map_id, "--poset", poset)
+    assert digest == ORBIT_DIGESTS[poset, backend, map_id]
+
+
+def test_pl_antichain_orbit_report_digest(tmp_path):
+    digest = report_digest(tmp_path, "orbit", "--realm", "pl", "--map", "antichain",
+                           "--poset", "chain 3x3")
+    assert digest == PL_DIGEST
+
+
+@pytest.mark.parametrize("theorem", sorted(VERIFY_DIGESTS))
+def test_verify_report_digest(tmp_path, theorem):
+    digest = report_digest(tmp_path, "verify", "--theorem", theorem, "--points", "5")
+    assert digest == VERIFY_DIGESTS[theorem]
