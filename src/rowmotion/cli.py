@@ -257,19 +257,23 @@ def cmd_verify(args):
     theorems = sorted(THEOREMS) if args.all or not args.theorem else args.theorem
     poset_specs = args.poset or ["chain 2x3", "rootA 3"]
     seed = args.seed if args.seed is not None else _default_seed()
-    reports = []
     for tid in theorems:
         if tid not in THEOREMS:
             raise ValueError(f"unknown theorem {tid!r}; try --list")
-        backends = (args.backend,) if args.backend else THEOREMS[tid].default_backends
+    plan = [(tid, (args.backend,) if args.backend else THEOREMS[tid].default_backends)
+            for tid in theorems]
+    # Every backend is built before any check runs, so a bad spec or --const-c exits at once.
+    backends = {bs: _parse_backend(bs, args.const_c) for _, specs in plan for bs in specs}
+    reports = []
+    for tid, specs in plan:
         for ps in poset_specs:
-            for bs in backends:
+            for bs in specs:
                 if args.verbose:
                     print(f"checking {tid} on {ps} over {bs}: "
                           f"{THEOREMS[tid].description}", file=sys.stderr)
                 reports.append(harness.run_check(
                     CheckSpec(tid, ps, bs, points=args.points, seed=seed),
-                    backend=_parse_backend(bs, args.const_c)))
+                    backend=backends[bs]))
     reports.sort(key=lambda r: (r["theorem"], r["poset"], r["backend"], r["seed"]))
     _emit(reports, args.format, args.out)
     failed = sum(r["failures"] for r in reports)

@@ -251,6 +251,23 @@ def test_bad_values_exit_2_naming_the_flag(capsys, argv, flag):
     assert code == 2 and flag in err and not out
 
 
+@pytest.mark.parametrize("theorems", [
+    ("--all",),
+    ("--theorem", "tropical-only", "--theorem", "involution"),
+])
+def test_verify_const_c_zero_exits_before_any_check_runs(capsys, monkeypatch, theorems):
+    # C = 0 is valid for the tropical backend only; the first other backend
+    # must be refused before any check runs, even when tropical checks come first.
+    monkeypatch.setitem(THEOREMS, "tropical-only",
+                        TheoremCheck(lambda dyn, g, rng: True, False, ("tropical",), "fixture"))
+    checked = []
+    monkeypatch.setattr("rowmotion.harness.run_check", lambda *a, **k: checked.append(a))
+    code, out, err = run(capsys, "verify", *theorems, "--poset", "chain 1x1",
+                         "--points", "2", "--const-c", "0")
+    assert code == 2 and "--const-c '0'" in err and not out
+    assert checked == []
+
+
 def test_tropical_const_c_zero_is_the_max_plus_unit(capsys):
     code, out, _ = run(capsys, "orbit", "--realm", "tropical", "--poset", "chain 2x2",
                        "--const-c", "0", "--format", "json")
