@@ -213,8 +213,11 @@ def cmd_orbit(args):
     p = build_poset(args.poset)
     seed = args.seed if args.seed is not None else _default_seed()
     realm = args.realm
-    if realm in ("comb", "pl") and args.const_c is not None:
-        raise ValueError(f"--const-c has no effect for --realm {realm}")
+    for flag, value, realms in (("--const-c", args.const_c, ("comb", "pl")),
+                                ("--backend", args.backend, ("comb", "pl")),
+                                ("--labeling", args.labeling, ("comb", *REALM_BACKENDS))):
+        if value is not None and realm in realms:
+            raise ValueError(f"{flag} has no effect for --realm {realm}")
     if realm == "comb":
         map_id = args.map_id or "rowA"
         if map_id not in _COMB_MAPS:

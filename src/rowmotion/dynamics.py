@@ -149,48 +149,59 @@ class Dynamics:
 
     # -- antichain toggles --------------------------------------------------------
 
-    def _chain_sum(self, g, v, through_value_first):
-        """Sum over maximal chains through v of the rotated label product.
-
-        Each chain splits at v; labels below v are multiplied top-down,
-        then the labels from the top of the chain down to v.  The toggle
-        puts v's own label last, the elggot (through_value_first) first.
-        The sum factors through the inverse transfer recurrences D and U,
-        run on v's strict lower and upper sets only: (Σ_{u⋖v} D[u]) · U[v]
-        for the toggle, D[v] · (Σ_{w⋗v} U[w]) for the elggot.
-
-        Single toggles only: :meth:`antichain_rowmotion` keeps both
-        recurrences running across its sweep instead of rerunning them.
-        """
-        b = self.backend
-        less, ext = self.poset.less, self.extension
-        down = self._inv_transfer(g, [x for x in ext if less(x, v)], down=True)
-        up = self._inv_transfer(g, [x for x in reversed(ext) if less(v, x)], down=False)
-        lower = [down[u] for u in self.poset.down_adjacency[v]]
-        upper = [up[w] for w in self.poset.up_adjacency[v]]
-        lower_sum = b.sum(lower) if lower else b.one()
-        upper_sum = b.sum(upper) if upper else b.one()
-        if through_value_first:
-            return b.mul(b.mul(g[v], lower_sum), upper_sum)
-        return b.mul(lower_sum, b.mul(upper_sum, g[v]))
-
     def antichain_toggle(self, v, g):
         """C over the rotated chain sum through v."""
-        return self._antichain_toggle(v, g, elggot=False)
+        return self._antichain_sweep(g, (v,), self.extension, elggot=False)
 
     def antichain_elggot(self, v, g):
         """Inverse of the antichain toggle (opposite rotation split)."""
-        return self._antichain_toggle(v, g, elggot=True)
+        return self._antichain_sweep(g, (v,), self.extension, elggot=True)
 
-    def _antichain_toggle(self, v, g, elggot):
+    def _antichain_sweep(self, g, toggled, extension, elggot):
+        """Toggle each element of ``toggled``, bottom-up along ``extension``.
+
+        The toggle at v is C over the sum, over the maximal chains through
+        v, of the labels below v multiplied top-down, then the labels from
+        the top of the chain down to v.  That sum is L·U[v]: U is the
+        inverse up transfer of the starting labels, run once on the
+        elements at or above some toggled one, which are untoggled above v
+        when v's turn comes; L = Σ_{u⋖v} D[u] (one at a minimal element),
+        where D, the inverse down transfer of the new labels, grows along
+        the sweep on the elements below some toggled one.  The elggot is
+        the same sweep, top-down over the dual poset with every product
+        reversed, so v's own label comes first.
+        """
         b = self.backend
-        try:
-            total = self._chain_sum(g, v, through_value_first=elggot)
-            new = b.mul(b.constant_c(), b.invert(total))
-        except NotInvertible as exc:
-            kind = "elggot" if elggot else "toggle"
-            raise NotInvertible(context=f"antichain {kind} at {self._name(v)}") from exc
-        return g[:v] + (new,) + g[v + 1:]
+        lower, upper = self.poset.down_adjacency, self.poset.up_adjacency
+        if elggot:
+            extension = extension[::-1]
+            lower, upper = upper, lower
+        mul = (lambda x, y: b.mul(y, x)) if elggot else b.mul
+        toggled = set(toggled)
+        above, below = set(toggled), set(toggled)  # at or above / at or below a toggled one
+        for x in extension:
+            if x not in above and not above.isdisjoint(lower[x]):
+                above.add(x)
+        for x in reversed(extension):
+            if x not in below and not below.isdisjoint(upper[x]):
+                below.add(x)
+        up = self._inv_transfer(g, [x for x in reversed(extension) if x in above], down=elggot)
+        down = [None] * self.poset.n
+        out = list(g)
+        for x in extension:
+            if x not in below:
+                continue
+            near = [down[u] for u in lower[x]]
+            acc = b.sum(near) if near else b.one()
+            if x in toggled:
+                try:
+                    out[x] = b.mul(b.constant_c(), b.invert(mul(acc, up[x])))
+                except NotInvertible as exc:
+                    kind = "elggot" if elggot else "toggle"
+                    raise NotInvertible(context=f"antichain {kind} at {self._name(x)}") from exc
+            if not below.isdisjoint(upper[x]):  # a later element reads D[x]
+                down[x] = mul(out[x], acc)
+        return tuple(out)
 
     # -- rowmotion ----------------------------------------------------------------
 
@@ -202,31 +213,11 @@ class Dynamics:
         return f
 
     def antichain_rowmotion(self, g, extension=None):
-        """Antichain toggles along a linear extension, applied bottom-up.
-
-        One sweep of O(n + covers) backend operations.  When v is toggled,
-        everything below v already has its new label and everything above
-        v still has its starting one, so the two factors of v's chain sum
-        come from two arrays: U, the inverse up transfer of the starting
-        labels, computed once, and D, the inverse down transfer of the new
-        labels, grown as the sweep goes.  With L = Σ_{u⋖v} D[u] (one at a
-        minimal element), v's new label is C·(L·U[v])⁻¹ and D[v] is that
-        label times L: the products of :meth:`_chain_sum`, in its order.
-        """
-        b = self.backend
+        """Antichain toggles along a linear extension, applied bottom-up, as
+        one sweep: O(n + covers) backend operations, where toggling element
+        by element reruns both inverse transfer recurrences for each one."""
         ext = self.extension if extension is None else extension
-        up = self._inv_transfer(g, reversed(ext), down=False)
-        down = [None] * self.poset.n
-        out = list(g)
-        for v in ext:
-            lower = [down[u] for u in self.poset.down_adjacency[v]]
-            lower_sum = b.sum(lower) if lower else b.one()
-            try:
-                out[v] = b.mul(b.constant_c(), b.invert(b.mul(lower_sum, up[v])))
-            except NotInvertible as exc:
-                raise NotInvertible(context=f"antichain toggle at {self._name(v)}") from exc
-            down[v] = b.mul(out[v], lower_sum)
-        return tuple(out)
+        return self._antichain_sweep(g, ext, ext, elggot=False)
 
     def order_rowmotion_via_transfers(self, f):
         return self.theta(self.inv_up_transfer(self.down_transfer(f)))
@@ -319,11 +310,18 @@ class Dynamics:
             raise NotGraded("this operation needs a graded poset")
 
     def rank_toggle(self, kind, i, f):
-        """Toggle every element of one rank; they commute pairwise."""
+        """Toggle every element of one rank; they commute pairwise.  The
+        antichain sweep goes rank by rank, in index order within a rank, so
+        a degenerate value is reported where single toggles report it."""
         self._require_graded()
-        toggle = {"order": self.order_toggle, "antichain": self.antichain_toggle}[kind]
-        for v in self.poset.rank_elements(i):
-            f = toggle(v, f)
+        elements = self.poset.rank_elements(i)
+        if kind == "antichain":
+            by_rank = sorted(range(self.poset.n), key=self.poset.rank.__getitem__)
+            return self._antichain_sweep(f, elements, by_rank, elggot=False)
+        if kind != "order":
+            raise ValueError("rank toggle kind must be 'order' or 'antichain'")
+        for v in elements:
+            f = self.order_toggle(v, f)
         return f
 
     def _even_then_odd_ranks(self):

@@ -149,40 +149,6 @@ class Poset:
             return None
         return tuple(rank)
 
-    # -- linear extensions ---------------------------------------------
-
-    def linear_extensions(self, limit):
-        """The lexicographically first ``limit`` linear extensions."""
-        if limit < 1:
-            raise ValueError("limit must be positive")
-        n = self.n
-        out = []
-        indeg = [len(self.down_adjacency[v]) for v in range(n)]
-        prefix = []
-        used = [False] * n
-
-        def backtrack():
-            if len(prefix) == n:
-                out.append(tuple(prefix))
-                return
-            for v in range(n):
-                if used[v] or indeg[v] != 0:
-                    continue
-                used[v] = True
-                prefix.append(v)
-                for w in self.up_adjacency[v]:
-                    indeg[w] -= 1
-                backtrack()
-                for w in self.up_adjacency[v]:
-                    indeg[w] += 1
-                prefix.pop()
-                used[v] = False
-                if len(out) >= limit:
-                    return
-
-        backtrack()
-        return out
-
     # -- maximal chains --------------------------------------------------
 
     def maximal_chains(self):

@@ -245,6 +245,14 @@ def test_output_deterministic_across_runs(capsys):
      "--const-c has no effect for --realm comb"),
     (("orbit", "--realm", "pl", "--poset", "chain 2x2", "--const-c", "1"),
      "--const-c has no effect for --realm pl"),
+    (("orbit", "--realm", "comb", "--poset", "chain 2x2", "--backend", "garbage"),
+     "--backend has no effect for --realm comb"),
+    (("orbit", "--realm", "pl", "--poset", "chain 2x2", "--backend", "rational"),
+     "--backend has no effect for --realm pl"),
+    (("orbit", "--realm", "birational", "--poset", "chain 1x1", "--labeling", "[1]"),
+     "--labeling has no effect for --realm birational"),
+    (("orbit", "--realm", "tropical", "--poset", "chain 1x1", "--labeling", "[1]"),
+     "--labeling has no effect for --realm tropical"),
 ])
 def test_bad_values_exit_2_naming_the_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)

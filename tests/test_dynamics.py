@@ -399,9 +399,9 @@ def test_rowmotion_conjugacy_down_transfer(p23, a3):
                     dyn.order_rowmotion(g))
 
 
-def test_extension_independence(p23, a3):
+def test_extension_independence(p23, a3, linear_extensions):
     for p in (p23, a3):
-        exts = p.linear_extensions(limit=10)
+        exts = linear_extensions(p, limit=10)
         for backend in (RationalField(), MatrixRing(2)):
             dyn = Dynamics(p, backend)
             g = dyn.random_labeling(23)
@@ -578,6 +578,26 @@ def test_rank_toggles_square_to_identity_rational(p23):
                                          dyn.rank_toggle("antichain", i, g)), g)
         assert dyn.equal(dyn.rank_toggle("order", i,
                                          dyn.rank_toggle("order", i, g)), g)
+
+
+def test_rank_toggle_equals_single_toggles_in_index_order():
+    # Rank 1 is {1, 2}, but the default extension 0, 2, 3, 1 visits 2 first;
+    # with both toggles singular, the first in index order must be reported.
+    from rowmotion.poset import parse_poset
+    p = parse_poset("4\n0<2\n3<1\n")
+    assert p.rank_elements(1) == (1, 2) and p.default_linear_extension == (0, 2, 3, 1)
+    dyn = rational_dyn(p)
+    degenerate = dyn.labeling([F(1), F(0), F(0), F(1)])
+    for g in (dyn.random_labeling(4), degenerate):
+        for i in (0, 1):
+            single = g
+            for v in p.rank_elements(i):
+                single = _outcome(lambda: dyn.antichain_toggle(v, single))
+                if isinstance(single, str):
+                    break
+            assert _outcome(lambda: dyn.rank_toggle("antichain", i, g)) == single
+    assert _outcome(lambda: dyn.rank_toggle("antichain", 1, degenerate)) == \
+        "antichain toggle at 1"
 
 
 def test_bar_is_rank_toggle_product(p23, a3):
@@ -805,24 +825,35 @@ ORACLE_BACKENDS = {
 
 @pytest.mark.parametrize("backend_name", sorted(ORACLE_BACKENDS))
 def test_antichain_toggles_match_chain_enumeration(backend_name):
+    # Generic labelings, then central labels in ±1, ±2, whose chain sums
+    # cancel often: a toggle or elggot must raise exactly when its sum is singular.
     from rowmotion.poset import random_graded_poset, random_poset
     posets = [random_poset(n, seed) for n, seed in ((5, 3), (7, 101), (8, 5), (9, 44))]
     posets += [random_graded_poset(seed) for seed in (1, 2, 7)]
+    singular = 0
     for p in posets:
         dyn = Dynamics(p, ORACLE_BACKENDS[backend_name]())
         b = dyn.backend
-        for pt in range(3):
-            g = dyn.random_labeling(derive_seed("chain-oracle", p.serialize(), pt))
+        labelings = [dyn.random_labeling(derive_seed("chain-oracle", p.serialize(), pt))
+                     for pt in range(3)]
+        rng = random.Random(p.serialize())
+        labelings += [tuple(b.central_from_rational(rng.choice((-2, -1, 1, 2)))
+                            for _ in range(p.n)) for _ in range(3)]
+        for g in labelings:
             for v in range(p.n):
-                sums = [enumerated_chain_sum(dyn, g, v, first) for first in (False, True)]
-                assert b.equals(dyn._chain_sum(g, v, False), sums[0])
-                assert b.equals(dyn._chain_sum(g, v, True), sums[1])
-                try:
-                    want = [b.mul(b.constant_c(), b.invert(s)) for s in sums]
-                except NotInvertible:
-                    continue
-                assert b.equals(dyn.antichain_toggle(v, g)[v], want[0])
-                assert b.equals(dyn.antichain_elggot(v, g)[v], want[1])
+                for kind, toggle, first in (("toggle", dyn.antichain_toggle, False),
+                                            ("elggot", dyn.antichain_elggot, True)):
+                    try:
+                        want = b.mul(b.constant_c(),
+                                     b.invert(enumerated_chain_sum(dyn, g, v, first)))
+                    except NotInvertible:
+                        with pytest.raises(NotInvertible) as exc:
+                            toggle(v, g)
+                        assert exc.value.context == f"antichain {kind} at {p.element_names[v]}"
+                        singular += 1
+                        continue
+                    assert b.equals(toggle(v, g)[v], want)
+    assert singular > 0 or backend_name == "tropical"  # max-plus inversion is total
 
 
 # -- toggle-by-toggle oracle for the antichain rowmotion sweep -----------------------
@@ -830,7 +861,8 @@ def test_antichain_toggles_match_chain_enumeration(backend_name):
 
 def toggle_loop_rowmotion(dyn, g, extension):
     """Antichain rowmotion by its definition: one single toggle per element,
-    bottom-up along the extension, each rerunning its own chain sum."""
+    bottom-up along the extension, each a sweep of its own that reruns both
+    inverse transfer recurrences on that element's lower and upper sets."""
     for v in extension:
         g = dyn.antichain_toggle(v, g)
     return g
@@ -847,11 +879,11 @@ def sweep_oracle_posets():
 
 
 @pytest.mark.parametrize("backend_name", sorted(SWEEP_BACKENDS))
-def test_antichain_rowmotion_sweep_matches_toggle_loop(backend_name):
+def test_antichain_rowmotion_sweep_matches_toggle_loop(backend_name, linear_extensions):
     cases = 0
     for p in sweep_oracle_posets():
         dyn = Dynamics(p, SWEEP_BACKENDS[backend_name]())
-        exts = p.linear_extensions(limit=2)
+        exts = linear_extensions(p, limit=2)
         assert len(exts) == 2
         for pt in range(3):
             g = dyn.random_labeling(derive_seed("sweep-oracle", p.serialize(), pt))
@@ -870,7 +902,7 @@ def _outcome(fn):
         return exc.context
 
 
-def test_antichain_rowmotion_sweep_degenerates_like_toggle_loop():
+def test_antichain_rowmotion_sweep_degenerates_like_toggle_loop(linear_extensions):
     # Small labels of both signs make chain sums cancel, at the first element
     # of the sweep or further along it.
     from rowmotion.poset import random_poset, root_poset_a
@@ -881,7 +913,7 @@ def test_antichain_rowmotion_sweep_degenerates_like_toggle_loop():
         for seed in range(60):
             rng = random.Random(seed)
             g = tuple(F(rng.choice((-2, -1, 1, 2))) for _ in range(p.n))
-            for ext in p.linear_extensions(limit=2):
+            for ext in linear_extensions(p, limit=2):
                 sweep = _outcome(lambda: dyn.antichain_rowmotion(g, ext))
                 assert sweep == _outcome(lambda: toggle_loop_rowmotion(dyn, g, ext))
                 if isinstance(sweep, str):
@@ -890,14 +922,14 @@ def test_antichain_rowmotion_sweep_degenerates_like_toggle_loop():
     assert all(stage.startswith("antichain toggle at ") for stage in degenerate)
 
 
-def test_antichain_rowmotion_sweep_singular_matrix_label(p23):
+def test_antichain_rowmotion_sweep_singular_matrix_label(p23, linear_extensions):
     # A singular label at x makes every chain sum through x singular.
     dyn = Dynamics(p23, MatrixRing(2))
     singular = RationalMatrix(((F(1), F(2)), (F(2), F(4))))
     for x in range(p23.n):
         g = dyn.random_labeling(x)
         g = g[:x] + (singular,) + g[x + 1:]
-        for ext in p23.linear_extensions(limit=2):
+        for ext in linear_extensions(p23, limit=2):
             sweep = _outcome(lambda: dyn.antichain_rowmotion(g, ext))
             assert isinstance(sweep, str)
             assert sweep == _outcome(lambda: toggle_loop_rowmotion(dyn, g, ext))

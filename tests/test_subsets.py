@@ -200,10 +200,10 @@ def test_rowmotion_2x3_order_five_from_every_start(p23):
         assert len(orbit(p23, rowmotion_antichain, s)) == 5
 
 
-def test_toggle_products_match_transfers_for_every_extension(p23, a3):
+def test_toggle_products_match_transfers_for_every_extension(p23, a3, linear_extensions):
     # toggle products equal transfer compositions, on every extension and state
     for p in (p23, a3):
-        exts = p.linear_extensions(limit=10**6)
+        exts = linear_extensions(p, limit=10**6)
         for ext in exts:
             for s in all_ideals(p):
                 expected = rowmotion_ideal(p, s)
