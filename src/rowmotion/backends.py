@@ -140,7 +140,9 @@ class MatrixRing(AlgebraBackend):
 
     Inversion is partial (singular matrices model the degenerate labels
     where the skew-field maps are undefined).  The constant C is a scalar
-    matrix, hence central by construction.
+    matrix, hence central by construction.  ``one()`` and C are built once
+    and tagged as scalars, so a product with either is at most an entrywise
+    scaling (see ``matrices``).
     """
 
     def __init__(self, d, const_c=Fraction(2)):
@@ -151,6 +153,7 @@ class MatrixRing(AlgebraBackend):
         if c == 0:
             raise ValueError("the constant C must be nonzero")
         self._c = RationalMatrix.scalar(d, c)
+        self._one = RationalMatrix.identity(d)
         self.name = f"matrix:{d}"
 
     @property
@@ -164,7 +167,7 @@ class MatrixRing(AlgebraBackend):
         return x @ y
 
     def one(self):
-        return RationalMatrix.identity(self.d)
+        return self._one
 
     def invert(self, x):
         return x.inverse()

@@ -55,7 +55,8 @@ def build_parser():
     sp.add_argument("--backend", help="rational | matrix:d | tropical")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--const-c", dest="const_c", help="central constant C as p/q")
-    sp.add_argument("--max-iter", type=int, default=harness.DEFAULT_MAX_ITER)
+    sp.add_argument("--max-iter", type=int, default=None,
+                    help=f"step cap (default {harness.DEFAULT_MAX_ITER}; not for --realm comb)")
     sp.add_argument("--labeling", help="JSON array of numbers or 'p/q' strings (pl realm)")
 
     sp = sub.add_parser("verify", help="run theorem checks from the registry")
@@ -209,15 +210,20 @@ def _parse_labeling(p, text):
 
 
 def cmd_orbit(args):
-    max_iter = _at_least_one("--max-iter", args.max_iter)
-    p = build_poset(args.poset)
-    seed = args.seed if args.seed is not None else _default_seed()
     realm = args.realm
     for flag, value, realms in (("--const-c", args.const_c, ("comb", "pl")),
                                 ("--backend", args.backend, ("comb", "pl")),
-                                ("--labeling", args.labeling, ("comb", *REALM_BACKENDS))):
+                                ("--labeling", args.labeling, ("comb", *REALM_BACKENDS)),
+                                ("--seed", args.seed, ("comb",)),
+                                ("--max-iter", args.max_iter, ("comb",))):
         if value is not None and realm in realms:
             raise ValueError(f"{flag} has no effect for --realm {realm}")
+    if args.seed is not None and args.labeling is not None:
+        raise ValueError(f"--seed has no effect for --realm {realm} with --labeling")
+    max_iter = (harness.DEFAULT_MAX_ITER if args.max_iter is None
+                else _at_least_one("--max-iter", args.max_iter))
+    p = build_poset(args.poset)
+    seed = args.seed if args.seed is not None else _default_seed()
     if realm == "comb":
         map_id = args.map_id or "rowA"
         if map_id not in _COMB_MAPS:

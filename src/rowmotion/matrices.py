@@ -2,6 +2,15 @@
 
 Just enough linear algebra for the noncommutative evaluation model:
 addition, multiplication, and Gauss-Jordan inversion, all exact.
+
+Work whose result the algebra already gives is skipped.  A matrix made by
+``identity``, ``scalar`` or a product of two such matrices carries its
+scalar c as a tag, and a product with a tagged factor is the other factor
+scaled entrywise by c (the other factor itself when c = 1).  A successful
+inverse is stored on both matrices, so a matrix is inverted at most once
+and ``x.inverse().inverse() is x``.  Equality and hashing read the entries
+only, and ``is_scalar`` falls back on them, so an untagged matrix equal to
+c·I is still scalar.
 """
 
 from __future__ import annotations
@@ -10,45 +19,70 @@ from fractions import Fraction
 
 from .errors import NotInvertible
 
+_set = object.__setattr__
+
 
 class RationalMatrix:
     """An immutable d x d matrix of Fractions, hashable and exactly comparable."""
 
-    __slots__ = ("rows", "d")
+    __slots__ = ("rows", "d", "_scalar", "_inv")
 
     def __init__(self, rows):
         rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
         d = len(rows)
         if any(len(row) != d for row in rows):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "d", d)
+        _set(self, "rows", rows)
+        _set(self, "d", d)
+        _set(self, "_scalar", None)
+        _set(self, "_inv", None)
+
+    @classmethod
+    def _trusted(cls, rows, scalar=None):
+        """A matrix from a square tuple of tuples of Fractions, unchecked and unconverted."""
+        m = object.__new__(cls)
+        _set(m, "rows", rows)
+        _set(m, "d", len(rows))
+        _set(m, "_scalar", scalar)
+        _set(m, "_inv", None)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
     @classmethod
     def identity(cls, d):
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d)))
+        return cls.scalar(d, 1)
 
     @classmethod
     def scalar(cls, d, c):
         c = Fraction(c)
-        return cls(tuple(tuple(c if i == j else Fraction(0) for j in range(d)) for i in range(d)))
+        zero = Fraction(0)
+        return cls._trusted(tuple(tuple(c if i == j else zero for j in range(d))
+                                  for i in range(d)), scalar=c)
+
+    def _scaled(self, c):
+        return RationalMatrix._trusted(tuple(tuple(c * x for x in row) for row in self.rows))
 
     def __add__(self, other):
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        return RationalMatrix(tuple(tuple(a + b for a, b in zip(r1, r2))
-                                    for r1, r2 in zip(self.rows, other.rows)))
+        return RationalMatrix._trusted(tuple(tuple(a + b for a, b in zip(r1, r2))
+                                             for r1, r2 in zip(self.rows, other.rows)))
 
     def __matmul__(self, other):
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        d = self.d
+        s, t = self._scalar, other._scalar
+        if s is not None:
+            if t is not None:
+                return RationalMatrix.scalar(self.d, s * t)
+            return other if s == 1 else other._scaled(s)
+        if t is not None:
+            return self if t == 1 else self._scaled(t)
         cols = tuple(zip(*other.rows))
-        return RationalMatrix(tuple(tuple(sum(a * b for a, b in zip(row, col))
-                                          for col in cols) for row in self.rows))
+        return RationalMatrix._trusted(tuple(tuple(sum(a * b for a, b in zip(row, col))
+                                                   for col in cols) for row in self.rows))
 
     def __eq__(self, other):
         return isinstance(other, RationalMatrix) and self.rows == other.rows
@@ -61,14 +95,30 @@ class RationalMatrix:
         return f"RationalMatrix[{body}]"
 
     def is_scalar(self):
+        if self._scalar is not None:
+            return True
         d = self.d
         c = self.rows[0][0]
         return all(self.rows[i][j] == (c if i == j else 0)
                    for i in range(d) for j in range(d))
 
     def inverse(self):
-        """Exact Gauss-Jordan inverse; NotInvertible on a singular matrix."""
+        """Exact inverse, computed once per matrix; NotInvertible on a singular matrix."""
+        inv = self._inv
+        if inv is None:
+            inv = self._inverse()
+            _set(self, "_inv", inv)
+            _set(inv, "_inv", self)
+        return inv
+
+    def _inverse(self):
+        """Gauss-Jordan, or 1/c for a tagged c·I; nothing is stored."""
         d = self.d
+        c = self._scalar
+        if c is not None:
+            if c == 0:
+                raise NotInvertible(context=f"singular {d}x{d} matrix")
+            return RationalMatrix.scalar(d, 1 / c)
         aug = [list(row) + [Fraction(int(i == j)) for j in range(d)]
                for i, row in enumerate(self.rows)]
         for col in range(d):
@@ -82,4 +132,4 @@ class RationalMatrix:
                 if r != col and aug[r][col] != 0:
                     factor = aug[r][col]
                     aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return RationalMatrix(tuple(tuple(row[d:]) for row in aug))
+        return RationalMatrix._trusted(tuple(tuple(row[d:]) for row in aug))

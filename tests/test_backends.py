@@ -48,6 +48,106 @@ def test_matrix_not_commutative():
     assert a @ b != b @ a
 
 
+def _ref_product(x, y):
+    """Reference product from the entries alone: no tags, no shortcuts."""
+    d = len(x.rows)
+    return tuple(tuple(sum((x.rows[i][k] * y.rows[k][j] for k in range(d)), F(0))
+                       for j in range(d)) for i in range(d))
+
+
+def _ref_inverse(x):
+    """Reference Gauss-Jordan inverse from the entries; None when singular."""
+    d = len(x.rows)
+    a = [list(row) for row in x.rows]
+    inv = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+    for col in range(d):
+        rows = [r for r in range(col, d) if a[r][col] != 0]
+        if not rows:
+            return None
+        p = rows[-1]  # any nonzero pivot gives the same exact inverse
+        a[col], a[p], inv[col], inv[p] = a[p], a[col], inv[p], inv[col]
+        piv = a[col][col]
+        a[col] = [v / piv for v in a[col]]
+        inv[col] = [v / piv for v in inv[col]]
+        for r in range(d):
+            if r != col:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
+    return tuple(tuple(row) for row in inv)
+
+
+def _shortcut_cases(d):
+    """Seeded generic, sparse and singular matrices, and scalars tagged or built from rows."""
+    rng = random.Random(f"shortcuts:{d}")
+    generic = [MatrixRing(d).sample_generic(rng.randrange(10**9)) for _ in range(4)]
+    sparse = [RationalMatrix([[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(d)]
+                              for _ in range(d)]) for _ in range(8)]
+    singular = [RationalMatrix([[F(0)] * d] + [[F(rng.randint(1, 9)) for _ in range(d)]
+                                               for _ in range(d - 1)]),
+                RationalMatrix([[F(i + 1) * F(j + 2, 3) for j in range(d)] for i in range(d)])]
+    tagged = [RationalMatrix.identity(d), MatrixRing(d).one(), MatrixRing(d).constant_c(),
+              RationalMatrix.scalar(d, F(3, 7)), RationalMatrix.scalar(d, -1),
+              RationalMatrix.scalar(d, 0), MatrixRing(d).central_from_rational(F(-5, 2))]
+    from_rows = [RationalMatrix(m.rows) for m in tagged]
+    return generic + sparse + singular + tagged + from_rows
+
+
+def _all_fractions(m):
+    return all(type(v) is F for row in m.rows for v in row)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_matrix_products_match_reference(d):
+    cases = _shortcut_cases(d)
+    for x in cases:
+        for y in cases:
+            prod = x @ y
+            assert prod.rows == _ref_product(x, y), (x, y)
+            assert _all_fractions(prod)
+            if x.is_scalar() and y.is_scalar():
+                assert prod.is_scalar()
+        total = x + x
+        assert total.rows == tuple(tuple(2 * v for v in row) for row in x.rows)
+        assert _all_fractions(total)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_matrix_inverse_matches_reference_and_is_memoized(d):
+    singular = 0
+    for x in _shortcut_cases(d):
+        expected = _ref_inverse(x)
+        if expected is None:
+            singular += 1
+            for _ in range(2):  # a failure is not stored: the retry raises the same way
+                with pytest.raises(NotInvertible) as err:
+                    x.inverse()
+                assert err.value.context == f"singular {d}x{d} matrix"
+            with pytest.raises(NotInvertible, match="parallel-sum operand 1"):
+                parallel_sum(MatrixRing(d), [MatrixRing(d).one(), x])
+            continue
+        inv = x.inverse()
+        assert inv.rows == expected and _all_fractions(inv)
+        assert x.inverse() is inv
+        assert inv.inverse() is x
+        assert parallel_sum(MatrixRing(d), [x]) is x
+    assert singular >= 3
+
+
+def test_matrix_tags_leave_equality_and_centrality_value_based():
+    for d in (1, 2, 3):
+        for c in (F(1), F(2), F(-4, 9)):
+            tagged = RationalMatrix.scalar(d, c)
+            plain = RationalMatrix(tagged.rows)
+            assert tagged == plain and hash(tagged) == hash(plain)
+            assert plain.is_scalar() and MatrixRing(d).is_central(plain)
+            assert (tagged @ tagged).is_scalar() and (tagged @ tagged) == plain @ plain
+    b = MatrixRing(2)
+    x = b.sample_generic(5)
+    assert b.one() is b.one() and b.mul(b.one(), x) is x and b.mul(x, b.one()) is x
+    assert b.mul(b.constant_c(), x) == b.mul(x, b.constant_c()) == x + x
+
+
 @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.describe())
 def test_backend_axioms_randomized(backend):
     c = backend.constant_c()

@@ -253,6 +253,12 @@ def test_output_deterministic_across_runs(capsys):
      "--labeling has no effect for --realm birational"),
     (("orbit", "--realm", "tropical", "--poset", "chain 1x1", "--labeling", "[1]"),
      "--labeling has no effect for --realm tropical"),
+    (("orbit", "--realm", "comb", "--poset", "chain 2x2", "--seed", "9"),
+     "--seed has no effect for --realm comb"),
+    (("orbit", "--poset", "chain 2x2", "--max-iter", "3"),
+     "--max-iter has no effect for --realm comb"),
+    (("orbit", "--realm", "pl", "--poset", "chain 1x2", "--labeling", '["1/4","1/4"]',
+      "--seed", "9"), "--seed has no effect for --realm pl"),
 ])
 def test_bad_values_exit_2_naming_the_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
