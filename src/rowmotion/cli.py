@@ -28,10 +28,10 @@ def _default_seed():
     return int(env) if env else 0
 
 
-def _add_common(sp):
+def _add_common(sp, formats=("text", "json", "csv")):
     sp.add_argument("--poset", required=True,
                     help="poset spec: 'chain AxB', 'rootA M', 'random N SEED', or a file path")
-    sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    sp.add_argument("--format", choices=formats, default="text")
     sp.add_argument("--out", help="write the report here instead of stdout")
 
 
@@ -42,7 +42,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("poset", help="build, inspect, and serialize posets")
-    _add_common(sp)
+    _add_common(sp, formats=("text", "json"))
     sp.add_argument("--serialize", metavar="PATH",
                     help="write the poset text format ('-' for stdout)")
 
@@ -242,6 +242,8 @@ def cmd_orbit(args):
                              max_iter=max_iter)
         report = {"map": f"pl-{map_id}", "poset": args.poset, "seed": seed,
                   "order": order if order is not None else "exceeded"}
+        if args.labeling:  # a given labeling draws no seed
+            del report["seed"]
         _emit([report], args.format, args.out)
         return 0
     backend_spec = args.backend or REALM_BACKENDS[realm]

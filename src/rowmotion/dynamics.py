@@ -38,6 +38,16 @@ class Atom(NamedTuple):
         return f"{self.kind}[{self.index}]"
 
 
+_INVERSE_KIND = {"T": "E", "E": "T", "tau": "eps", "eps": "tau"}
+_STAR_KIND = {"T": "tau", "E": "eps", "tau": "T", "eps": "E"}
+
+
+def inverse_word(word):
+    """The word undoing a word of T, E, tau and eps atoms: reversed, each
+    toggle swapped with its elggot (a rank atom, having none, is a KeyError)."""
+    return tuple(Atom(_INVERSE_KIND[kind], i) for kind, i in reversed(word))
+
+
 class Dynamics:
     """Toggle and transfer dynamics for one poset over one backend."""
 
@@ -255,53 +265,47 @@ class Dynamics:
             return self.rank_toggle("antichain", i, f)
         raise ValueError(f"unknown toggle-word atom {atom}")
 
-    def _lower_set(self, elements):
-        """Elements strictly below some element of ``elements``, in extension order."""
+    def eta_word(self, elements):
+        """Order toggles clearing the strict lower set of ``elements``, top-down."""
         below = set().union(*(self.poset.strict_down_set(v) for v in elements))
-        return tuple(x for x in self.extension if x in below)
+        return tuple(Atom("T", x) for x in reversed(self.extension) if x in below)
 
-    def eta_word(self, v):
-        """Order toggles clearing the strict lower set of v, top-down."""
-        return self.eta_set_word((v,))
-
-    def eta_set_word(self, elements):
-        return tuple(Atom("T", x) for x in reversed(self._lower_set(elements)))
-
-    def eta_inverse_word(self, elements):
-        return tuple(Atom("E", x) for x in self._lower_set(elements))
-
-    def star_order_toggle_word(self, v):
-        """Antichain-toggle word that mimics the order toggle at v."""
-        return self._star_order_word(v, Atom("tau", v))
-
-    def star_order_elggot_word(self, v):
-        return self._star_order_word(v, Atom("eps", v))
-
-    def _star_order_word(self, v, middle):
-        """``middle`` conjugated by the antichain toggles at v's lower covers."""
-        cov = self.poset.down_adjacency[v]
-        return (tuple(Atom("tau", u) for u in cov)
-                + (middle,)
-                + tuple(Atom("eps", u) for u in reversed(cov)))
-
-    def star_antichain_toggle_word(self, v):
-        """Order-toggle word conjugated by eta that mimics the antichain toggle."""
-        return self.eta_inverse_word((v,)) + (Atom("T", v),) + self.eta_word(v)
-
-    def star_antichain_elggot_word(self, v):
-        return self.eta_inverse_word((v,)) + (Atom("E", v),) + self.eta_word(v)
+    def star_word(self, word):
+        """Image of ``word`` under the toggle-group isomorphism: T_v becomes
+        tau_v conjugated by the antichain toggles at v's lower covers, tau_v
+        becomes T_v conjugated by eta_v, and so on for elggots and ranks.
+        Over a noncommutative backend the image of order gyration is not
+        antichain gyration; it is the word that makes the gyration diagram
+        commute."""
+        out = []
+        for kind, v in word:
+            if kind in ("T", "E"):
+                cov = self.poset.down_adjacency[v]
+                out += [Atom("tau", u) for u in cov]
+                out.append(Atom(_STAR_KIND[kind], v))
+                out += [Atom("eps", u) for u in reversed(cov)]
+            elif kind in ("tau", "eps"):
+                eta = self.eta_word((v,))
+                out += inverse_word(eta) + (Atom(_STAR_KIND[kind], v),) + eta
+            elif kind in ("rank_T", "rank_tau"):
+                self._require_graded()
+                single = "T" if kind == "rank_T" else "tau"
+                out += self.star_word(Atom(single, u) for u in self.poset.rank_elements(v))
+            else:
+                raise ValueError(f"unknown toggle-word atom {Atom(kind, v)}")
+        return tuple(out)
 
     def star_order_toggle(self, v, g):
-        return self.apply_word(self.star_order_toggle_word(v), g)
+        return self.apply_word(self.star_word((Atom("T", v),)), g)
 
     def star_order_elggot(self, v, g):
-        return self.apply_word(self.star_order_elggot_word(v), g)
+        return self.apply_word(self.star_word((Atom("E", v),)), g)
 
     def star_antichain_toggle(self, v, f):
-        return self.apply_word(self.star_antichain_toggle_word(v), f)
+        return self.apply_word(self.star_word((Atom("tau", v),)), f)
 
     def star_antichain_elggot(self, v, f):
-        return self.apply_word(self.star_antichain_elggot_word(v), f)
+        return self.apply_word(self.star_word((Atom("eps", v),)), f)
 
     # -- graded machinery -----------------------------------------------------
 
@@ -324,14 +328,12 @@ class Dynamics:
             f = self.order_toggle(v, f)
         return f
 
-    def _even_then_odd_ranks(self):
-        self._require_graded()
-        r = self.poset.top_rank
-        return list(range(0, r + 1, 2)) + list(range(1, r + 1, 2))
-
     def order_gyration_word(self):
         """Even-rank order toggles first, then odd ranks."""
-        return tuple(Atom("rank_T", i) for i in self._even_then_odd_ranks())
+        self._require_graded()
+        r = self.poset.top_rank
+        ranks = list(range(0, r + 1, 2)) + list(range(1, r + 1, 2))
+        return tuple(Atom("rank_T", i) for i in ranks)
 
     def antichain_gyration_word(self):
         """Odd-rank antichain toggles bottom-up, then even ranks top-down."""
@@ -341,27 +343,13 @@ class Dynamics:
                 [i for i in range(r, -1, -1) if i % 2 == 0]
         return tuple(Atom("rank_tau", i) for i in ranks)
 
-    def starred_antichain_gyration_word(self):
-        """Image of order gyration under the toggle-group isomorphism.
-
-        Commutatively this collapses to :meth:`antichain_gyration_word`
-        because the conjugating elggots cancel; over a noncommutative
-        backend it does not, and this word is the form that makes the
-        gyration diagram commute.
-        """
-        word = []
-        for i in self._even_then_odd_ranks():
-            for v in self.poset.rank_elements(i):
-                word.extend(self.star_order_toggle_word(v))
-        return tuple(word)
-
     def gyration(self, kind, f):
         if kind == "order":
             return self.apply_word(self.order_gyration_word(), f)
         if kind == "antichain":
             return self.apply_word(self.antichain_gyration_word(), f)
         if kind == "antichain_starred":
-            return self.apply_word(self.starred_antichain_gyration_word(), f)
+            return self.apply_word(self.star_word(self.order_gyration_word()), f)
         raise ValueError("gyration kind must be 'order', 'antichain', or 'antichain_starred'")
 
     def graded_rescale(self, scalars, g):

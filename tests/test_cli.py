@@ -104,6 +104,17 @@ def test_orbit_pl_labeling_reads_decimals_exactly(capsys):
     assert json.loads(out)[0]["order"] == 11
 
 
+def test_orbit_pl_with_labeling_reports_no_seed(capsys, monkeypatch):
+    # a given labeling draws nothing, so neither the row nor its bytes carry a seed
+    argv = ("orbit", "--realm", "pl", "--poset", "chain 1x2",
+            "--labeling", '["1/4","1/4"]', "--format", "json")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and "seed" not in json.loads(plain)[0]
+    monkeypatch.setenv("ROWMOTION_SEED", "7")
+    code, seeded, _ = run(capsys, *argv)
+    assert code == 0 and seeded == plain
+
+
 @pytest.mark.parametrize("spec", ["matrix:40", "matrix:x"])
 def test_orbit_rejects_bad_matrix_dimension_at_once(capsys, spec):
     start = time.perf_counter()
@@ -201,6 +212,14 @@ def test_poset_json_format(capsys):
     assert code == 0
     info = json.loads(out)
     assert info["elements"] == 4 and info["graded"]
+
+
+def test_poset_refuses_csv_format(capsys):
+    # poset prints text or json only; argparse exits 2 naming the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["poset", "--poset", "chain 2x2", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and "--format" in captured.err and not captured.out
 
 
 def test_orbit_out_file(capsys, tmp_path):

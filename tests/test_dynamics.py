@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from rowmotion.backends import MatrixRing, RationalField, TropicalSemiring, derive_seed
-from rowmotion.dynamics import Atom, Dynamics, detect_order
+from rowmotion.dynamics import Atom, Dynamics, detect_order, inverse_word
 from rowmotion.errors import NotGraded, NotInvertible
 from rowmotion.matrices import RationalMatrix
 from rowmotion.poset import chain_product, chain_product_index, root_poset_a_index
@@ -453,8 +453,8 @@ def test_star_toggle_minimal_element_degenerates(p23):
     dyn = rational_dyn(p23)
     g = dyn.random_labeling(3)
     v0 = IDX23[(1, 1)]
-    assert dyn.star_order_toggle_word(v0) == (Atom("tau", v0),)
-    assert dyn.star_antichain_toggle_word(v0) == (Atom("T", v0),)
+    assert dyn.star_word((Atom("T", v0),)) == (Atom("tau", v0),)
+    assert dyn.star_word((Atom("tau", v0),)) == (Atom("T", v0),)
     assert dyn.equal(dyn.star_order_toggle(v0, g), dyn.antichain_toggle(v0, g))
     assert dyn.equal(dyn.star_antichain_toggle(v0, g), dyn.order_toggle(v0, g))
 
@@ -525,9 +525,9 @@ def test_pairwise_incomparable_conjugation_lemma(p23, a3):
                 lhs = g
                 for v in reversed(vs):  # tau*_{v1} applied last
                     lhs = dyn.star_antichain_toggle(v, lhs)
-                word = (dyn.eta_inverse_word(vs)
+                word = (inverse_word(dyn.eta_word(vs))
                         + tuple(Atom("T", v) for v in reversed(vs))
-                        + dyn.eta_set_word(vs))
+                        + dyn.eta_word(vs))
                 rhs = dyn.apply_word(word, g)
                 assert dyn.equal(lhs, rhs)
 
@@ -543,6 +543,93 @@ def test_nar_equals_starred_word_composition(p23):
         assert dyn.equal(lhs, dyn.order_rowmotion(g))
 
 
+# -- differential oracle: starred words built from their definitions ------------
+
+TOGGLE_KINDS = ("T", "E", "tau", "eps")
+
+
+def _ref_strict_below(p, elements):
+    below = set().union(*(p.strict_down_set(v) for v in elements))
+    return tuple(x for x in p.default_linear_extension if x in below)
+
+
+def _ref_eta(p, elements):
+    return tuple(Atom("T", x) for x in reversed(_ref_strict_below(p, elements)))
+
+
+def _ref_eta_inverse(p, elements):
+    return tuple(Atom("E", x) for x in _ref_strict_below(p, elements))
+
+
+def _ref_star(p, kind, v):
+    """T*_v (E*_v) is tau_v (eps_v) conjugated by the antichain toggles at v's
+    lower covers; tau*_v (eps*_v) is T_v (E_v) conjugated by eta_v."""
+    if kind in ("T", "E"):
+        cov = p.down_adjacency[v]
+        return (tuple(Atom("tau", u) for u in cov)
+                + (Atom("tau" if kind == "T" else "eps", v),)
+                + tuple(Atom("eps", u) for u in reversed(cov)))
+    return _ref_eta_inverse(p, (v,)) + (Atom("T" if kind == "tau" else "E", v),) + _ref_eta(p, (v,))
+
+
+def _ref_star_rank(p, kind, i):
+    return sum((_ref_star(p, kind, v) for v in p.rank_elements(i)), ())
+
+
+def _ref_starred_gyration(p):
+    r = p.top_rank
+    ranks = list(range(0, r + 1, 2)) + list(range(1, r + 1, 2))
+    return sum((_ref_star_rank(p, "T", i) for i in ranks), ())
+
+
+def _random_word(rng, n, length):
+    return tuple(Atom(rng.choice(TOGGLE_KINDS), rng.randrange(n)) for _ in range(length))
+
+
+def _oracle_posets():
+    from rowmotion.poset import random_graded_poset, random_poset, root_poset_a
+    return ([chain_product(3, 4), root_poset_a(4)]
+            + [random_poset(n, derive_seed("star-oracle", n)) for n in range(1, 11)]
+            + [random_graded_poset(derive_seed("star-oracle-graded", s)) for s in range(8)])
+
+
+def test_star_word_matches_definitions_on_random_posets():
+    graded = 0
+    for p in _oracle_posets():
+        dyn = Dynamics(p, RationalField())
+        rng = random.Random(derive_seed("star-oracle-words", p.n))
+        for v in range(p.n):
+            assert dyn.eta_word((v,)) == _ref_eta(p, (v,))
+            assert inverse_word(dyn.eta_word((v,))) == _ref_eta_inverse(p, (v,))
+            for kind in TOGGLE_KINDS:
+                assert dyn.star_word((Atom(kind, v),)) == _ref_star(p, kind, v)
+        subset = rng.sample(range(p.n), min(3, p.n))
+        assert dyn.eta_word(subset) == _ref_eta(p, subset)
+        assert inverse_word(dyn.eta_word(subset)) == _ref_eta_inverse(p, subset)
+        word = _random_word(rng, p.n, 8)
+        assert dyn.star_word(word) == sum((_ref_star(p, k, v) for k, v in word), ())
+        if p.is_graded:
+            graded += 1
+            for i in range(p.top_rank + 1):
+                assert dyn.star_word((Atom("rank_T", i),)) == _ref_star_rank(p, "T", i)
+                assert dyn.star_word((Atom("rank_tau", i),)) == _ref_star_rank(p, "tau", i)
+            assert dyn.star_word(dyn.order_gyration_word()) == _ref_starred_gyration(p)
+    assert graded >= 10  # chain 3x4, rootA 4 and the eight random graded posets
+
+
+def test_inverse_word_undoes_random_words_noncommutative(p23, a3):
+    from rowmotion.poset import random_poset
+    for p in (p23, a3, random_poset(7, derive_seed("inverse-word", 7))):
+        dyn = Dynamics(p, MatrixRing(2))
+        rng = random.Random(derive_seed("inverse-word-atoms", p.n))
+        for seed in range(4):
+            g = dyn.random_labeling(derive_seed("inverse-word", seed))
+            word = _random_word(rng, p.n, 6)
+            assert dyn.equal(dyn.apply_word(inverse_word(word), dyn.apply_word(word, g)), g)
+    with pytest.raises(KeyError):  # rank atoms have no elggot atom
+        inverse_word((Atom("T", 0), Atom("rank_T", 0)))
+
+
 # -- graded machinery -----------------------------------------------------------
 
 
@@ -555,6 +642,8 @@ def test_toggle_word_atoms_validated(p22):
         dyn.apply_word((Atom("rank_tau", 7),), g)
     with pytest.raises(ValueError):
         dyn.apply_word((Atom("spin", 0),), g)
+    with pytest.raises(ValueError):
+        dyn.star_word((Atom("spin", 0),))
 
 
 def test_rank_toggle_requires_graded():
@@ -566,6 +655,8 @@ def test_rank_toggle_requires_graded():
         dyn.rank_toggle("antichain", 0, g)
     with pytest.raises(NotGraded):
         dyn.gyration("order", g)
+    with pytest.raises(NotGraded):
+        dyn.star_word((Atom("rank_T", 0),))
     with pytest.raises(NotGraded):
         dyn.graded_rescale([F(1)], g)
 

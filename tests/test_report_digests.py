@@ -39,6 +39,11 @@ VERIFY_DIGESTS = {
     "extension-independence": "c7db469547962f031bbce28a468147e06302743fbd18caebb79c1729687b7ee2",
     "rescale-bar": "d9b61d906af12cee8f0b7a8d75e1150a1ccf7a7ea8e4a4e3e4d64096f228335b",
     "gyration": "40eb625e870cd7a122d6c499ff211894c42bca6f5676f3774d070f9f12d2c4d0",
+    # the starred-toggle checks, taken before the star words became one map
+    "t-star": "f66a3a47f6bfd60d9a7c01d875fa85d870fc4f5ae38a11ae8800112912aa6ee4",
+    "tau-star": "8240e3a8d56e99d821101359e8cfecda963b54b41069387c0e28206736ef6b1d",
+    "t-star-nc": "1dcacbcea1a334bf9b20e9322935f16aea1a0853d44631eaa996e8535b258f8c",
+    "tau-star-nc": "cbf3d67009d2a7a0187bcdd95b52fde4c50eef3b7cae7cd29868863dcb5c7282",
 }
 
 PL_DIGEST = "7410ba9c85b9565b29583e561da7106505693e46a376461d7e6b271a89bac20a"
