@@ -76,7 +76,6 @@ def build_parser():
                     help="progress lines on stderr while checks run")
 
     sp = sub.add_parser("scan", help="observed rowmotion orders on chain products")
-    sp.add_argument("--family", choices=["chain-product"], default="chain-product")
     sp.add_argument("--max", dest="max_ab", default="3x3", help="scan up to AxB")
     sp.add_argument("--backend", default="matrix:2")
     sp.add_argument("--map", dest="map_id", choices=["bor", "bar"], default="bor")
@@ -265,7 +264,10 @@ def cmd_verify(args):
         for tid in sorted(THEOREMS):
             print(f"{tid}: {THEOREMS[tid].description}")
         return 0
-    theorems = sorted(THEOREMS) if args.all or not args.theorem else args.theorem
+    if args.all and args.theorem:
+        raise ValueError("--theorem has no effect with --all")
+    theorems = args.theorem or sorted(THEOREMS)
+    points = _at_least_one("--points", args.points)
     poset_specs = args.poset or ["chain 2x3", "rootA 3"]
     seed = args.seed if args.seed is not None else _default_seed()
     for tid in theorems:
@@ -283,7 +285,7 @@ def cmd_verify(args):
                     print(f"checking {tid} on {ps} over {bs}: "
                           f"{THEOREMS[tid].description}", file=sys.stderr)
                 reports.append(harness.run_check(
-                    CheckSpec(tid, ps, bs, points=args.points, seed=seed),
+                    CheckSpec(tid, ps, bs, points=points, seed=seed),
                     backend=backends[bs]))
     reports.sort(key=lambda r: (r["theorem"], r["poset"], r["backend"], r["seed"]))
     _emit(reports, args.format, args.out)
@@ -296,6 +298,7 @@ def cmd_scan(args):
         a_max, b_max = (int(x) for x in args.max_ab.split("x", 1))
     except ValueError:
         raise ValueError(f"--max expects AxB, got {args.max_ab!r}") from None
+    _at_least_one("--max", min(a_max, b_max))
     base = args.seed if args.seed is not None else _default_seed()
     seeds = [base + i for i in range(_at_least_one("--seeds", args.seeds))]
     rows = harness.scan_conjecture(a_max, b_max, args.backend, seeds=seeds, map_id=args.map_id,

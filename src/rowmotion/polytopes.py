@@ -61,10 +61,8 @@ def in_order_polytope(p, f):
 
 
 def in_order_reversing(p, f):
-    """Order-reversing labelings into [0, 1]."""
-    if not in_unit_cube(f):
-        return False
-    return all(f[u] >= f[v] for (u, v) in p.covers)
+    """Order-reversing labelings into [0, 1]: those f with 1 - f order-preserving."""
+    return in_order_polytope(p, [ONE - x for x in f])
 
 
 def in_chain_polytope(p, f):

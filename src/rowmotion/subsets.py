@@ -143,16 +143,9 @@ def toggle_ideal(p, v, s):
 
 
 def toggle_filter(p, v, s):
-    """Add or remove v when the result is still a filter, else fix."""
+    """The ideal toggle conjugated by the complement."""
     _require(s, Kind.FILTER)
-    m = s.members
-    if v not in m:
-        if all(w in m for w in p.up_adjacency[v]):
-            return SubsetState(m | {v}, Kind.FILTER)
-    else:
-        if not any(u in m for u in p.down_adjacency[v]):
-            return SubsetState(m - {v}, Kind.FILTER)
-    return s
+    return complement(p, toggle_ideal(p, v, complement(p, s)))
 
 
 def toggle_antichain(p, v, s):
@@ -173,28 +166,24 @@ def rowmotion(p, kind, s):
     """Rowmotion on ideals, antichains, or filters.
 
     Computes both the transfer-map composition and the toggle product
-    along the default linear extension and insists they agree.
+    along the default linear extension and insists they agree.  Filter
+    rowmotion is ideal rowmotion conjugated by the complement.
     """
     kind = Kind(kind)
     _require(s, kind)
-    ext = p.default_linear_extension
+    if kind == Kind.FILTER:
+        return complement(p, rowmotion(p, Kind.IDEAL, complement(p, s)))
     if kind == Kind.IDEAL:
         via_transfer = inverse_up_transfer(p, down_transfer(p, complement(p, s)))
-        via_toggles = s
-        for v in reversed(ext):
-            via_toggles = toggle_ideal(p, v, via_toggles)
+        toggle, order = toggle_ideal, reversed(p.default_linear_extension)
     elif kind == Kind.ANTICHAIN:
         via_transfer = down_transfer(p, complement(p, inverse_up_transfer(p, s)))
-        via_toggles = s
-        for v in ext:
-            via_toggles = toggle_antichain(p, v, via_toggles)
-    elif kind == Kind.FILTER:
-        via_transfer = complement(p, inverse_up_transfer(p, down_transfer(p, s)))
-        via_toggles = s
-        for v in reversed(ext):
-            via_toggles = toggle_filter(p, v, via_toggles)
+        toggle, order = toggle_antichain, p.default_linear_extension
     else:
         raise KindMismatch("rowmotion is defined on ideals, antichains, and filters")
+    via_toggles = s
+    for v in order:
+        via_toggles = toggle(p, v, via_toggles)
     if via_transfer != via_toggles:
         raise CompositionMismatch(
             f"toggle product {sorted(via_toggles.members)} != "

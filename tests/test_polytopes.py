@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -328,6 +329,25 @@ def test_chain_polytope_membership_matches_enumeration(p):
             candidates += [edge, over]
         for f in candidates:
             assert in_chain_polytope(p, f) == oracle_in_chain_polytope(p, f)
+
+
+def oracle_in_order_reversing(p, f):
+    return all(0 <= x <= 1 for x in f) and all(f[u] >= f[v] for (u, v) in p.covers)
+
+
+@pytest.mark.parametrize("p", oracle_posets(), ids=repr)
+def test_order_reversing_membership_matches_cover_check(p):
+    rng = random.Random(p.n)
+    outcomes = set()
+    for seed in range(8):
+        h = random_order_reversing_point(p, seed)
+        raw = tuple(F(rng.randint(-8, 24), 16) for _ in range(p.n))  # in [-1/2, 3/2]
+        for f in (h, h[:-1] + (F(17, 16),), tuple(-x for x in h),
+                  random_order_polytope_point(p, seed), raw):
+            got = in_order_reversing(p, f)
+            assert got == oracle_in_order_reversing(p, f)
+            outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_antichain_maps_never_enumerate_chains():

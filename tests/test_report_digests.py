@@ -48,11 +48,28 @@ VERIFY_DIGESTS = {
 
 PL_DIGEST = "7410ba9c85b9565b29583e561da7106505693e46a376461d7e6b271a89bac20a"
 
+# Combinatorial reports, taken while filters still had their own toggle body.
+COMB_ORBIT_DIGESTS = {
+    "rowA": "cd295fa70ab7b6271de1707d610bd713d96a99b5ad713f648c7eb40e8287ca5c",
+    "rowJ": "6a90e167f39ce0812bd36e10ab74a8d0d8843f5b53cd9ba984880885912fd919",
+    "rowF": "cddbf6fad881a68d1c9fe36fa5c0b5de7eb80b7a0f156a3fcc0d703fd85b9c27",
+}
+
+HOMOMESY_DIGESTS = {
+    "rowA": "a90a7d039371de561a34fde32775bdef28367a13228cc39bcf1f6dbfc0c26d0a",
+    "rowJ": "1bd950158565685e7e72f0c343307c3ab6ade73aa89e17e658b29db5e2a87c78",
+    "rowF": "75156492a9dccb3ef87d91bcc7f97ffdfffcd00a5cf35d393290e4d1aadac58d",
+}
+
+
+def unseeded_report_digest(tmp_path, *argv):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
 
 def report_digest(tmp_path, *argv):
-    out = tmp_path / "report.json"
-    assert main([*argv, "--seed", "0", "--format", "json", "--out", str(out)]) == 0
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    return unseeded_report_digest(tmp_path, *argv, "--seed", "0")
 
 
 @pytest.mark.parametrize("poset,backend,map_id", sorted(ORBIT_DIGESTS))
@@ -72,3 +89,17 @@ def test_pl_antichain_orbit_report_digest(tmp_path):
 def test_verify_report_digest(tmp_path, theorem):
     digest = report_digest(tmp_path, "verify", "--theorem", theorem, "--points", "5")
     assert digest == VERIFY_DIGESTS[theorem]
+
+
+# Combinatorial orbits reject --seed and homomesy has no such flag: neither draws one.
+@pytest.mark.parametrize("map_id", sorted(COMB_ORBIT_DIGESTS))
+def test_comb_orbit_report_digest(tmp_path, map_id):
+    digest = unseeded_report_digest(tmp_path, "orbit", "--realm", "comb", "--poset", "chain 3x3",
+                                    "--map", map_id)
+    assert digest == COMB_ORBIT_DIGESTS[map_id]
+
+
+@pytest.mark.parametrize("map_id", sorted(HOMOMESY_DIGESTS))
+def test_homomesy_report_digest(tmp_path, map_id):
+    digest = unseeded_report_digest(tmp_path, "homomesy", "--poset", "rootA 3", "--map", map_id)
+    assert digest == HOMOMESY_DIGESTS[map_id]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rowmotion.errors import KindMismatch
-from rowmotion.poset import chain_product, random_poset
+from rowmotion.poset import chain_product, random_graded_poset, random_poset
 from rowmotion.subsets import (
     Kind,
     SubsetState,
@@ -223,6 +223,43 @@ def test_toggle_products_match_transfers_for_every_extension(p23, a3, linear_ext
                 for v in reversed(ext):
                     got = toggle_filter(p, v, got)
                 assert got == expected
+
+
+def reference_toggle_filter(p, v, s):
+    """The filter toggle written out on its own: add or remove v when the
+    result is still a filter, else fix.  A reference for the complemented
+    ideal toggle."""
+    m = s.members
+    if v not in m:
+        if all(w in m for w in p.up_adjacency[v]):
+            return SubsetState(m | {v}, Kind.FILTER)
+    elif not any(u in m for u in p.down_adjacency[v]):
+        return SubsetState(m - {v}, Kind.FILTER)
+    return s
+
+
+def filter_oracle_posets():
+    return ([random_poset(n, 1000 + n) for n in range(3, 10)]
+            + [random_graded_poset(seed) for seed in (1, 2, 7)])
+
+
+@pytest.mark.parametrize("p", filter_oracle_posets(), ids=repr)
+def test_filter_toggle_matches_reference_on_every_filter(p):
+    for s in all_filters(p):
+        for v in range(p.n):
+            assert toggle_filter(p, v, s) == reference_toggle_filter(p, v, s)
+
+
+@pytest.mark.parametrize("p", filter_oracle_posets(), ids=repr)
+def test_filter_rowmotion_matches_reference_toggle_product(p):
+    moved = 0
+    for s in all_filters(p):
+        got = s
+        for v in reversed(p.default_linear_extension):
+            got = reference_toggle_filter(p, v, got)
+        assert rowmotion_filter(p, s) == got
+        moved += got != s
+    assert moved  # rowmotion is not the identity on any nonempty poset
 
 
 def test_rowmotion_as_three_step_composition_exhaustive(a3):
