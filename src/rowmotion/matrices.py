@@ -1,7 +1,10 @@
 """Small immutable matrices over exact rationals.
 
 Just enough linear algebra for the noncommutative evaluation model:
-addition, multiplication, and Gauss-Jordan inversion, all exact.
+addition, multiplication, and Gauss-Jordan inversion, all exact, with every
+entry a reduced ``Fraction``.  Inversion works in place on the d x d entries,
+with no identity half, and undoes its row swaps by swapping columns back; a
+product sums each dot product from its first term, not from an int 0.
 
 Work whose result the algebra already gives is skipped.  A matrix made by
 ``identity``, ``scalar`` or a product of two such matrices carries its
@@ -16,10 +19,13 @@ c·I is still scalar.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 from .errors import NotInvertible
 
 _set = object.__setattr__
+_ZERO = Fraction(0)
 
 
 class RationalMatrix:
@@ -81,7 +87,7 @@ class RationalMatrix:
         if t is not None:
             return self if t == 1 else self._scaled(t)
         cols = tuple(zip(*other.rows))
-        return RationalMatrix._trusted(tuple(tuple(sum(a * b for a, b in zip(row, col))
+        return RationalMatrix._trusted(tuple(tuple(reduce(add, map(mul, row, col))
                                                    for col in cols) for row in self.rows))
 
     def __eq__(self, other):
@@ -112,24 +118,45 @@ class RationalMatrix:
         return inv
 
     def _inverse(self):
-        """Gauss-Jordan, or 1/c for a tagged c·I; nothing is stored."""
+        """In-place Gauss-Jordan on a copy of the d x d entries, or 1/c for a tagged c·I.
+
+        No identity half is carried along.  At column k the pivot's reciprocal takes
+        the pivot's place and scales the rest of the pivot row; each other row with a
+        nonzero entry f in column k gets -f times the reciprocal there and loses f times
+        the rest of the pivot row.  The array then holds the inverse of the row-swapped
+        matrix, and swapping the same columns back, last swap first, gives the inverse.
+        Rows with a zero in column k and zeros of the pivot row cost no product.
+        Nothing is stored.
+        """
         d = self.d
         c = self._scalar
         if c is not None:
             if c == 0:
                 raise NotInvertible(context=f"singular {d}x{d} matrix")
             return RationalMatrix.scalar(d, 1 / c)
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(d)]
-               for i, row in enumerate(self.rows)]
-        for col in range(d):
-            pivot = next((r for r in range(col, d) if aug[r][col] != 0), None)
+        a = [list(row) for row in self.rows]
+        swaps = []
+        for k in range(d):
+            pivot = next((r for r in range(k, d) if a[r][k]), None)
             if pivot is None:
                 raise NotInvertible(context=f"singular {d}x{d} matrix")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv_p = 1 / aug[col][col]
-            aug[col] = [x * inv_p for x in aug[col]]
-            for r in range(d):
-                if r != col and aug[r][col] != 0:
-                    factor = aug[r][col]
-                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return RationalMatrix._trusted(tuple(tuple(row[d:]) for row in aug))
+            if pivot != k:
+                a[k], a[pivot] = a[pivot], a[k]
+                swaps.append((k, pivot))
+            row = a[k]
+            inv_p = 1 / row[k]
+            row[k] = _ZERO  # skipped by the scaling, then given the reciprocal
+            row = a[k] = [x * inv_p if x else x for x in row]
+            nonzero = [(j, y) for j, y in enumerate(row) if y]
+            row[k] = inv_p
+            minus_inv_p = -inv_p
+            for other in a:
+                f = other[k]
+                if other is not row and f:
+                    other[k] = f * minus_inv_p
+                    for j, y in nonzero:
+                        other[j] -= f * y
+        for k, pivot in reversed(swaps):
+            for row in a:
+                row[k], row[pivot] = row[pivot], row[k]
+        return RationalMatrix._trusted(tuple(map(tuple, a)))

@@ -27,6 +27,7 @@ class Poset:
 
     Attributes:
         n: element count.
+        elements: frozenset of all elements ``0..n-1``.
         element_names: display string per element.
         covers: frozenset of pairs ``(u, v)`` with u covered by v.
         up_adjacency / down_adjacency: per-element sorted cover lists.
@@ -40,6 +41,7 @@ class Poset:
             raise ValueError("element count must be non-negative")
         _check_size(n)
         self.n = n
+        self.elements = frozenset(range(n))
         if element_names is None:
             element_names = [str(i) for i in range(n)]
         if len(element_names) != n:

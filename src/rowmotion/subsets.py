@@ -84,7 +84,7 @@ def _require(s, kind):
 
 def complement(p, s):
     """Complement within P; swaps the ideal and filter kinds."""
-    members = frozenset(range(p.n)) - s.members
+    members = p.elements - s.members
     if s.kind == Kind.IDEAL:
         kind = Kind.FILTER
     elif s.kind == Kind.FILTER:

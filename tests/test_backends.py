@@ -20,6 +20,7 @@ from rowmotion.poset import chain_product
 F = Fraction
 
 BACKENDS = [RationalField(), MatrixRing(2), MatrixRing(3), TropicalSemiring()]
+MATRIX_DIMENSIONS = [1, 2, 3, 4, backends.MAX_MATRIX_DIMENSION]
 
 
 def test_matrix_basics():
@@ -93,13 +94,49 @@ def _shortcut_cases(d):
     return generic + sparse + singular + tagged + from_rows
 
 
+def _swap_cases(d):
+    """Nonsingular matrices whose elimination has a zero pivot entry, so rows must swap."""
+    if d == 1:
+        return []
+    rng = random.Random(f"swaps:{d}")
+    weighted_cycle = RationalMatrix([[F(i + 2, 3) if j == (i + 1) % d else F(0)
+                                      for j in range(d)] for i in range(d)])
+    reversal = RationalMatrix([[F(int(i + j == d - 1)) for j in range(d)] for i in range(d)])
+    dense = [[F(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(d)] for _ in range(d)]
+    zero_lead = RationalMatrix([[F(0)] + dense[0][1:]] + dense[1:])
+    cases = [weighted_cycle, reversal, zero_lead]
+    if d >= 3:  # row 1 minus its multiple of row 0 is zero up to the last column
+        row1 = dense[0][:-1] + [dense[0][-1] + 1]
+        cases.append(RationalMatrix([dense[0], row1] + dense[2:]))
+    return cases
+
+
+def _big_cases(d):
+    """Seeded matrices with entries of about 1000 bits, one of them with a zero leading entry."""
+    if d not in (2, 3):
+        return []
+    rng = random.Random(f"big:{d}")
+
+    def entry():
+        return F(rng.getrandbits(1000) - 2**999, rng.getrandbits(1000) | 1)
+
+    cases = [RationalMatrix([[entry() for _ in range(d)] for _ in range(d)]) for _ in range(3)]
+    rows = [[entry() for _ in range(d)] for _ in range(d)]
+    rows[0][0] = F(0)
+    return cases + [RationalMatrix(rows)]
+
+
+def _kernel_cases(d):
+    return _shortcut_cases(d) + _swap_cases(d) + _big_cases(d)
+
+
 def _all_fractions(m):
     return all(type(v) is F for row in m.rows for v in row)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", MATRIX_DIMENSIONS)
 def test_matrix_products_match_reference(d):
-    cases = _shortcut_cases(d)
+    cases = _kernel_cases(d)
     for x in cases:
         for y in cases:
             prod = x @ y
@@ -112,10 +149,10 @@ def test_matrix_products_match_reference(d):
         assert _all_fractions(total)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", MATRIX_DIMENSIONS)
 def test_matrix_inverse_matches_reference_and_is_memoized(d):
     singular = 0
-    for x in _shortcut_cases(d):
+    for x in _kernel_cases(d):
         expected = _ref_inverse(x)
         if expected is None:
             singular += 1
@@ -132,6 +169,7 @@ def test_matrix_inverse_matches_reference_and_is_memoized(d):
         assert inv.inverse() is x
         assert parallel_sum(MatrixRing(d), [x]) is x
     assert singular >= 3
+    assert all(_ref_inverse(x) is not None for x in _swap_cases(d) + _big_cases(d))
 
 
 def test_matrix_tags_leave_equality_and_centrality_value_based():
