@@ -27,7 +27,10 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .backends import parallel_sum, random_labeling
-from .errors import NotCentral, NotGraded, NotInvertible
+from .errors import LabelsTooLarge, NotCentral, NotGraded, NotInvertible
+from .matrices import RationalMatrix
+
+MAX_LABEL_BITS = 2**14  # orbits stop once a label needs more bits than this
 
 
 class Atom(NamedTuple):
@@ -374,11 +377,22 @@ def detect_order(step: Callable, start, equal, max_iter=64):
     """Least k <= max_iter with step^k(start) == start, else None.
 
     Minimality is inherent: the first return is reported, and no smaller
-    exponent matched along the way.
+    exponent matched along the way.  Raises LabelsTooLarge as soon as a
+    label outgrows ``MAX_LABEL_BITS``: labels of a non-periodic orbit grow
+    without bound, so the next steps would only get slower.
     """
     current = start
     for k in range(1, max_iter + 1):
         current = step(current)
+        if max(map(_label_bits, current), default=0) > MAX_LABEL_BITS:
+            raise LabelsTooLarge(f"a label outgrew MAX_LABEL_BITS = {MAX_LABEL_BITS} bits "
+                                 f"at step {k}", iterates=k)
         if equal(current, start):
             return k
     return None
+
+
+def _label_bits(x):
+    """Numerator plus denominator bits of a Fraction, or of a matrix's largest entry."""
+    entries = [e for row in x.rows for e in row] if isinstance(x, RationalMatrix) else [x]
+    return max(e.numerator.bit_length() + e.denominator.bit_length() for e in entries)

@@ -48,6 +48,14 @@ class NotInvertible(RowmotionError):
         super().__init__(message)
 
 
+class LabelsTooLarge(RowmotionError):
+    """A label of an orbit outgrew the bit bound after ``iterates`` steps."""
+
+    def __init__(self, message: str, iterates: int):
+        self.iterates = iterates
+        super().__init__(message)
+
+
 class NotGraded(RowmotionError):
     """A rank-indexed operation was applied to an ungraded poset."""
 

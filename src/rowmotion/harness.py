@@ -18,15 +18,13 @@ from fractions import Fraction
 
 from .backends import derive_seed, parse_backend
 from .dynamics import Dynamics, detect_order
-from .errors import GenericityFailure, NotInvertible
-from .matrices import RationalMatrix
+from .errors import GenericityFailure, LabelsTooLarge, NotInvertible
 from .poset import chain_product, parse_poset, random_poset, root_poset_a
 
 DEFAULT_POINTS = 20
 DEFAULT_MAX_RETRIES = 5
 DEFAULT_MAX_ITER = 64
 SCAN_ELEMENT_BUDGET = 12
-MAX_LABEL_BITS = 2**14
 MODEL_NOTE = "generic-matrix evaluation (randomized identity testing, not symbolic)"
 
 
@@ -397,43 +395,24 @@ def labeling_orbit_report(poset, backend, map_id, seed, poset_name=None,
 
     Resamples the start with derived seeds when the orbit hits a
     degenerate labeling; raises GenericityFailure past the budget.  The
-    order is None ("exceeded") after ``max_iter`` steps, or as soon as a
-    label outgrows ``MAX_LABEL_BITS``: labels of a non-periodic orbit grow
-    without bound, so the next steps would only get slower.
+    order is None ("exceeded") after ``max_iter`` steps, or when
+    ``detect_order`` stops on a label that outgrew its bit bound.
     """
     dyn = Dynamics(poset, backend)
     step = _MAP_STEPS[map_id](dyn)
 
     def attempt(k):
         start = dyn.random_labeling(derive_seed("orbit", seed, k))
-        applied = 0
-
-        def bounded_step(g):
-            nonlocal applied
-            g = step(g)
-            applied += 1
-            if max(map(_label_bits, g), default=0) > MAX_LABEL_BITS:
-                raise _LabelsTooLarge
-            return g
         try:
-            return detect_order(bounded_step, start, dyn.equal, max_iter=max_iter), applied
-        except _LabelsTooLarge:
-            return None, applied
+            order = detect_order(step, start, dyn.equal, max_iter=max_iter)
+        except LabelsTooLarge as exc:
+            return None, exc.iterates
+        return order, order or max_iter
     (order, iterates), failures = _redraw(attempt, f"orbit of {map_id}")
     return OrbitReport(
         map_id=map_id, poset=poset_name or repr(poset), backend=backend.describe(),
         seed=seed, order=order, iterates=iterates, failures=failures,
         model=_model_note(backend))
-
-
-class _LabelsTooLarge(Exception):
-    """A label of an orbit outgrew ``MAX_LABEL_BITS``."""
-
-
-def _label_bits(x):
-    """Numerator plus denominator bits of a Fraction, or of a matrix's largest entry."""
-    entries = [e for row in x.rows for e in row] if isinstance(x, RationalMatrix) else [x]
-    return max(e.numerator.bit_length() + e.denominator.bit_length() for e in entries)
 
 
 def scan_conjecture(a_max, b_max, backend_spec, seeds=(0, 1, 2), map_id="bor",

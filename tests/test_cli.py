@@ -115,6 +115,15 @@ def test_orbit_pl_with_labeling_reports_no_seed(capsys, monkeypatch):
     assert code == 0 and seeded == plain
 
 
+def test_orbit_pl_labels_past_the_bit_bound_exit_2(capsys, monkeypatch):
+    # PL orbits run through the same label-size stop as the algebraic ones.
+    monkeypatch.setattr("rowmotion.dynamics.MAX_LABEL_BITS", 3)
+    code, out, err = run(capsys, "orbit", "--realm", "pl", "--poset", "chain 1x2",
+                         "--labeling", '["1/4","1/4"]')
+    assert code == 2 and not out
+    assert err == "error: a label outgrew MAX_LABEL_BITS = 3 bits at step 1\n"
+
+
 @pytest.mark.parametrize("spec", ["matrix:40", "matrix:x"])
 def test_orbit_rejects_bad_matrix_dimension_at_once(capsys, spec):
     start = time.perf_counter()

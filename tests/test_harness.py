@@ -4,8 +4,8 @@ import pytest
 
 from rowmotion import harness
 from rowmotion.backends import MatrixRing, RationalField, parse_backend
-from rowmotion.dynamics import Dynamics
-from rowmotion.errors import GenericityFailure, NotInvertible
+from rowmotion.dynamics import Dynamics, detect_order
+from rowmotion.errors import GenericityFailure, LabelsTooLarge, NotInvertible
 from rowmotion.harness import (
     THEOREMS,
     CheckSpec,
@@ -149,10 +149,15 @@ def test_orbit_report_exceeded():
 @pytest.mark.parametrize("backend", [RationalField(), MatrixRing(2)])
 def test_orbit_report_stops_when_a_label_outgrows_the_bound(monkeypatch, backend):
     p = chain_product(2, 3)
-    monkeypatch.setattr("rowmotion.harness.MAX_LABEL_BITS", 16)
+    monkeypatch.setattr("rowmotion.dynamics.MAX_LABEL_BITS", 16)
     d = labeling_orbit_report(p, backend, "bar", seed=0).to_dict()
     assert d["order"] == "exceeded" and 1 <= d["iterates"] < 5
     assert not d["returned_to_start"] and not d["minimal"]
+    # The stop lives in the bare loop, so every orbit has it, not only reports.
+    dyn = Dynamics(p, backend)
+    with pytest.raises(LabelsTooLarge, match="MAX_LABEL_BITS = 16 bits") as exc:
+        detect_order(dyn.antichain_rowmotion, dyn.random_labeling(0), dyn.equal)
+    assert 1 <= exc.value.iterates < 5
 
 
 def test_scan_conjecture_small_table():
