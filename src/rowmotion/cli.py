@@ -92,9 +92,11 @@ def build_parser():
     return parser
 
 
-def _at_least_one(flag, value):
+def _at_least_one(flag, value, at_most=None):
     if value < 1:
         raise ValueError(f"{flag} must be at least 1, got {value}")
+    if at_most is not None and value > at_most:
+        raise ValueError(f"{flag} must be at most {at_most}, got {value}")
     return value
 
 
@@ -220,7 +222,7 @@ def cmd_orbit(args):
     if args.seed is not None and args.labeling is not None:
         raise ValueError(f"--seed has no effect for --realm {realm} with --labeling")
     max_iter = (harness.DEFAULT_MAX_ITER if args.max_iter is None
-                else _at_least_one("--max-iter", args.max_iter))
+                else _at_least_one("--max-iter", args.max_iter, harness.MAX_ITER_LIMIT))
     p = build_poset(args.poset)
     seed = args.seed if args.seed is not None else _default_seed()
     if realm == "comb":
@@ -266,17 +268,18 @@ def cmd_verify(args):
         return 0
     if args.all and args.theorem:
         raise ValueError("--theorem has no effect with --all")
-    theorems = args.theorem or sorted(THEOREMS)
+    theorems = list(dict.fromkeys(args.theorem)) or sorted(THEOREMS)  # repeats run once
     points = _at_least_one("--points", args.points)
-    poset_specs = args.poset or ["chain 2x3", "rootA 3"]
+    poset_specs = list(dict.fromkeys(args.poset)) or ["chain 2x3", "rootA 3"]
     seed = args.seed if args.seed is not None else _default_seed()
     for tid in theorems:
         if tid not in THEOREMS:
             raise ValueError(f"unknown theorem {tid!r}; try --list")
     plan = [(tid, (args.backend,) if args.backend else THEOREMS[tid].default_backends)
             for tid in theorems]
-    # Every backend is built before any check runs, so a bad spec or --const-c exits at once.
+    # Every backend and poset is built before any check runs, so a bad spec exits at once.
     backends = {bs: _parse_backend(bs, args.const_c) for _, specs in plan for bs in specs}
+    posets = {ps: build_poset(ps) for ps in poset_specs}
     reports = []
     for tid, specs in plan:
         for ps in poset_specs:
@@ -286,7 +289,7 @@ def cmd_verify(args):
                           f"{THEOREMS[tid].description}", file=sys.stderr)
                 reports.append(harness.run_check(
                     CheckSpec(tid, ps, bs, points=points, seed=seed),
-                    backend=backends[bs]))
+                    poset=posets[ps], backend=backends[bs]))
     reports.sort(key=lambda r: (r["theorem"], r["poset"], r["backend"], r["seed"]))
     _emit(reports, args.format, args.out)
     failed = sum(r["failures"] for r in reports)
@@ -302,7 +305,8 @@ def cmd_scan(args):
     base = args.seed if args.seed is not None else _default_seed()
     seeds = [base + i for i in range(_at_least_one("--seeds", args.seeds))]
     rows = harness.scan_conjecture(a_max, b_max, args.backend, seeds=seeds, map_id=args.map_id,
-                                   max_iter=_at_least_one("--max-iter", args.max_iter))
+                                   max_iter=_at_least_one("--max-iter", args.max_iter,
+                                                          harness.MAX_ITER_LIMIT))
     _emit(rows, args.format, args.out)
     return 0
 
@@ -339,7 +343,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"file not found: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, RowmotionError) as exc:
+    except (OSError, ValueError, KeyError, RowmotionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,6 +41,9 @@ class Atom(NamedTuple):
         return f"{self.kind}[{self.index}]"
 
 
+_ELEMENT_ATOMS = {"T": "order_toggle", "E": "order_elggot",
+                  "tau": "antichain_toggle", "eps": "antichain_elggot"}
+_RANK_ATOMS = {"rank_T": "order", "rank_tau": "antichain"}
 _INVERSE_KIND = {"T": "E", "E": "T", "tau": "eps", "eps": "tau"}
 _STAR_KIND = {"T": "tau", "E": "eps", "tau": "T", "eps": "E"}
 
@@ -87,7 +90,7 @@ class Dynamics:
                 out.append(b.mul(b.constant_c(), b.invert(x)))
             except NotInvertible as exc:
                 raise NotInvertible(context=f"complement at {self._name(v)}") from exc
-        return self.labeling(out)
+        return tuple(out)
 
     def down_transfer(self, f):
         """f(x) times the inverted sum of lower-cover values."""
@@ -110,15 +113,15 @@ class Dynamics:
                 side = "down" if down else "up"
                 raise NotInvertible(context=f"{side} transfer at {self._name(x)}") from exc
             out.append(b.mul(f[x], inv) if down else b.mul(inv, f[x]))
-        return self.labeling(out)
+        return tuple(out)
 
     def inv_down_transfer(self, f):
         """Sum over saturated chains from the bottom, highest label first."""
-        return self.labeling(self._inv_transfer(f, self.extension, down=True))
+        return tuple(self._inv_transfer(f, self.extension, down=True))
 
     def inv_up_transfer(self, f):
         """Sum over saturated chains towards the top, highest label first."""
-        return self.labeling(self._inv_transfer(f, reversed(self.extension), down=False))
+        return tuple(self._inv_transfer(f, reversed(self.extension), down=False))
 
     def _inv_transfer(self, f, elements, down):
         """The inverse transfer recurrence on ``elements``, None elsewhere.
@@ -139,26 +142,29 @@ class Dynamics:
 
     def order_toggle(self, v, f):
         """Lower-cover sum, inverted value, parallel sum of upper covers."""
-        return self._order_toggle(v, f, elggot=False)
+        return self._order_sweep(f, (v,), elggot=False)
 
     def order_elggot(self, v, f):
         """Inverse of the order toggle (same data, mirrored product)."""
-        return self._order_toggle(v, f, elggot=True)
+        return self._order_sweep(f, (v,), elggot=True)
 
-    def _order_toggle(self, v, f, elggot):
+    def _order_sweep(self, f, toggled, elggot):
+        """Toggle the elements of ``toggled`` in turn on one list of labels."""
         b = self.backend
-        lower = [f[u] for u in self.poset.down_adjacency[v]]
-        upper = [f[w] for w in self.poset.up_adjacency[v]]
-        try:
-            left = b.sum(lower) if lower else b.one()
-            right = parallel_sum(b, upper) if upper else b.constant_c()
-            if elggot:
-                left, right = right, left
-            new = b.mul(b.mul(left, b.invert(f[v])), right)
-        except NotInvertible as exc:
-            kind = "elggot" if elggot else "toggle"
-            raise NotInvertible(context=f"order {kind} at {self._name(v)}") from exc
-        return f[:v] + (new,) + f[v + 1:]
+        out = list(f)
+        for v in toggled:
+            lower = [out[u] for u in self.poset.down_adjacency[v]]
+            upper = [out[w] for w in self.poset.up_adjacency[v]]
+            try:
+                left = b.sum(lower) if lower else b.one()
+                right = parallel_sum(b, upper) if upper else b.constant_c()
+                if elggot:
+                    left, right = right, left
+                out[v] = b.mul(b.mul(left, b.invert(out[v])), right)
+            except NotInvertible as exc:
+                kind = "elggot" if elggot else "toggle"
+                raise NotInvertible(context=f"order {kind} at {self._name(v)}") from exc
+        return tuple(out)
 
     # -- antichain toggles --------------------------------------------------------
 
@@ -221,9 +227,7 @@ class Dynamics:
     def order_rowmotion(self, f, extension=None):
         """Order toggles along a linear extension, applied top-down."""
         ext = self.extension if extension is None else extension
-        for v in reversed(ext):
-            f = self.order_toggle(v, f)
-        return f
+        return self._order_sweep(f, ext[::-1], elggot=False)
 
     def antichain_rowmotion(self, g, extension=None):
         """Antichain toggles along a linear extension, applied bottom-up, as
@@ -247,25 +251,15 @@ class Dynamics:
 
     def _apply_atom(self, atom, f):
         kind, i = atom
-        if kind in ("T", "E", "tau", "eps"):
+        if kind in _ELEMENT_ATOMS:
             if not 0 <= i < self.poset.n:
                 raise ValueError(f"atom {atom} references a missing element")
-        elif kind in ("rank_T", "rank_tau"):
+            return getattr(self, _ELEMENT_ATOMS[kind])(i, f)
+        if kind in _RANK_ATOMS:
             self._require_graded()
             if not 0 <= i <= self.poset.top_rank:
                 raise ValueError(f"atom {atom} references a missing rank")
-        if kind == "T":
-            return self.order_toggle(i, f)
-        if kind == "E":
-            return self.order_elggot(i, f)
-        if kind == "tau":
-            return self.antichain_toggle(i, f)
-        if kind == "eps":
-            return self.antichain_elggot(i, f)
-        if kind == "rank_T":
-            return self.rank_toggle("order", i, f)
-        if kind == "rank_tau":
-            return self.rank_toggle("antichain", i, f)
+            return self.rank_toggle(_RANK_ATOMS[kind], i, f)
         raise ValueError(f"unknown toggle-word atom {atom}")
 
     def eta_word(self, elements):
@@ -327,9 +321,7 @@ class Dynamics:
             return self._antichain_sweep(f, elements, by_rank, elggot=False)
         if kind != "order":
             raise ValueError("rank toggle kind must be 'order' or 'antichain'")
-        for v in elements:
-            f = self.order_toggle(v, f)
-        return f
+        return self._order_sweep(f, elements, elggot=False)
 
     def order_gyration_word(self):
         """Even-rank order toggles first, then odd ranks."""
@@ -367,7 +359,7 @@ class Dynamics:
             if not b.is_central(a):
                 raise NotCentral(f"rescaling scalar for rank {i} is not central")
         out = [b.mul(scalars[self.poset.rank[v]], g[v]) for v in range(self.poset.n)]
-        return self.labeling(out)
+        return tuple(out)
 
     def _name(self, v):
         return self.poset.element_names[v]

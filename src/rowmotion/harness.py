@@ -24,6 +24,7 @@ from .poset import chain_product, parse_poset, random_poset, root_poset_a
 DEFAULT_POINTS = 20
 DEFAULT_MAX_RETRIES = 5
 DEFAULT_MAX_ITER = 64
+MAX_ITER_LIMIT = 4096  # 4096 tropical or PL steps on a 10-element poset take about 1 s
 SCAN_ELEMENT_BUDGET = 12
 MODEL_NOTE = "generic-matrix evaluation (randomized identity testing, not symbolic)"
 
@@ -418,6 +419,7 @@ def labeling_orbit_report(poset, backend, map_id, seed, poset_name=None,
 def scan_conjecture(a_max, b_max, backend_spec, seeds=(0, 1, 2), map_id="bor",
                     max_iter=DEFAULT_MAX_ITER):
     """Observed rowmotion orders on chain products, reported not asserted."""
+    backend = parse_backend(backend_spec)
     rows = []
     for a in range(1, a_max + 1):
         for b in range(a, b_max + 1):
@@ -430,7 +432,6 @@ def scan_conjecture(a_max, b_max, backend_spec, seeds=(0, 1, 2), map_id="bor",
             p = chain_product(a, b)
             observed = []
             for s in seeds:
-                backend = parse_backend(backend_spec)
                 rep = labeling_orbit_report(p, backend, map_id, s,
                                             poset_name=f"chain {a}x{b}",
                                             max_iter=max_iter)

@@ -81,8 +81,7 @@ class Poset:
             raise CycleDetected(f"elements {[v for v in range(n) if indeg[v]]} "
                                 "lie on or above a directed cycle")
 
-        columns = (map("1".__eq__, format(m, f"0{n}b")[::-1]) for m in below)
-        self._lt = tuple(zip(*columns))  # less(u, v) is bit u of v's down-set mask
+        self._below = tuple(below)  # bit u of _below[v]: u < v
         self.covers = frozenset((u, v) for v in range(n) for u in down[v])
         up = [[] for _ in range(n)]
         for (u, v) in sorted(self.covers):
@@ -98,13 +97,13 @@ class Poset:
 
     def less(self, u, v):
         """True when u < v strictly."""
-        return self._lt[u][v]
+        return self._below[v] >> u & 1 == 1
 
     def leq(self, u, v):
-        return u == v or self._lt[u][v]
+        return u == v or self._below[v] >> u & 1 == 1
 
     def incomparable(self, u, v):
-        return u != v and not self._lt[u][v] and not self._lt[v][u]
+        return u != v and not self._below[v] >> u & 1 and not self._below[u] >> v & 1
 
     def minimal_elements(self):
         return tuple(v for v in range(self.n) if not self.down_adjacency[v])
@@ -114,10 +113,11 @@ class Poset:
 
     def down_set(self, v):
         """All x with x <= v."""
-        return frozenset(x for x in range(self.n) if self.leq(x, v))
+        return self.strict_down_set(v) | {v}
 
     def strict_down_set(self, v):
-        return frozenset(x for x in range(self.n) if self._lt[x][v])
+        below = self._below[v]
+        return frozenset(x for x in range(self.n) if below >> x & 1)
 
     @property
     def is_graded(self):

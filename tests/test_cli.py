@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from rowmotion import cli as cli_module
 from rowmotion.cli import main
 from rowmotion.errors import NotInvertible
-from rowmotion.harness import THEOREMS, TheoremCheck
+from rowmotion.harness import MAX_ITER_LIMIT, THEOREMS, TheoremCheck
 from rowmotion.poset import MAX_ELEMENTS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -61,6 +62,24 @@ def test_orbit_missing_poset_file_exit_2(capsys):
     code, _, err = run(capsys, "orbit", "--poset", "missing.poset")
     assert code == 2
     assert "missing.poset" in err
+
+
+def test_orbit_max_iter_at_the_limit_runs(capsys):
+    code, out, _ = run(capsys, "orbit", "--realm", "tropical", "--poset", "chain 2x2",
+                       "--max-iter", str(MAX_ITER_LIMIT), "--format", "json")
+    assert code == 0 and json.loads(out)[0]["order"] == 4
+
+
+def test_poset_spec_naming_a_directory_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "poset", "--poset", str(tmp_path))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_orbit_out_naming_a_directory_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "orbit", "--poset", "chain 2x2", "--out", str(tmp_path))
+    assert code == 2 and not out
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_orbit_birational_json(capsys):
@@ -169,6 +188,31 @@ def test_verify_failure_exit_1(capsys, monkeypatch):
                        "--poset", "chain 1x1", "--points", "2")
     assert code == 1
     assert "fail" in out
+
+
+def test_verify_builds_each_poset_once_before_any_check_runs(capsys, monkeypatch):
+    built = []
+
+    def recording_build(spec, build=cli_module.build_poset):
+        built.append(spec)
+        return build(spec)
+    monkeypatch.setattr("rowmotion.cli.build_poset", recording_build)
+    monkeypatch.setattr("rowmotion.harness.build_poset", recording_build)
+    code, _, err = run(capsys, "verify", "--theorem", "gyration", "--poset", "chain 2x3",
+                       "--poset", "chain 9x", "-v")
+    assert code == 2 and "'chain 9x'" in err and "checking" not in err
+    built.clear()
+    code, _, _ = run(capsys, "verify", "--theorem", "reciprocity", "--theorem", "involution",
+                     "--poset", "chain 2x2", "--points", "2")
+    assert code == 0 and built == ["chain 2x2"]
+
+
+def test_verify_repeated_theorem_and_poset_run_once(capsys):
+    code, out, _ = run(capsys, "verify", "--theorem", "reciprocity", "--poset", "chain 1x2",
+                       "--theorem", "reciprocity", "--poset", "chain 1x2", "--points", "2",
+                       "--format", "json")
+    rows = json.loads(out)
+    assert code == 0 and len(rows) == len(THEOREMS["reciprocity"].default_backends)
 
 
 def test_verify_genericity_failure_exit_3(capsys, monkeypatch):
@@ -293,6 +337,13 @@ def test_output_deterministic_across_runs(capsys):
     (("verify", "--theorem", "involution", "--points", "0"), "--points must be at least 1"),
     (("verify", "--theorem", "involution", "--points", "-3"), "--points must be at least 1"),
     (("verify", "--all", "--theorem", "involution"), "--theorem has no effect with --all"),
+    (("orbit", "--realm", "tropical", "--poset", "random 10 3", "--max-iter", "100000000"),
+     f"--max-iter must be at most {MAX_ITER_LIMIT}"),
+    (("orbit", "--realm", "pl", "--poset", "random 10 3", "--max-iter", str(MAX_ITER_LIMIT + 1)),
+     f"--max-iter must be at most {MAX_ITER_LIMIT}"),
+    (("scan", "--max-iter", "100000000"), f"--max-iter must be at most {MAX_ITER_LIMIT}"),
+    (("orbit", "--realm", "tropical", "--poset", "chain 9x", "--max-iter", "100000000"),
+     f"--max-iter must be at most {MAX_ITER_LIMIT}"),  # refused before the poset is built
 ])
 def test_bad_values_exit_2_naming_the_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)

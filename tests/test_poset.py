@@ -105,7 +105,14 @@ def assert_matches_reference(p, relations):
     assert p.up_adjacency == up and p.down_adjacency == down
     assert p.default_linear_extension == extension
     assert p.rank == rank
-    assert all(p.less(u, v) == lt[u][v] for u in range(p.n) for v in range(p.n))
+    for u in range(p.n):
+        for v in range(p.n):
+            assert p.less(u, v) is lt[u][v]
+            assert p.leq(u, v) is (u == v or lt[u][v])
+            assert p.incomparable(u, v) is (u != v and not lt[u][v] and not lt[v][u])
+    for v in range(p.n):
+        assert p.strict_down_set(v) == frozenset(u for u in range(p.n) if lt[u][v])
+        assert p.down_set(v) == frozenset(u for u in range(p.n) if u == v or lt[u][v])
 
 
 def test_sweep_matches_reference_on_seeded_random_posets(recorded):
