@@ -33,7 +33,7 @@ def main():
                             for u, v in p.covers))
     print()
 
-    start = antichain(p, [p.chains_through(0)[0][0][1]])  # a middle element
+    start = antichain(p, [p.up_adjacency[0][0]])  # a middle element
     print("Start from the antichain", show(p, start))
     saturated = inverse_up_transfer(p, start)
     comp = complement(p, saturated)

@@ -219,6 +219,12 @@ class TropicalSemiring(AlgebraBackend):
         return unit_interval_fraction(random.Random(seed), TROPICAL_DENOMINATOR_BOUND)
 
 
+def label_bits(x):
+    """Numerator plus denominator bits of a Fraction, or of a matrix's largest entry."""
+    entries = [e for row in x.rows for e in row] if isinstance(x, RationalMatrix) else [x]
+    return max(e.numerator.bit_length() + e.denominator.bit_length() for e in entries)
+
+
 def parallel_sum(backend, values):
     """Inverse of the sum of inverses: the harmonic combination."""
     values = list(values)

@@ -65,7 +65,8 @@ def build_parser():
                     help="theorem id (repeatable); see --list")
     sp.add_argument("--list", action="store_true", help="list theorem ids and exit")
     sp.add_argument("--poset", action="append", default=[],
-                    help="poset spec (repeatable; default: chain 2x3 and rootA 3)")
+                    help="poset spec (repeatable; default: "
+                         f"{' and '.join(harness.DEFAULT_VERIFY_POSETS)})")
     sp.add_argument("--backend", help="override the theorem's default backends")
     sp.add_argument("--const-c", dest="const_c", help="central constant C as p/q")
     sp.add_argument("--points", type=int, default=harness.DEFAULT_POINTS)
@@ -270,7 +271,7 @@ def cmd_verify(args):
         raise ValueError("--theorem has no effect with --all")
     theorems = list(dict.fromkeys(args.theorem)) or sorted(THEOREMS)  # repeats run once
     points = _at_least_one("--points", args.points)
-    poset_specs = list(dict.fromkeys(args.poset)) or ["chain 2x3", "rootA 3"]
+    poset_specs = list(dict.fromkeys(args.poset)) or list(harness.DEFAULT_VERIFY_POSETS)
     seed = args.seed if args.seed is not None else _default_seed()
     for tid in theorems:
         if tid not in THEOREMS:

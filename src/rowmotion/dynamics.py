@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .backends import parallel_sum, random_labeling
+from .backends import label_bits, parallel_sum, random_labeling
 from .errors import LabelsTooLarge, NotCentral, NotGraded, NotInvertible
-from .matrices import RationalMatrix
 
 MAX_LABEL_BITS = 2**14  # orbits stop once a label needs more bits than this
 
@@ -376,15 +375,10 @@ def detect_order(step: Callable, start, equal, max_iter=64):
     current = start
     for k in range(1, max_iter + 1):
         current = step(current)
-        if max(map(_label_bits, current), default=0) > MAX_LABEL_BITS:
+        if max(map(label_bits, current), default=0) > MAX_LABEL_BITS:
             raise LabelsTooLarge(f"a label outgrew MAX_LABEL_BITS = {MAX_LABEL_BITS} bits "
                                  f"at step {k}", iterates=k)
         if equal(current, start):
             return k
     return None
 
-
-def _label_bits(x):
-    """Numerator plus denominator bits of a Fraction, or of a matrix's largest entry."""
-    entries = [e for row in x.rows for e in row] if isinstance(x, RationalMatrix) else [x]
-    return max(e.numerator.bit_length() + e.denominator.bit_length() for e in entries)

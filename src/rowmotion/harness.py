@@ -9,23 +9,23 @@ vanishing sums) are resampled with derived seeds up to a retry budget.
 from __future__ import annotations
 
 import csv
-import heapq
 import io
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backends import derive_seed, parse_backend
+from .backends import derive_seed, parallel_sum, parse_backend
 from .dynamics import Dynamics, detect_order
 from .errors import GenericityFailure, LabelsTooLarge, NotInvertible
-from .poset import chain_product, parse_poset, random_poset, root_poset_a
+from .poset import Poset, chain_product, parse_poset, random_poset, root_poset_a
 
 DEFAULT_POINTS = 20
 DEFAULT_MAX_RETRIES = 5
 DEFAULT_MAX_ITER = 64
 MAX_ITER_LIMIT = 4096  # 4096 tropical or PL steps on a 10-element poset take about 1 s
 SCAN_ELEMENT_BUDGET = 12
+DEFAULT_VERIFY_POSETS = ("chain 2x3", "rootA 3")
 MODEL_NOTE = "generic-matrix evaluation (randomized identity testing, not symbolic)"
 
 
@@ -137,25 +137,12 @@ def _check_commutation(dyn, g, rng):
     return True
 
 
-def _largest_first_extension(p):
-    """The linear extension of a Kahn sweep that takes the largest ready element
-    first; it equals ``default_linear_extension`` only when p is a chain."""
-    indeg = [len(cov) for cov in p.down_adjacency]
-    ready = [-v for v in range(p.n) if not indeg[v]]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        v = -heapq.heappop(ready)
-        order.append(v)
-        for w in p.up_adjacency[v]:
-            indeg[w] -= 1
-            if not indeg[w]:
-                heapq.heappush(ready, -w)
-    return tuple(order)
-
-
 def _check_extension_independence(dyn, g, rng):
-    one, two = dyn.poset.default_linear_extension, _largest_first_extension(dyn.poset)
+    p = dyn.poset
+    # The dual poset's first linear extension, reversed, places the smallest maximal
+    # element last; it equals the default extension only when p is a chain.
+    one = p.default_linear_extension
+    two = tuple(reversed(Poset(p.n, [(v, u) for u, v in p.covers]).default_linear_extension))
     if one == two:
         return True
     return (dyn.equal(dyn.antichain_rowmotion(g, one), dyn.antichain_rowmotion(g, two))
@@ -163,7 +150,6 @@ def _check_extension_independence(dyn, g, rng):
 
 
 def _check_reciprocity(dyn, g, rng):
-    from .backends import parallel_sum
     b = dyn.backend
     k = rng.randint(2, max(2, min(5, len(g))))
     xs = list(g[:k])
@@ -371,7 +357,7 @@ def _model_note(backend):
     return None
 
 
-def default_check_specs(poset_specs=("chain 2x3", "rootA 3"), points=DEFAULT_POINTS, seed=0):
+def default_check_specs(poset_specs=DEFAULT_VERIFY_POSETS, points=DEFAULT_POINTS, seed=0):
     """One CheckSpec per (theorem, poset, default backend)."""
     out = []
     for theorem in sorted(THEOREMS):

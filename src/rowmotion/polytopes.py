@@ -173,8 +173,5 @@ def random_order_polytope_point(p, seed):
 
 
 def random_order_reversing_point(p, seed):
-    raw = _raw_point(p, random.Random(seed))
-    out = [None] * p.n
-    for x in reversed(p.default_linear_extension):
-        out[x] = max([raw[x]] + [out[w] for w in p.up_adjacency[x]])
-    return tuple(out)
+    """A generic rational point of the order-reversing polytope: 1 - an order polytope point."""
+    return tuple(ONE - x for x in random_order_polytope_point(p, seed))

@@ -5,8 +5,8 @@ Relations supplied to the constructor may be any strict order relations;
 one topological sweep checks them for cycles and reduces them to the cover
 relation.  At most ``MAX_ELEMENTS`` elements are accepted.  Instances are
 immutable after construction and safe to share between concurrent tasks.
-The maximal-chain index is computed lazily on first use and cached; it is
-a reference enumeration that the toggle calculus itself never reads.
+Maximal chains are enumerated afresh on each call; they are a reference
+enumeration that the toggle calculus itself never reads.
 """
 
 from __future__ import annotations
@@ -90,8 +90,6 @@ class Poset:
         self.down_adjacency = tuple(down)
         self.default_linear_extension = tuple(order)
         self.rank = self._compute_rank()
-        self._chains = None
-        self._chains_through = None
 
     # -- order queries ------------------------------------------------
 
@@ -155,36 +153,28 @@ class Poset:
 
     def maximal_chains(self):
         """All maximal chains, bottom-to-top; at most ``DEFAULT_CHAIN_BUDGET``."""
-        if self._chains is None:
-            chains = []
+        chains = []
 
-            def extend(chain, v):
-                ups = self.up_adjacency[v]
-                if not ups:
-                    if len(chains) >= DEFAULT_CHAIN_BUDGET:
-                        raise ChainBudgetExceeded(
-                            f"more than {DEFAULT_CHAIN_BUDGET} maximal chains")
-                    chains.append(tuple(chain))
-                    return
-                for w in ups:
-                    chain.append(w)
-                    extend(chain, w)
-                    chain.pop()
+        def extend(chain, v):
+            ups = self.up_adjacency[v]
+            if not ups:
+                if len(chains) >= DEFAULT_CHAIN_BUDGET:
+                    raise ChainBudgetExceeded(
+                        f"more than {DEFAULT_CHAIN_BUDGET} maximal chains")
+                chains.append(tuple(chain))
+                return
+            for w in ups:
+                chain.append(w)
+                extend(chain, w)
+                chain.pop()
 
-            for v in self.minimal_elements():
-                extend([v], v)
-            self._chains = tuple(chains)
-        return self._chains
+        for v in self.minimal_elements():
+            extend([v], v)
+        return tuple(chains)
 
     def chains_through(self, v):
         """Maximal chains containing v, paired with v's position in each."""
-        if self._chains_through is None:
-            through = [[] for _ in range(self.n)]
-            for chain in self.maximal_chains():
-                for pos, x in enumerate(chain):
-                    through[x].append((chain, pos))
-            self._chains_through = tuple(tuple(t) for t in through)
-        return self._chains_through[v]
+        return tuple((chain, chain.index(v)) for chain in self.maximal_chains() if v in chain)
 
     # -- serialization ----------------------------------------------------
 

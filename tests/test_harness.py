@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +18,7 @@ from rowmotion.harness import (
     run_check,
     scan_conjecture,
 )
-from rowmotion.poset import chain_product
+from rowmotion.poset import chain_product, random_graded_poset, random_poset
 
 
 def test_registry_contents():
@@ -123,6 +124,50 @@ def test_run_check_counts_failures(monkeypatch):
                                      ("rational",), "fixture"))
     rep = run_check(CheckSpec("coin-flip", "chain 1x1", "rational", points=4))
     assert rep["passes"] == 2 and rep["failures"] == 2 and rep["status"] == "fail"
+
+
+def second_extension(p):
+    """The extension that extension-independence compares with the default one,
+    recorded by a stand-in for Dynamics; the default itself when it compares none."""
+    seen = []
+
+    def rowmotion(g, extension):
+        seen.append(extension)
+        return g
+    spy = SimpleNamespace(poset=p, antichain_rowmotion=rowmotion, order_rowmotion=rowmotion,
+                          equal=lambda x, y: True)
+    assert harness._check_extension_independence(spy, (), None)
+    if not seen:
+        return p.default_linear_extension
+    assert seen[0] == seen[2] == p.default_linear_extension and seen[1] == seen[3]
+    return seen[1]
+
+
+def is_linear_extension(p, order):
+    position = {v: i for i, v in enumerate(order)}
+    return (sorted(order) == list(range(p.n))
+            and all(position[u] < position[v] for u, v in p.covers))
+
+
+def test_extension_independence_second_extension_on_seeded_posets(linear_extensions):
+    posets = ([chain_product(1, 1), chain_product(1, 4)]
+              + [random_poset(n, seed) for n in range(2, 9) for seed in range(6)]
+              + [random_graded_poset(seed) for seed in range(30)])
+    differed = 0
+    for p in posets:
+        two = second_extension(p)
+        assert is_linear_extension(p, two), p.covers
+        several = len(linear_extensions(p, limit=2)) == 2
+        assert (two != p.default_linear_extension) == several, p.covers
+        differed += several
+    assert 0 < differed < len(posets)
+
+
+@pytest.mark.parametrize("spec,expected", [("chain 2x3", (0, 2, 4, 1, 3, 5)),
+                                           ("rootA 3", (2, 1, 4, 0, 3, 5))])
+def test_extension_independence_second_extension_on_verify_posets(spec, expected):
+    assert spec in harness.DEFAULT_VERIFY_POSETS
+    assert second_extension(build_poset(spec)) == expected
 
 
 def test_default_check_specs_cover_registry():

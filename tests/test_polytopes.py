@@ -229,6 +229,13 @@ def test_random_points_lie_in_their_polytopes(p33):
         assert in_order_polytope(p33, random_order_polytope_point(p33, seed))
         assert in_chain_polytope(p33, random_chain_polytope_point(p33, seed))
         assert in_order_reversing(p33, random_order_reversing_point(p33, seed))
+    posets = ([random_poset(n, seed) for n in (4, 7) for seed in range(3)]
+              + [random_graded_poset(seed) for seed in range(4)])
+    for p in posets:
+        for seed in range(8):
+            assert in_order_polytope(p, random_order_polytope_point(p, seed))
+            assert in_chain_polytope(p, random_chain_polytope_point(p, seed))
+            assert in_order_reversing(p, random_order_reversing_point(p, seed))
 
 
 # -- differential oracle: the piecewise-linear maps written out by hand ---------------

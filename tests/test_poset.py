@@ -356,9 +356,12 @@ def test_chains_through_singleton():
 
 
 def test_chains_through_a3_matches_dfs_oracle(a3):
-    for v in range(a3.n):
-        got = [chain for (chain, _) in a3.chains_through(v)]
-        assert sorted(got) == sorted(dfs_chains_through(a3, v))
+    posets = ([a3] + [random_poset(n, seed) for n in (5, 7, 9) for seed in range(4)]
+              + [random_graded_poset(seed) for seed in range(8)])
+    for p in posets:
+        for v in range(p.n):
+            got = [chain for (chain, _) in p.chains_through(v)]
+            assert sorted(got) == sorted(dfs_chains_through(p, v))
 
 
 def test_chains_are_maximal_and_positions_correct(p23, a3):

@@ -61,6 +61,15 @@ HOMOMESY_DIGESTS = {
     "rowF": "75156492a9dccb3ef87d91bcc7f97ffdfffcd00a5cf35d393290e4d1aadac58d",
 }
 
+# Scan and poset reports, taken while the harness ran its own largest-first sweep
+# and Poset cached its maximal chains.
+SCAN_DIGESTS = {
+    ("2x3", "rational"): "7af8552344f80f6b566f13da418d05a2ccbdb22d6a8ac5701ace774134e05ebf",
+    ("2x2", "matrix:2"): "b4b7b4088af9ec9219ceeac94e6ab1f941717ef27d8a0cc610a3b344f72a8082",
+}
+
+POSET_DIGEST = "890d068560d9147894d3e5bafc25dfd796022a699e64a987ff01df1272e3fe64"
+
 
 def unseeded_report_digest(tmp_path, *argv):
     out = tmp_path / "report.json"
@@ -103,3 +112,14 @@ def test_comb_orbit_report_digest(tmp_path, map_id):
 def test_homomesy_report_digest(tmp_path, map_id):
     digest = unseeded_report_digest(tmp_path, "homomesy", "--poset", "rootA 3", "--map", map_id)
     assert digest == HOMOMESY_DIGESTS[map_id]
+
+
+@pytest.mark.parametrize("max_ab,backend", sorted(SCAN_DIGESTS))
+def test_scan_report_digest(tmp_path, max_ab, backend):
+    digest = report_digest(tmp_path, "scan", "--max", max_ab, "--backend", backend)
+    assert digest == SCAN_DIGESTS[max_ab, backend]
+
+
+def test_poset_report_digest(tmp_path):
+    digest = unseeded_report_digest(tmp_path, "poset", "--poset", "rootA 3")
+    assert digest == POSET_DIGEST
