@@ -225,6 +225,12 @@ def cmd_orbit(args):
     max_iter = (harness.DEFAULT_MAX_ITER if args.max_iter is None
                 else _at_least_one("--max-iter", args.max_iter, harness.MAX_ITER_LIMIT))
     p = build_poset(args.poset)
+    size = p.n + len(p.covers)
+    if realm != "comb" and max_iter * size > harness.ORBIT_WORK_BUDGET:
+        raise ValueError(f"--max-iter {max_iter} is too many steps for a poset of {p.n} elements "
+                         f"and {len(p.covers)} covers: steps x (elements + covers) must be at most "
+                         f"{harness.ORBIT_WORK_BUDGET}, so at most "
+                         f"{harness.ORBIT_WORK_BUDGET // size} steps here")
     seed = args.seed if args.seed is not None else _default_seed()
     if realm == "comb":
         map_id = args.map_id or "rowA"

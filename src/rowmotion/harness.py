@@ -24,6 +24,7 @@ DEFAULT_POINTS = 20
 DEFAULT_MAX_RETRIES = 5
 DEFAULT_MAX_ITER = 64
 MAX_ITER_LIMIT = 4096  # 4096 tropical or PL steps on a 10-element poset take about 1 s
+ORBIT_WORK_BUDGET = 100_000  # steps x (elements + covers); a tropical orbit at it takes about 1 s
 SCAN_ELEMENT_BUDGET = 12
 DEFAULT_VERIFY_POSETS = ("chain 2x3", "rootA 3")
 MODEL_NOTE = "generic-matrix evaluation (randomized identity testing, not symbolic)"

@@ -4,7 +4,11 @@ Just enough linear algebra for the noncommutative evaluation model:
 addition, multiplication, and Gauss-Jordan inversion, all exact, with every
 entry a reduced ``Fraction``.  Inversion works in place on the d x d entries,
 with no identity half, and undoes its row swaps by swapping columns back; a
-product sums each dot product from its first term, not from an int 0.
+product sums each dot product from its first term, not from an int 0.  At
+d = 2 both use closed forms on the entries' integer numerators and
+denominators instead: each product entry a*p + b*r is one ``Fraction`` built
+from a single integer numerator and denominator, and the inverse is the
+adjugate over the determinant, four such constructions.
 
 Work whose result the algebra already gives is skipped.  A matrix made by
 ``identity``, ``scalar`` or a product of two such matrices carries its
@@ -26,6 +30,13 @@ from .errors import NotInvertible
 
 _set = object.__setattr__
 _ZERO = Fraction(0)
+
+
+def _dot2(a, p, b, r):
+    """a*p + b*r for Fractions, as one reduction of integer numerators and denominators."""
+    x, xd = a.numerator * p.numerator, a.denominator * p.denominator
+    y, yd = b.numerator * r.numerator, b.denominator * r.denominator
+    return Fraction(x * yd + y * xd, xd * yd)
 
 
 class RationalMatrix:
@@ -86,6 +97,11 @@ class RationalMatrix:
             return other if s == 1 else other._scaled(s)
         if t is not None:
             return self if t == 1 else self._scaled(t)
+        if self.d == 2:
+            (a, b), (c, e) = self.rows
+            (p, q), (r, s) = other.rows
+            return RationalMatrix._trusted(((_dot2(a, p, b, r), _dot2(a, q, b, s)),
+                                            (_dot2(c, p, e, r), _dot2(c, q, e, s))))
         cols = tuple(zip(*other.rows))
         return RationalMatrix._trusted(tuple(tuple(reduce(add, map(mul, row, col))
                                                    for col in cols) for row in self.rows))
@@ -118,7 +134,8 @@ class RationalMatrix:
         return inv
 
     def _inverse(self):
-        """In-place Gauss-Jordan on a copy of the d x d entries, or 1/c for a tagged c·I.
+        """In-place Gauss-Jordan on a copy of the d x d entries, the adjugate over the
+        determinant at d = 2, or 1/c for a tagged c·I.
 
         No identity half is carried along.  At column k the pivot's reciprocal takes
         the pivot's place and scales the rest of the pivot row; each other row with a
@@ -134,6 +151,21 @@ class RationalMatrix:
             if c == 0:
                 raise NotInvertible(context=f"singular {d}x{d} matrix")
             return RationalMatrix.scalar(d, 1 / c)
+        if d == 2:
+            (a, b), (c, e) = self.rows
+            an, ad = a.numerator, a.denominator
+            bn, bd = b.numerator, b.denominator
+            cn, cd = c.numerator, c.denominator
+            en, ed = e.numerator, e.denominator
+            # det = (an*en*bd*cd - bn*cn*ad*ed) / (ad*ed*bd*cd); each entry of the
+            # adjugate [[e, -b], [-c, a]] times that denominator over det_n
+            det_n = an * en * bd * cd - bn * cn * ad * ed
+            if not det_n:
+                raise NotInvertible(context="singular 2x2 matrix")
+            aded, bdcd = ad * ed, bd * cd
+            return RationalMatrix._trusted(
+                ((Fraction(en * ad * bdcd, det_n), Fraction(-bn * aded * cd, det_n)),
+                 (Fraction(-cn * aded * bd, det_n), Fraction(an * ed * bdcd, det_n))))
         a = [list(row) for row in self.rows]
         swaps = []
         for k in range(d):

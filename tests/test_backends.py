@@ -126,8 +126,24 @@ def _big_cases(d):
     return cases + [RationalMatrix(rows)]
 
 
+def _two_by_two_cases(d):
+    """2x2 matrices for the closed forms: negative determinants with four nonzero
+    entries, singular ones whose determinant cancels across denominators > 1, and a
+    zero numerator in each position."""
+    if d != 2:
+        return []
+    negative = [RationalMatrix([[F(1, 2), F(3)], [F(5, 7), F(2, 3)]]),  # det -38/21
+                RationalMatrix([[F(-3, 4), F(5, 6)], [F(7, 5), F(-2, 9)]])]  # det -1
+    cancelling = [RationalMatrix([[F(1, 2), F(1, 3)], [F(3, 4), F(1, 2)]]),
+                  RationalMatrix([[F(-2, 3), F(4, 5)], [F(5, 6), F(-1)]])]
+    base = [F(2, 3), F(-5, 4), F(7, 2), F(1, 6)]
+    zeros = [RationalMatrix([[F(0) if i == k else base[i] for i in (0, 1)],
+                             [F(0) if i == k else base[i] for i in (2, 3)]]) for k in range(4)]
+    return negative + cancelling + zeros
+
+
 def _kernel_cases(d):
-    return _shortcut_cases(d) + _swap_cases(d) + _big_cases(d)
+    return _shortcut_cases(d) + _swap_cases(d) + _big_cases(d) + _two_by_two_cases(d)
 
 
 def _all_fractions(m):
@@ -170,6 +186,8 @@ def test_matrix_inverse_matches_reference_and_is_memoized(d):
         assert parallel_sum(MatrixRing(d), [x]) is x
     assert singular >= 3
     assert all(_ref_inverse(x) is not None for x in _swap_cases(d) + _big_cases(d))
+    assert [_ref_inverse(x) is None for x in _two_by_two_cases(d)] == (
+        [False, False, True, True] + [False] * 4 if d == 2 else [])
 
 
 def test_matrix_tags_leave_equality_and_centrality_value_based():

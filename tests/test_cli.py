@@ -11,7 +11,8 @@ import pytest
 from rowmotion import cli as cli_module
 from rowmotion.cli import main
 from rowmotion.errors import NotInvertible
-from rowmotion.harness import MAX_ITER_LIMIT, THEOREMS, TheoremCheck
+from rowmotion.harness import (DEFAULT_MAX_ITER, MAX_ITER_LIMIT, ORBIT_WORK_BUDGET, THEOREMS,
+                               TheoremCheck, build_poset)
 from rowmotion.poset import MAX_ELEMENTS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -344,10 +345,26 @@ def test_output_deterministic_across_runs(capsys):
     (("scan", "--max-iter", "100000000"), f"--max-iter must be at most {MAX_ITER_LIMIT}"),
     (("orbit", "--realm", "tropical", "--poset", "chain 9x", "--max-iter", "100000000"),
      f"--max-iter must be at most {MAX_ITER_LIMIT}"),  # refused before the poset is built
+    (("orbit", "--realm", "tropical", "--poset", "random 40 2", "--max-iter", "4096"),
+     "--max-iter 4096 is too many steps for a poset of 40 elements and 70 covers"),
+    (("orbit", "--realm", "pl", "--poset", "random 200 1", "--max-iter", "4096"),
+     "--max-iter 4096 is too many steps for a poset of 200 elements"),
+    (("orbit", "--realm", "tropical", "--poset", "chain 30x30"),  # the default 64 steps
+     "--max-iter 64 is too many steps for a poset of 900 elements"),
 ])
 def test_bad_values_exit_2_naming_the_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert code == 2 and flag in err and not out
+
+
+def test_orbit_work_budget_admits_the_documented_cases(capsys):
+    for spec, steps in (("random 10 3", MAX_ITER_LIMIT), ("chain 2x2", MAX_ITER_LIMIT),
+                        ("random 200 1", DEFAULT_MAX_ITER)):
+        p = build_poset(spec)
+        assert steps * (p.n + len(p.covers)) <= ORBIT_WORK_BUDGET, spec
+    code, out, _ = run(capsys, "orbit", "--realm", "tropical", "--poset", "chain 2x2",
+                       "--max-iter", str(MAX_ITER_LIMIT), "--format", "json")
+    assert code == 0 and json.loads(out)[0]["order"] == 4
 
 
 @pytest.mark.parametrize("theorems", [

@@ -66,6 +66,7 @@ HOMOMESY_DIGESTS = {
 SCAN_DIGESTS = {
     ("2x3", "rational"): "7af8552344f80f6b566f13da418d05a2ccbdb22d6a8ac5701ace774134e05ebf",
     ("2x2", "matrix:2"): "b4b7b4088af9ec9219ceeac94e6ab1f941717ef27d8a0cc610a3b344f72a8082",
+    ("3x4", "matrix:2"): "740fde6e1b27cb2b888fa3f64679c3c8228e4cd941affea0baa735911c5454ad",
 }
 
 POSET_DIGEST = "890d068560d9147894d3e5bafc25dfd796022a699e64a987ff01df1272e3fe64"
