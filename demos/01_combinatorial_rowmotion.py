@@ -14,8 +14,9 @@ from rowmotion.subsets import (
     antichain,
     complement,
     down_transfer,
-    homomesy_average,
     inverse_up_transfer,
+    map_order,
+    orbit_average,
     orbit_partition,
     rowmotion_antichain,
     toggle_antichain,
@@ -51,20 +52,19 @@ def main():
     assert s == result == rowmotion_antichain(p, start)
     print()
 
+    orbits = orbit_partition(p, rowmotion_antichain, all_antichains(p))
     print("Orbit structure of antichain rowmotion on all",
           len(all_antichains(p)), "antichains:")
-    for orb in orbit_partition(p, rowmotion_antichain, all_antichains(p)):
-        cards = [len(x.members) for x in orb]
-        avg = Fraction(sum(cards), len(orb))
+    for orb in orbits:
         chain = " -> ".join(show(p, x) for x in orb)
-        print(f"  size {len(orb)}, cardinality average {avg}: {chain}")
+        print(f"  size {len(orb)}, cardinality average {orbit_average(orb)}: {chain}")
+    print(f"Rowmotion has order {map_order(orbits)} = a+b.")
     print()
 
     print("Every orbit averages 6/5 = ab/(a+b): the cardinality statistic")
     print("is homomesic for this map.")
-    for s in all_antichains(p):
-        assert homomesy_average(p, rowmotion_antichain, s) == Fraction(6, 5)
-    print("Checked over every starting antichain.")
+    assert {orbit_average(orb) for orb in orbits} == {Fraction(6, 5)}
+    print("Checked on every orbit.")
 
 
 if __name__ == "__main__":

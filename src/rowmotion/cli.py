@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -118,20 +117,13 @@ _COMB_MAPS = {
 
 
 def _comb_orbit_rows(p, map_id):
+    """One report row per orbit of a combinatorial map, and the orbits."""
     step, states_of = _COMB_MAPS[map_id]
-    states = states_of(p)
-    rows = []
-    order = 1
-    for i, orb in enumerate(subsets.orbit_partition(p, step, states)):
-        avg = sum(len(s.members) for s in orb)
-        rows.append({
-            "map": map_id, "orbit": i, "size": len(orb),
-            "cardinality_average": str(Fraction(avg, len(orb))),
-            "states": " ".join("{" + ",".join(p.element_names[v] for v in sorted(s.members)) + "}"
-                               for s in orb),
-        })
-        order = math.lcm(order, len(orb))
-    return rows, order
+    orbits = subsets.orbit_partition(p, step, states_of(p))
+    rows = [{"map": map_id, "orbit": i, "size": len(orb),
+             "cardinality_average": str(subsets.orbit_average(orb))}
+            for i, orb in enumerate(orbits)]
+    return rows, orbits
 
 
 def cmd_poset(args):
@@ -153,7 +145,7 @@ def cmd_poset(args):
         "names": list(p.element_names),
         "covers": sorted([u, v] for (u, v) in p.covers),
         "graded": p.is_graded,
-        "ranks": list(p.rank) if p.rank else None,
+        "ranks": list(p.rank) if p.rank is not None else None,
         "linear_extension": list(p.default_linear_extension),
         "maximal_chains": int(sum(paths[m] for m in p.maximal_elements())),
     }
@@ -236,9 +228,14 @@ def cmd_orbit(args):
         map_id = args.map_id or "rowA"
         if map_id not in _COMB_MAPS:
             raise ValueError(f"--map for combinatorial orbits must be one of {sorted(_COMB_MAPS)}")
-        rows, order = _comb_orbit_rows(p, map_id)
+        rows, orbits = _comb_orbit_rows(p, map_id)
+        for row, orb in zip(rows, orbits):
+            row["states"] = " ".join(
+                "{" + ",".join(p.element_names[v] for v in sorted(s.members)) + "}" for s in orb)
         _emit(rows, args.format, args.out)
-        print(f"order {order}")
+        # A json or csv report on stdout stays parseable: the order goes beside it.
+        print(f"order {subsets.map_order(orbits)}",
+              file=sys.stderr if args.format != "text" and not args.out else sys.stdout)
         return 0
     if realm == "pl":
         map_id = args.map_id or "antichain"
@@ -254,11 +251,9 @@ def cmd_orbit(args):
             del report["seed"]
         _emit([report], args.format, args.out)
         return 0
-    backend_spec = args.backend or REALM_BACKENDS[realm]
-    expected_family = REALM_BACKENDS[realm].split(":")[0]
-    if backend_spec.split(":")[0] != expected_family:
-        raise ValueError(f"--backend {backend_spec} is inconsistent with --realm {realm}")
-    backend = _parse_backend(backend_spec, args.const_c)
+    backend = _parse_backend(args.backend or REALM_BACKENDS[realm], args.const_c)
+    if backend.describe().split(":")[0] != REALM_BACKENDS[realm].split(":")[0]:
+        raise ValueError(f"--backend {backend.describe()} is inconsistent with --realm {realm}")
     map_id = args.map_id or "bar"
     if map_id not in ("bar", "bor"):
         raise ValueError("--map for algebraic realms must be 'bar' or 'bor'")
@@ -320,10 +315,8 @@ def cmd_scan(args):
 
 def cmd_homomesy(args):
     p = build_poset(args.poset)
-    rows, order = _comb_orbit_rows(p, args.map_id)
+    rows, _ = _comb_orbit_rows(p, args.map_id)
     averages = {r["cardinality_average"] for r in rows}
-    for r in rows:
-        r.pop("states")
     rows.append({"map": args.map_id, "orbit": "ALL", "size": sum(r["size"] for r in rows),
                  "cardinality_average": "homomesic" if len(averages) == 1 else "NOT homomesic"})
     _emit(rows, args.format, args.out)

@@ -151,6 +151,8 @@ def _check_extension_independence(dyn, g, rng):
 
 
 def _check_reciprocity(dyn, g, rng):
+    if not g:  # the empty poset has no labels to sum
+        return True
     b = dyn.backend
     k = rng.randint(2, max(2, min(5, len(g))))
     xs = list(g[:k])
@@ -412,7 +414,7 @@ def scan_conjecture(a_max, b_max, backend_spec, seeds=(0, 1, 2), map_id="bor",
         for b in range(a, b_max + 1):
             expected = a + b
             if a * b > SCAN_ELEMENT_BUDGET:
-                rows.append({"a": a, "b": b, "backend": backend_spec,
+                rows.append({"a": a, "b": b, "backend": backend.describe(),
                              "observed": "skipped", "expected": expected,
                              "status": "skipped"})
                 continue
@@ -429,7 +431,7 @@ def scan_conjecture(a_max, b_max, backend_spec, seeds=(0, 1, 2), map_id="bor",
                 status, shown = "consistent", observed[0]
             else:
                 status, shown = "inconsistent", "/".join(str(o) for o in observed)
-            rows.append({"a": a, "b": b, "backend": backend_spec,
+            rows.append({"a": a, "b": b, "backend": backend.describe(),
                          "observed": shown, "expected": expected, "status": status})
     return rows
 

@@ -96,34 +96,39 @@ def complement(p, s):
 
 def up_transfer(p, s):
     """Maximal elements of an ideal, as an antichain."""
-    _require(s, Kind.IDEAL)
+    return _transfer(p, s, down=False)
+
+
+def down_transfer(p, s):
+    """Minimal elements of a filter, as an antichain."""
+    return _transfer(p, s, down=True)
+
+
+def _transfer(p, s, down):
+    _require(s, Kind.FILTER if down else Kind.IDEAL)
+    covers = p.down_adjacency if down else p.up_adjacency
     members = frozenset(v for v in s.members
-                        if not any(w in s.members for w in p.up_adjacency[v]))
+                        if not any(w in s.members for w in covers[v]))
     return SubsetState(members, Kind.ANTICHAIN)
 
 
 def inverse_up_transfer(p, s):
     """Downward saturation of an antichain, as an ideal."""
-    _require(s, Kind.ANTICHAIN)
-    members = frozenset(x for x in range(p.n)
-                        if any(p.leq(x, y) for y in s.members))
-    return SubsetState(members, Kind.IDEAL)
-
-
-def down_transfer(p, s):
-    """Minimal elements of a filter, as an antichain."""
-    _require(s, Kind.FILTER)
-    members = frozenset(v for v in s.members
-                        if not any(u in s.members for u in p.down_adjacency[v]))
-    return SubsetState(members, Kind.ANTICHAIN)
+    return _inv_transfer(p, s, down=False)
 
 
 def inverse_down_transfer(p, s):
     """Upward saturation of an antichain, as a filter."""
+    return _inv_transfer(p, s, down=True)
+
+
+def _inv_transfer(p, s, down):
     _require(s, Kind.ANTICHAIN)
+    # x joins when it lies below a member (an ideal) or, ``down``, above one (a filter)
+    reaches = (lambda x, y: p.leq(y, x)) if down else p.leq
     members = frozenset(x for x in range(p.n)
-                        if any(p.leq(y, x) for y in s.members))
-    return SubsetState(members, Kind.FILTER)
+                        if any(reaches(x, y) for y in s.members))
+    return SubsetState(members, Kind.FILTER if down else Kind.IDEAL)
 
 
 # -- toggles ---------------------------------------------------------------
@@ -264,20 +269,11 @@ def orbit_partition(p, step, states):
     return orbits
 
 
-def map_order(p, step, states):
-    """Least t >= 1 with step^t = identity on all given states."""
-    order = 1
-    for o in orbit_partition(p, step, states):
-        order = math.lcm(order, len(o))
-    return order
+def orbit_average(o, statistic=len):
+    """Exact average of ``statistic`` over the orbit ``o``; the default is the cardinality."""
+    return Fraction(sum(statistic(s) for s in o), len(o))
 
 
-def cardinality(s):
-    return Fraction(len(s.members))
-
-
-def homomesy_average(p, step, start, statistic=cardinality):
-    """Exact orbit average of a statistic under ``step``."""
-    o = orbit(p, step, start)
-    total = sum((Fraction(statistic(s)) for s in o), Fraction(0))
-    return total / len(o)
+def map_order(orbits):
+    """Least t >= 1 with step^t = identity on the union of the given orbits."""
+    return math.lcm(*(len(o) for o in orbits))

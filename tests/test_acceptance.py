@@ -55,10 +55,10 @@ def test_criterion_1_combinatorial_rowmotion_orders():
     with criterion(1, 1.0):
         for a, b in [(1, 1), (2, 2), (2, 3), (3, 3)]:
             p = chain_product(a, b)
-            assert comb.map_order(p, comb.rowmotion_antichain,
-                                  comb.all_antichains(p)) == a + b
-            assert comb.map_order(p, comb.rowmotion_ideal,
-                                  comb.all_ideals(p)) == a + b
+            assert comb.map_order(comb.orbit_partition(
+                p, comb.rowmotion_antichain, comb.all_antichains(p))) == a + b
+            assert comb.map_order(comb.orbit_partition(
+                p, comb.rowmotion_ideal, comb.all_ideals(p))) == a + b
 
 
 def test_criterion_2_toggle_products_equal_transfer_maps(linear_extensions):
@@ -249,7 +249,7 @@ def test_criterion_10_homomesy():
             p = chain_product(a, b)
             expected = F(a * b, a + b)
             for s in comb.all_antichains(p):
-                assert comb.homomesy_average(p, comb.rowmotion_antichain, s) == expected
+                assert comb.orbit_average(comb.orbit(p, comb.rowmotion_antichain, s)) == expected
 
 
 def test_criterion_11_algebra_axioms_and_reciprocity():

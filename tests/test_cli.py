@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -81,6 +83,56 @@ def test_orbit_out_naming_a_directory_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "orbit", "--poset", "chain 2x2", "--out", str(tmp_path))
     assert code == 2 and not out
     assert err.startswith("error: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_orbit_comb_report_on_stdout_parses_with_the_order_on_stderr(capsys, fmt):
+    code, out, err = run(capsys, "orbit", "--realm", "comb", "--poset", "chain 1x2",
+                         "--format", fmt)
+    assert code == 0 and err == "order 3\n"
+    if fmt == "json":
+        rows = json.loads(out)
+    else:
+        rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["size"]) for r in rows] == [3]
+
+
+def test_verify_empty_poset_passes(capsys):
+    code, out, err = run(capsys, "verify", "--poset", "random 0 1", "--points", "1",
+                         "--format", "json")
+    assert code == 0, err
+    assert {r["status"] for r in json.loads(out)} == {"pass"}
+
+
+def test_poset_empty_poset_is_graded_with_no_ranks(capsys):
+    code, out, _ = run(capsys, "poset", "--poset", "random 0 1", "--format", "json")
+    info = json.loads(out)
+    assert code == 0 and info["graded"] is True and info["ranks"] == []
+
+
+@pytest.mark.parametrize("realm,spec,canonical", [
+    ("tropical", "Tropical", "tropical"),
+    ("nc", "MATRIX:2", "matrix:2"),
+    ("birational", " Rational ", "rational"),
+])
+def test_orbit_backend_spec_is_normalized_before_the_realm_check(capsys, realm, spec, canonical):
+    argv = ("orbit", "--realm", realm, "--poset", "chain 2x2", "--format", "json")
+    code, out, err = run(capsys, *argv, "--backend", spec)
+    assert code == 0, err
+    assert json.loads(out)[0]["backend"] == canonical
+    assert out == run(capsys, *argv, "--backend", canonical)[1]
+
+
+def test_orbit_backend_realm_mismatch_names_the_parsed_backend(capsys):
+    code, _, err = run(capsys, "orbit", "--realm", "tropical", "--poset", "chain 2x2",
+                       "--backend", " MATRIX:2")
+    assert code == 2 and err == "error: --backend matrix:2 is inconsistent with --realm tropical\n"
+
+
+def test_scan_reports_the_parsed_backend(capsys):
+    code, out, _ = run(capsys, "scan", "--max", "1x2", "--backend", " MATRIX:2", "--seeds", "1",
+                       "--format", "json")
+    assert code == 0 and {r["backend"] for r in json.loads(out)} == {"matrix:2"}
 
 
 def test_orbit_birational_json(capsys):

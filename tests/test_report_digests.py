@@ -124,3 +124,20 @@ def test_scan_report_digest(tmp_path, max_ab, backend):
 def test_poset_report_digest(tmp_path):
     digest = unseeded_report_digest(tmp_path, "poset", "--poset", "rootA 3")
     assert digest == POSET_DIGEST
+
+
+# Combinatorial tables in the other two formats, on a poset that is not a grid.
+COMB_TABLE_DIGESTS = {
+    ("orbit", "rowF", "csv"): "1d1d750d17c5d7d13b2ea1a43da1616d8e815bd4e61b00249560af42cfbdc8a1",
+    ("orbit", "rowF", "text"): "961e8b199b22927c0c8884912a4ab965946d8abccc23826cf324f4dbeb3a1cb4",
+    ("homomesy", "rowJ", "csv"): "ba5a24b7058e5a6bfbb119d0ccb2089928672e923b6618925186d07b2d00e83c",
+    ("homomesy", "rowJ", "text"): "37d01621f5ec9a605f0f074e6338aa8ee4fe8aa7fa5c99727fe56e7785e9ad14",
+}
+
+
+@pytest.mark.parametrize("command,map_id,fmt", sorted(COMB_TABLE_DIGESTS))
+def test_comb_table_digest(tmp_path, command, map_id, fmt):
+    out = tmp_path / f"report.{fmt}"
+    assert main([command, "--poset", "random 8 3", "--map", map_id, "--format", fmt,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COMB_TABLE_DIGESTS[command, map_id, fmt]

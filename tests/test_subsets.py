@@ -16,12 +16,12 @@ from rowmotion.subsets import (
     complement,
     down_transfer,
     filter_state,
-    homomesy_average,
     ideal,
     inverse_down_transfer,
     inverse_up_transfer,
     map_order,
     orbit,
+    orbit_average,
     orbit_partition,
     rowmotion,
     rowmotion_antichain,
@@ -274,30 +274,30 @@ def test_rowmotion_as_three_step_composition_exhaustive(a3):
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 2), (2, 3), (1, 4), (3, 4)])
 def test_rowmotion_order_on_chain_products(a, b):
     p = chain_product(a, b)
-    assert map_order(p, rowmotion_antichain, all_antichains(p)) == a + b
-    assert map_order(p, rowmotion_ideal, all_ideals(p)) == a + b
+    assert map_order(orbit_partition(p, rowmotion_antichain, all_antichains(p))) == a + b
+    assert map_order(orbit_partition(p, rowmotion_ideal, all_ideals(p))) == a + b
 
 
 def test_homomesy_2x3(p23):
     for s in all_antichains(p23):
-        assert homomesy_average(p23, rowmotion_antichain, s) == Fraction(6, 5)
+        assert orbit_average(orbit(p23, rowmotion_antichain, s)) == Fraction(6, 5)
 
 
 def test_homomesy_singleton():
     p = chain_product(1, 1)
-    assert homomesy_average(p, rowmotion_antichain, antichain(p, [])) == Fraction(1, 2)
+    assert orbit_average(orbit(p, rowmotion_antichain, antichain(p, []))) == Fraction(1, 2)
 
 
 def test_homomesy_2x2(p22):
     for s in all_antichains(p22):
-        assert homomesy_average(p22, rowmotion_antichain, s) == 1
+        assert orbit_average(orbit(p22, rowmotion_antichain, s)) == 1
 
 
 def test_custom_statistic(p23):
     # top-element membership is NOT homomesic: one orbit contains {top}, the
     # other avoids the top entirely (brute-force enumeration)
     top_indicator = lambda s: Fraction(1 if 5 in s.members else 0)
-    values = {homomesy_average(p23, rowmotion_antichain, s, statistic=top_indicator)
+    values = {orbit_average(orbit(p23, rowmotion_antichain, s), statistic=top_indicator)
               for s in all_antichains(p23)}
     assert values == {Fraction(1, 5), Fraction(0)}
 
