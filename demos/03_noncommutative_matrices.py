@@ -6,7 +6,7 @@ factors through the transfer maps, the antichain and order toggle
 groups are still isomorphic, and the period on [2]x[3] is still 5.
 """
 
-from rowmotion import Dynamics, MatrixRing, chain_product, detect_order
+from rowmotion import Atom, Dynamics, MatrixRing, chain_product, detect_order
 
 
 def main():
@@ -37,7 +37,7 @@ def main():
     print("across the complement-of-inverse-up-transfer bridge.")
     bridge = lambda h: dyn.theta(dyn.inv_up_transfer(h))
     ok = all(
-        dyn.equal(bridge(dyn.star_order_toggle(x, g)),
+        dyn.equal(bridge(dyn.apply_word(dyn.star_word((Atom("T", x),)), g)),
                   dyn.order_toggle(x, bridge(g)))
         for x in range(p.n))
     print("  diagram commutes at every element:", ok)

@@ -9,7 +9,7 @@ odd ones (gyration) is conjugate to rowmotion.
 import random
 from fractions import Fraction
 
-from rowmotion import Dynamics, MatrixRing, RationalField, detect_order, root_poset_a
+from rowmotion import Atom, Dynamics, MatrixRing, RationalField, detect_order, root_poset_a
 
 
 def main():
@@ -30,10 +30,11 @@ def main():
     scalars = [Fraction(2), Fraction(4), Fraction(9)]
     total = Fraction(2 * 4 * 9)
     for i in range(p.top_rank + 1):
-        lhs = dyn.rank_toggle("antichain", i, scaled)
+        rank_tau = (Atom("rank_tau", i),)
+        lhs = dyn.apply_word(rank_tau, scaled)
         swapped = list(scalars)
         swapped[i] = 1 / total
-        rhs = dyn.graded_rescale(swapped, dyn.rank_toggle("antichain", i, g))
+        rhs = dyn.graded_rescale(swapped, dyn.apply_word(rank_tau, g))
         print(f"  rank {i}: law holds -> {dyn.equal(lhs, rhs)}")
     print()
 
@@ -44,12 +45,12 @@ def main():
     print()
 
     print("Gyration toggles even ranks first, then odd ranks:")
-    print("  order word    :", " ".join(map(str, dyn.order_gyration_word())))
-    print("  antichain word:", " ".join(map(str, dyn.antichain_gyration_word())))
+    bog, bag = dyn.order_gyration_word(), dyn.antichain_gyration_word()
+    print("  order word    :", " ".join(map(str, bog)))
+    print("  antichain word:", " ".join(map(str, bag)))
     bridge = lambda h: dyn.theta(dyn.inv_up_transfer(h))
     print("  diagram with rowmotion's bridge commutes:",
-          dyn.equal(bridge(dyn.gyration("antichain", g)),
-                    dyn.gyration("order", bridge(g))))
+          dyn.equal(bridge(dyn.apply_word(bag, g)), dyn.apply_word(bog, bridge(g))))
     print()
 
     print("Because gyration is conjugate to rowmotion inside the toggle group,")
@@ -57,7 +58,7 @@ def main():
     rng = random.Random(6)
     h = dyn.labeling([Fraction(rng.randint(1, 30), rng.randint(1, 30))
                       for _ in range(p.n)])
-    k_gyr = detect_order(lambda x: dyn.gyration("order", x), h, dyn.equal, max_iter=30)
+    k_gyr = detect_order(lambda x: dyn.apply_word(bog, x), h, dyn.equal, max_iter=30)
     k_row = detect_order(dyn.order_rowmotion, h, dyn.equal, max_iter=30)
     print(f"  gyration order {k_gyr}, rowmotion order {k_row}")
     print()
@@ -68,11 +69,11 @@ def main():
     nc = Dynamics(p, MatrixRing(2))
     gm = nc.random_labeling(9)
     bridge_nc = lambda x: nc.theta(nc.inv_up_transfer(x))
-    rhs = nc.gyration("order", bridge_nc(gm))
+    rhs = nc.apply_word(bog, bridge_nc(gm))
     print("  plain rank word commutes :",
-          nc.equal(bridge_nc(nc.gyration("antichain", gm)), rhs))
+          nc.equal(bridge_nc(nc.apply_word(bag, gm)), rhs))
     print("  starred image commutes   :",
-          nc.equal(bridge_nc(nc.gyration("antichain_starred", gm)), rhs))
+          nc.equal(bridge_nc(nc.apply_word(nc.star_word(bog), gm)), rhs))
 
 
 if __name__ == "__main__":

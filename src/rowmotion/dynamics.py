@@ -42,7 +42,6 @@ class Atom(NamedTuple):
 
 _ELEMENT_ATOMS = {"T": "order_toggle", "E": "order_elggot",
                   "tau": "antichain_toggle", "eps": "antichain_elggot"}
-_RANK_ATOMS = {"rank_T": "order", "rank_tau": "antichain"}
 _INVERSE_KIND = {"T": "E", "E": "T", "tau": "eps", "eps": "tau"}
 _STAR_KIND = {"T": "tau", "E": "eps", "tau": "T", "eps": "E"}
 
@@ -254,11 +253,18 @@ class Dynamics:
             if not 0 <= i < self.poset.n:
                 raise ValueError(f"atom {atom} references a missing element")
             return getattr(self, _ELEMENT_ATOMS[kind])(i, f)
-        if kind in _RANK_ATOMS:
+        if kind in ("rank_T", "rank_tau"):
             self._require_graded()
             if not 0 <= i <= self.poset.top_rank:
                 raise ValueError(f"atom {atom} references a missing rank")
-            return self.rank_toggle(_RANK_ATOMS[kind], i, f)
+            # Same-rank toggles commute pairwise, so a rank toggles as one sweep.
+            # The antichain sweep goes rank by rank, in index order within a
+            # rank, so a degenerate value is reported where single toggles report it.
+            elements = self.poset.rank_elements(i)
+            if kind == "rank_T":
+                return self._order_sweep(f, elements, elggot=False)
+            by_rank = sorted(range(self.poset.n), key=self.poset.rank.__getitem__)
+            return self._antichain_sweep(f, elements, by_rank, elggot=False)
         raise ValueError(f"unknown toggle-word atom {atom}")
 
     def eta_word(self, elements):
@@ -291,36 +297,11 @@ class Dynamics:
                 raise ValueError(f"unknown toggle-word atom {Atom(kind, v)}")
         return tuple(out)
 
-    def star_order_toggle(self, v, g):
-        return self.apply_word(self.star_word((Atom("T", v),)), g)
-
-    def star_order_elggot(self, v, g):
-        return self.apply_word(self.star_word((Atom("E", v),)), g)
-
-    def star_antichain_toggle(self, v, f):
-        return self.apply_word(self.star_word((Atom("tau", v),)), f)
-
-    def star_antichain_elggot(self, v, f):
-        return self.apply_word(self.star_word((Atom("eps", v),)), f)
-
     # -- graded machinery -----------------------------------------------------
 
     def _require_graded(self):
         if not self.poset.is_graded:
             raise NotGraded("this operation needs a graded poset")
-
-    def rank_toggle(self, kind, i, f):
-        """Toggle every element of one rank; they commute pairwise.  The
-        antichain sweep goes rank by rank, in index order within a rank, so
-        a degenerate value is reported where single toggles report it."""
-        self._require_graded()
-        elements = self.poset.rank_elements(i)
-        if kind == "antichain":
-            by_rank = sorted(range(self.poset.n), key=self.poset.rank.__getitem__)
-            return self._antichain_sweep(f, elements, by_rank, elggot=False)
-        if kind != "order":
-            raise ValueError("rank toggle kind must be 'order' or 'antichain'")
-        return self._order_sweep(f, elements, elggot=False)
 
     def order_gyration_word(self):
         """Even-rank order toggles first, then odd ranks."""
@@ -336,15 +317,6 @@ class Dynamics:
         ranks = [i for i in range(r + 1) if i % 2 == 1] + \
                 [i for i in range(r, -1, -1) if i % 2 == 0]
         return tuple(Atom("rank_tau", i) for i in ranks)
-
-    def gyration(self, kind, f):
-        if kind == "order":
-            return self.apply_word(self.order_gyration_word(), f)
-        if kind == "antichain":
-            return self.apply_word(self.antichain_gyration_word(), f)
-        if kind == "antichain_starred":
-            return self.apply_word(self.star_word(self.order_gyration_word()), f)
-        raise ValueError("gyration kind must be 'order', 'antichain', or 'antichain_starred'")
 
     def graded_rescale(self, scalars, g):
         """Multiply every rank-i value by the central scalar a_i."""

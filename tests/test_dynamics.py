@@ -19,6 +19,7 @@ from rowmotion.backends import (
     TropicalSemiring,
     derive_seed,
     parallel_sum,
+    parse_backend,
 )
 from rowmotion.dynamics import Atom, Dynamics, detect_order, inverse_word
 from rowmotion.errors import NotGraded, NotInvertible
@@ -36,6 +37,11 @@ A3_LETTERS = [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (1, 3)]
 
 def rational_dyn(p, c=F(2)):
     return Dynamics(p, RationalField(const_c=c))
+
+
+def starred(dyn, kind, v, f):
+    """The image of the single atom ``kind`` at v under the isomorphism, applied to f."""
+    return dyn.apply_word(dyn.star_word((Atom(kind, v),)), f)
 
 
 def random_values(seed, count, lo=1, hi=50):
@@ -439,7 +445,7 @@ def test_star_t22_matches_symbolic_expansion(p23):
     u, v, w, x, y, z = random_values(77, 6)
     g = dyn.labeling([u, v, w, x, y, z])
     s = v * x + w * x + w * y
-    got = dyn.star_order_toggle(IDX23[(2, 2)], g)
+    got = starred(dyn, "T", IDX23[(2, 2)], g)
     expanded = {
         (1, 1): u,
         (2, 1): x * s / (w * (x + y)),
@@ -461,8 +467,8 @@ def test_star_toggle_minimal_element_degenerates(p23):
     v0 = IDX23[(1, 1)]
     assert dyn.star_word((Atom("T", v0),)) == (Atom("tau", v0),)
     assert dyn.star_word((Atom("tau", v0),)) == (Atom("T", v0),)
-    assert dyn.equal(dyn.star_order_toggle(v0, g), dyn.antichain_toggle(v0, g))
-    assert dyn.equal(dyn.star_antichain_toggle(v0, g), dyn.order_toggle(v0, g))
+    assert dyn.equal(starred(dyn, "T", v0, g), dyn.antichain_toggle(v0, g))
+    assert dyn.equal(starred(dyn, "tau", v0, g), dyn.order_toggle(v0, g))
 
 
 @pytest.mark.parametrize("backend_factory", [
@@ -477,14 +483,14 @@ def test_star_diagrams_all_elements(p23, a3, backend_factory):
             g = dyn.random_labeling(derive_seed("star", seed))
             side = bridge(g)
             for v in range(p.n):
-                assert dyn.equal(bridge(dyn.star_order_toggle(v, g)),
+                assert dyn.equal(bridge(starred(dyn, "T", v, g)),
                                  dyn.order_toggle(v, side))
-                assert dyn.equal(bridge(dyn.star_order_elggot(v, g)),
+                assert dyn.equal(bridge(starred(dyn, "E", v, g)),
                                  dyn.order_elggot(v, side))
                 assert dyn.equal(bridge(dyn.antichain_toggle(v, g)),
-                                 dyn.star_antichain_toggle(v, side))
+                                 starred(dyn, "tau", v, side))
                 assert dyn.equal(bridge(dyn.antichain_elggot(v, g)),
-                                 dyn.star_antichain_elggot(v, side))
+                                 starred(dyn, "eps", v, side))
 
 
 def test_eta_word_independent_of_extension_choice(p23, a3):
@@ -504,7 +510,7 @@ def test_eta_word_independent_of_extension_choice(p23, a3):
                     results.append(dyn.apply_word(word, g))
                 for r in results[1:]:
                     assert dyn.equal(r, results[0])
-                assert dyn.equal(dyn.star_antichain_toggle(v, g), results[0])
+                assert dyn.equal(starred(dyn, "tau", v, g), results[0])
 
 
 def _extensions_of_subset(p, elements):
@@ -530,7 +536,7 @@ def test_pairwise_incomparable_conjugation_lemma(p23, a3):
                     continue
                 lhs = g
                 for v in reversed(vs):  # tau*_{v1} applied last
-                    lhs = dyn.star_antichain_toggle(v, lhs)
+                    lhs = starred(dyn, "tau", v, lhs)
                 word = (inverse_word(dyn.eta_word(vs))
                         + tuple(Atom("T", v) for v in reversed(vs))
                         + dyn.eta_word(vs))
@@ -545,7 +551,7 @@ def test_nar_equals_starred_word_composition(p23):
         g = dyn.random_labeling(15)
         lhs = g
         for v in p23.default_linear_extension:
-            lhs = dyn.star_antichain_toggle(v, lhs)
+            lhs = starred(dyn, "tau", v, lhs)
         assert dyn.equal(lhs, dyn.order_rowmotion(g))
 
 
@@ -636,6 +642,26 @@ def test_inverse_word_undoes_random_words_noncommutative(p23, a3):
         inverse_word((Atom("T", 0), Atom("rank_T", 0)))
 
 
+@pytest.mark.parametrize("backend_spec", ["rational", "tropical", "matrix:2", "matrix:3"])
+def test_star_word_is_its_own_inverse(backend_spec):
+    # The isomorphism applied twice is the identity of the toggle group: the
+    # word star(star(a)) is longer than a, but it acts on labelings as a does.
+    from rowmotion.poset import random_poset, root_poset_a
+    checked = []
+    for p in (chain_product(2, 3), root_poset_a(3), random_poset(6, 4)):
+        dyn = Dynamics(p, parse_backend(backend_spec))
+        atoms = [Atom(kind, v) for v in range(p.n) for kind in TOGGLE_KINDS]
+        if p.is_graded:
+            atoms += [Atom(kind, i) for i in range(p.top_rank + 1)
+                      for kind in ("rank_T", "rank_tau")]
+        f = dyn.random_labeling(derive_seed("star-round-trip", p.serialize()))
+        for a in atoms:
+            twice = dyn.star_word(dyn.star_word((a,)))
+            assert dyn.equal(dyn.apply_word(twice, f), dyn.apply_word((a,), f)), a
+        checked.append(len(atoms))
+    assert checked == [32, 30, 24]
+
+
 # -- graded machinery -----------------------------------------------------------
 
 
@@ -658,9 +684,9 @@ def test_rank_toggle_requires_graded():
     dyn = Dynamics(p, RationalField())
     g = dyn.random_labeling(0)
     with pytest.raises(NotGraded):
-        dyn.rank_toggle("antichain", 0, g)
+        dyn.apply_word((Atom("rank_tau", 0),), g)
     with pytest.raises(NotGraded):
-        dyn.gyration("order", g)
+        dyn.order_gyration_word()
     with pytest.raises(NotGraded):
         dyn.star_word((Atom("rank_T", 0),))
     with pytest.raises(NotGraded):
@@ -671,10 +697,8 @@ def test_rank_toggles_square_to_identity_rational(p23):
     dyn = rational_dyn(p23)
     g = dyn.random_labeling(2)
     for i in range(p23.top_rank + 1):
-        assert dyn.equal(dyn.rank_toggle("antichain", i,
-                                         dyn.rank_toggle("antichain", i, g)), g)
-        assert dyn.equal(dyn.rank_toggle("order", i,
-                                         dyn.rank_toggle("order", i, g)), g)
+        assert dyn.equal(dyn.apply_word((Atom("rank_tau", i),) * 2, g), g)
+        assert dyn.equal(dyn.apply_word((Atom("rank_T", i),) * 2, g), g)
 
 
 def test_rank_toggle_equals_single_toggles_in_index_order():
@@ -692,8 +716,8 @@ def test_rank_toggle_equals_single_toggles_in_index_order():
                 single = _outcome(lambda: dyn.antichain_toggle(v, single))
                 if isinstance(single, str):
                     break
-            assert _outcome(lambda: dyn.rank_toggle("antichain", i, g)) == single
-    assert _outcome(lambda: dyn.rank_toggle("antichain", 1, degenerate)) == \
+            assert _outcome(lambda: dyn.apply_word((Atom("rank_tau", i),), g)) == single
+    assert _outcome(lambda: dyn.apply_word((Atom("rank_tau", 1),), degenerate)) == \
         "antichain toggle at 1"
 
 
@@ -702,13 +726,10 @@ def test_bar_is_rank_toggle_product(p23, a3):
         for backend in (RationalField(), MatrixRing(2)):
             dyn = Dynamics(p, backend)
             g = dyn.random_labeling(21)
-            h = g
-            for i in range(p.top_rank + 1):
-                h = dyn.rank_toggle("antichain", i, h)
+            ranks = range(p.top_rank + 1)
+            h = dyn.apply_word([Atom("rank_tau", i) for i in ranks], g)
             assert dyn.equal(h, dyn.antichain_rowmotion(g))
-            h = g
-            for i in range(p.top_rank, -1, -1):
-                h = dyn.rank_toggle("order", i, h)
+            h = dyn.apply_word([Atom("rank_T", i) for i in reversed(ranks)], g)
             assert dyn.equal(h, dyn.order_rowmotion(g))
 
 
@@ -728,13 +749,13 @@ def test_rank_identities_for_starred_toggles(p23, a3):
             for i in range(p.top_rank + 1):
                 lhs = g
                 for v in p.rank_elements(i):
-                    lhs = dyn.star_order_toggle(v, lhs)
+                    lhs = starred(dyn, "T", v, lhs)
                 rhs = g
                 if i > 0:
-                    rhs = dyn.rank_toggle("antichain", i - 1, rhs)
-                rhs = dyn.rank_toggle("antichain", i, rhs)
+                    rhs = dyn.apply_word((Atom("rank_tau", i - 1),), rhs)
+                rhs = dyn.apply_word((Atom("rank_tau", i),), rhs)
                 if i > 0:
-                    rhs = (dyn.rank_toggle("antichain", i - 1, rhs)
+                    rhs = (dyn.apply_word((Atom("rank_tau", i - 1),), rhs)
                            if backend.is_commutative
                            else _apply_rank_eps(dyn, i - 1, rhs))
                 assert dyn.equal(lhs, rhs)
@@ -746,13 +767,10 @@ def test_rank_identities_commutative_palindromes(p23, a3):
         g = dyn.random_labeling(81)
         for v in range(p.n):
             i = p.rank[v]
-            lhs = dyn.star_antichain_toggle(v, g)
-            rhs = g
-            for j in range(i):
-                rhs = dyn.rank_toggle("order", j, rhs)
-            rhs = dyn.order_toggle(v, rhs)
-            for j in range(i - 1, -1, -1):
-                rhs = dyn.rank_toggle("order", j, rhs)
+            lhs = starred(dyn, "tau", v, g)
+            rhs = dyn.apply_word([Atom("rank_T", j) for j in range(i)]
+                                 + [Atom("T", v)]
+                                 + [Atom("rank_T", j) for j in range(i - 1, -1, -1)], g)
             assert dyn.equal(lhs, rhs)
 
 
@@ -774,8 +792,8 @@ def test_gyration_diagram_commutative(p23, a3):
         bridge = lambda h: dyn.theta(dyn.inv_up_transfer(h))
         for seed in range(10):
             g = dyn.random_labeling(derive_seed("gyr", seed))
-            assert dyn.equal(bridge(dyn.gyration("antichain", g)),
-                             dyn.gyration("order", bridge(g)))
+            assert dyn.equal(bridge(dyn.apply_word(dyn.antichain_gyration_word(), g)),
+                             dyn.apply_word(dyn.order_gyration_word(), bridge(g)))
 
 
 def test_gyration_diagram_tropical(p23, a3):
@@ -784,25 +802,27 @@ def test_gyration_diagram_tropical(p23, a3):
         bridge = lambda h: dyn.theta(dyn.inv_up_transfer(h))
         for seed in range(10):
             g = dyn.random_labeling(derive_seed("gyrtrop", seed))
-            assert dyn.equal(bridge(dyn.gyration("antichain", g)),
-                             dyn.gyration("order", bridge(g)))
+            assert dyn.equal(bridge(dyn.apply_word(dyn.antichain_gyration_word(), g)),
+                             dyn.apply_word(dyn.order_gyration_word(), bridge(g)))
 
 
 def test_gyration_diagram_noncommutative_needs_starred_form(p23):
     dyn = Dynamics(p23, MatrixRing(2))
     bridge = lambda h: dyn.theta(dyn.inv_up_transfer(h))
     g = dyn.random_labeling(6)
-    rhs = dyn.gyration("order", bridge(g))
-    assert dyn.equal(bridge(dyn.gyration("antichain_starred", g)), rhs)
+    bog = dyn.order_gyration_word()
+    rhs = dyn.apply_word(bog, bridge(g))
+    assert dyn.equal(bridge(dyn.apply_word(dyn.star_word(bog), g)), rhs)
     # the plain rank word is a strictly commutative identity: witness
-    assert not dyn.equal(bridge(dyn.gyration("antichain", g)), rhs)
+    assert not dyn.equal(bridge(dyn.apply_word(dyn.antichain_gyration_word(), g)), rhs)
 
 
 def test_gyration_and_rowmotion_share_orbit_order(p23):
     dyn = rational_dyn(p23)
     for seed in range(5):
         g = dyn.random_labeling(derive_seed("bogorder", seed))
-        k_bog = detect_order(lambda h: dyn.gyration("order", h), g, dyn.equal, max_iter=12)
+        bog = dyn.order_gyration_word()
+        k_bog = detect_order(lambda h: dyn.apply_word(bog, h), g, dyn.equal, max_iter=12)
         k_bor = detect_order(dyn.order_rowmotion, g, dyn.equal, max_iter=12)
         assert k_bog == k_bor == 5
 
@@ -845,9 +865,10 @@ def test_rank_rescale_law(p23, p33):
                 for i in range(p.top_rank + 1):
                     swapped = list(scalars)
                     swapped[i] = inv_total
+                    rank_tau = (Atom("rank_tau", i),)
                     assert dyn.equal(
-                        dyn.rank_toggle("antichain", i, scaled),
-                        dyn.graded_rescale(swapped, dyn.rank_toggle("antichain", i, g)))
+                        dyn.apply_word(rank_tau, scaled),
+                        dyn.graded_rescale(swapped, dyn.apply_word(rank_tau, g)))
 
 
 def test_bar_rescale_law(p23, p33):
@@ -1093,7 +1114,7 @@ def test_order_sweep_matches_rebuilt_toggles(backend_name, linear_extensions):
         if p.is_graded:
             graded += 1
             for i in range(p.top_rank + 1):
-                pairs.append((lambda g, i=i: dyn.rank_toggle("order", i, g),
+                pairs.append((lambda g, i=i: dyn.apply_word((Atom("rank_T", i),), g),
                               lambda g, i=i: rebuilt_order_toggles(dyn, g, p.rank_elements(i))))
         for g in labelings:
             for sweep, oracle in pairs:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -73,6 +74,41 @@ def test_run_check_involution_noncommutative_catches_wrong_elggot(monkeypatch):
     monkeypatch.setattr(Dynamics, "order_elggot", Dynamics.order_toggle)
     rep = run_check(CheckSpec("involution", "chain 2x3", "matrix:2"))
     assert rep["status"] == "fail"
+
+
+def _s4(b, xs):
+    """The standard polynomial s4: the signed sum of the products of xs in all 24 orders."""
+    minus = b.central_from_rational(-1)
+    terms = []
+    for perm in itertools.permutations(range(4)):
+        factors = [xs[k] for k in perm]
+        odd = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4)) % 2
+        terms.append(b.product([minus] + factors if odd else factors))
+    return b.sum(terms)
+
+
+class S4Dynamics(Dynamics):
+    """Each toggled order label is off by s4 of the labels at the first four other elements."""
+
+    def _order_sweep(self, f, toggled, elggot):
+        out = f
+        for v in toggled:
+            out = list(super()._order_sweep(out, (v,), elggot))
+            others = [out[u] for u in range(self.poset.n) if u != v][:4]
+            out[v] = self.backend.add(out[v], _s4(self.backend, others))
+            out = tuple(out)
+        return out
+
+
+@pytest.mark.parametrize("theorem", ["involution", "t-star-nc", "commutation"])
+def test_s4_defect_is_invisible_on_2x2_matrices_only(monkeypatch, theorem):
+    # Amitsur-Levitzki: s4 vanishes on 2x2 matrices, so the matrix:2 default
+    # backends cannot see this defect, while matrix:3 sees it at every point.
+    monkeypatch.setattr(harness, "Dynamics", S4Dynamics)
+    two = run_check(CheckSpec(theorem, "chain 2x3", "matrix:2", points=3))
+    three = run_check(CheckSpec(theorem, "chain 2x3", "matrix:3", points=3))
+    assert two["status"] == "pass" and two["passes"] == 3
+    assert three["status"] == "fail" and three["failures"] == 3
 
 
 def test_run_check_skips_ungraded_for_graded_theorems():
@@ -224,6 +260,26 @@ def test_scan_reports_exceeded_rows_without_failing():
     rows = scan_conjecture(1, 1, "rational", seeds=(0,), max_iter=1)
     assert rows[0]["status"] == "exceeded"
     assert rows[0]["observed"] == "exceeded"
+
+
+def test_scan_counts_a_shorter_orbit_on_a_non_generic_start_as_consistent():
+    # Seed 0's tropical start on the one-element chain is 1/2, a fixed point of 1 - f.
+    (row,) = scan_conjecture(1, 1, "tropical")
+    assert row["observed"] == "1/2/2" and row["status"] == "consistent"
+
+
+@pytest.mark.parametrize("orders,observed,status", [
+    ((3, 3, 3), 3, "inconsistent"),
+    ((3, 6, 6), "3/6/6", "consistent"),
+], ids=["3/3/3", "3/6/6"])
+def test_scan_status_is_whether_the_orders_lcm_is_a_plus_b(monkeypatch, orders, observed,
+                                                          status):
+    def stub(poset, backend, map_id, seed, poset_name=None, max_iter=64):
+        return SimpleNamespace(order=orders[seed])
+    monkeypatch.setattr(harness, "labeling_orbit_report", stub)
+    rows = scan_conjecture(2, 4, "rational")
+    (row,) = [r for r in rows if (r["a"], r["b"]) == (2, 4)]
+    assert row["expected"] == 6 and row["observed"] == observed and row["status"] == status
 
 
 def test_orbit_report_genericity_failure(monkeypatch):
