@@ -24,7 +24,12 @@ REALM_BACKENDS = {"birational": "rational", "nc": "matrix:2", "tropical": "tropi
 
 def _default_seed():
     env = os.environ.get("ROWMOTION_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"ROWMOTION_SEED must be an integer, got {env!r}") from None
 
 
 def _add_common(sp, formats=("text", "json", "csv")):
@@ -76,7 +81,8 @@ def build_parser():
                     help="progress lines on stderr while checks run")
 
     sp = sub.add_parser("scan", help="observed rowmotion orders on chain products")
-    sp.add_argument("--max", dest="max_ab", default="3x3", help="scan up to AxB")
+    sp.add_argument("--max", dest="max_ab", default="3x3",
+                    help=f"scan up to AxB, each side at most {harness.SCAN_ELEMENT_BUDGET}")
     sp.add_argument("--backend", default="matrix:2")
     sp.add_argument("--map", dest="map_id", choices=["bor", "bar"], default="bor")
     sp.add_argument("--seeds", type=int, default=3, help="number of seeds per poset")
@@ -304,6 +310,9 @@ def cmd_scan(args):
     except ValueError:
         raise ValueError(f"--max expects AxB, got {args.max_ab!r}") from None
     _at_least_one("--max", min(a_max, b_max))
+    if max(a_max, b_max) > harness.SCAN_ELEMENT_BUDGET:  # every cell past it reads skipped
+        raise ValueError(f"--max {args.max_ab}: each side must be at most "
+                         f"SCAN_ELEMENT_BUDGET = {harness.SCAN_ELEMENT_BUDGET}")
     base = args.seed if args.seed is not None else _default_seed()
     seeds = [base + i for i in range(_at_least_one("--seeds", args.seeds))]
     rows = harness.scan_conjecture(a_max, b_max, args.backend, seeds=seeds, map_id=args.map_id,

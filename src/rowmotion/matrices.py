@@ -1,30 +1,35 @@
 """Small immutable matrices over exact rationals.
 
 Just enough linear algebra for the noncommutative evaluation model:
-addition, multiplication, and Gauss-Jordan inversion, all exact, with every
-entry a reduced ``Fraction``.  Inversion works in place on the d x d entries,
-with no identity half, and undoes its row swaps by swapping columns back; a
-product sums each dot product from its first term, not from an int 0.  At
-d = 2 both use closed forms on the entries' integer numerators and
-denominators instead: each product entry a*p + b*r is one ``Fraction`` built
-from a single integer numerator and denominator, and the inverse is the
-adjugate over the determinant, four such constructions.
+addition, multiplication and inversion, all exact.  A matrix is stored as a
+row-major tuple of integer numerators over one positive common denominator,
+in canonical form: the numerators and the denominator share no factor, and
+the sign sits on the numerators.  Equality and hashing read this form, and
+``rows`` is a view of it as reduced ``Fraction``s.
+
+Sums, products and entrywise scalings are integer arithmetic at every d,
+reduced once per result by one gcd sweep.  At d = 2 the inverse is the
+adjugate of the numerators times the denominator, over the numerators'
+integer determinant.  At d >= 3 it is in-place Gauss-Jordan on the entries
+as Fractions, brought back to integer form: fraction-free (Bareiss)
+elimination on the numerators was measured slower on large-entry matrix:8
+orbits, whose entries one common denominator inflates.
 
 Work whose result the algebra already gives is skipped.  A matrix made by
 ``identity``, ``scalar`` or a product of two such matrices carries its
 scalar c as a tag, and a product with a tagged factor is the other factor
 scaled entrywise by c (the other factor itself when c = 1).  A successful
 inverse is stored on both matrices, so a matrix is inverted at most once
-and ``x.inverse().inverse() is x``.  Equality and hashing read the entries
-only, and ``is_scalar`` falls back on them, so an untagged matrix equal to
-c·I is still scalar.
+and ``x.inverse().inverse() is x`` while x lives.  ``is_scalar`` falls back
+on the entries, so an untagged matrix equal to c·I is still scalar.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul
+from math import gcd, lcm
+from operator import mul
+from weakref import ref
 
 from .errors import NotInvertible
 
@@ -32,40 +37,61 @@ _set = object.__setattr__
 _ZERO = Fraction(0)
 
 
-def _dot2(a, p, b, r):
-    """a*p + b*r for Fractions, as one reduction of integer numerators and denominators."""
-    x, xd = a.numerator * p.numerator, a.denominator * p.denominator
-    y, yd = b.numerator * r.numerator, b.denominator * r.denominator
-    return Fraction(x * yd + y * xd, xd * yd)
-
-
 class RationalMatrix:
-    """An immutable d x d matrix of Fractions, hashable and exactly comparable."""
+    """An immutable d x d matrix of rationals, hashable and exactly comparable."""
 
-    __slots__ = ("rows", "d", "_scalar", "_inv")
+    __slots__ = ("d", "_num", "_den", "_scalar", "_inv", "_rows", "__weakref__")
 
     def __init__(self, rows):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        rows = [[Fraction(x) for x in row] for row in rows]
         d = len(rows)
         if any(len(row) != d for row in rows):
             raise ValueError("matrix must be square")
-        _set(self, "rows", rows)
+        self._init(d, *_from_fractions([x for row in rows for x in row]))
+
+    def _init(self, d, num, den, scalar=None):
         _set(self, "d", d)
-        _set(self, "_scalar", None)
+        _set(self, "_num", num)
+        _set(self, "_den", den)
+        _set(self, "_scalar", scalar)
         _set(self, "_inv", None)
+        _set(self, "_rows", None)
 
     @classmethod
-    def _trusted(cls, rows, scalar=None):
-        """A matrix from a square tuple of tuples of Fractions, unchecked and unconverted."""
+    def _trusted(cls, d, num, den, scalar=None):
+        """A matrix from numerators and a denominator already in canonical form."""
         m = object.__new__(cls)
-        _set(m, "rows", rows)
-        _set(m, "d", len(rows))
-        _set(m, "_scalar", scalar)
-        _set(m, "_inv", None)
+        m._init(d, num, den, scalar)
         return m
+
+    @classmethod
+    def _reduced(cls, d, num, den):
+        """A matrix from a tuple of integer numerators over a nonzero integer denominator."""
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = tuple(n // g for n in num)
+            den //= g
+        return cls._trusted(d, num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
+
+    @property
+    def rows(self):
+        """The entries as a tuple of rows of reduced Fractions, built on first use."""
+        rows = self._rows
+        if rows is None:
+            rows = tuple(map(tuple, self._fraction_rows()))
+            _set(self, "_rows", rows)
+        return rows
+
+    def _fraction_rows(self):
+        """A fresh list of lists of the entries as reduced Fractions; nothing is stored."""
+        d, den = self.d, self._den
+        entries = [Fraction(n, den) for n in self._num]
+        return [entries[i:i + d] for i in range(0, d * d, d)]
 
     @classmethod
     def identity(cls, d):
@@ -74,43 +100,50 @@ class RationalMatrix:
     @classmethod
     def scalar(cls, d, c):
         c = Fraction(c)
-        zero = Fraction(0)
-        return cls._trusted(tuple(tuple(c if i == j else zero for j in range(d))
-                                  for i in range(d)), scalar=c)
+        num = tuple(c.numerator if i == j else 0 for i in range(d) for j in range(d))
+        return cls._trusted(d, num, c.denominator, scalar=c)
 
     def _scaled(self, c):
-        return RationalMatrix._trusted(tuple(tuple(c * x for x in row) for row in self.rows))
+        return RationalMatrix._reduced(self.d, tuple(c.numerator * n for n in self._num),
+                                       c.denominator * self._den)
 
     def __add__(self, other):
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        return RationalMatrix._trusted(tuple(tuple(a + b for a, b in zip(r1, r2))
-                                             for r1, r2 in zip(self.rows, other.rows)))
+        p, q = self._den, other._den
+        g = gcd(p, q)
+        s, t = q // g, p // g
+        num = tuple(a * s + b * t for a, b in zip(self._num, other._num))
+        return RationalMatrix._reduced(self.d, num, p * s)
 
     def __matmul__(self, other):
-        if self.d != other.d:
+        d = self.d
+        if d != other.d:
             raise ValueError("dimension mismatch")
         s, t = self._scalar, other._scalar
         if s is not None:
             if t is not None:
-                return RationalMatrix.scalar(self.d, s * t)
+                return RationalMatrix.scalar(d, s * t)
             return other if s == 1 else other._scaled(s)
         if t is not None:
             return self if t == 1 else self._scaled(t)
-        if self.d == 2:
-            (a, b), (c, e) = self.rows
-            (p, q), (r, s) = other.rows
-            return RationalMatrix._trusted(((_dot2(a, p, b, r), _dot2(a, q, b, s)),
-                                            (_dot2(c, p, e, r), _dot2(c, q, e, s))))
-        cols = tuple(zip(*other.rows))
-        return RationalMatrix._trusted(tuple(tuple(reduce(add, map(mul, row, col))
-                                                   for col in cols) for row in self.rows))
+        x, y = self._num, other._num
+        if d == 2:
+            a, b, c, e = x
+            p, q, r, s = y
+            num = (a * p + b * r, a * q + b * s, c * p + e * r, c * q + e * s)
+        else:
+            cols = [y[j::d] for j in range(d)]
+            num = tuple(sum(map(mul, x[i:i + d], col))
+                        for i in range(0, d * d, d) for col in cols)
+        return RationalMatrix._reduced(d, num, self._den * other._den)
 
     def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
+        return (isinstance(other, RationalMatrix) and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self._num, self._den))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -119,23 +152,39 @@ class RationalMatrix:
     def is_scalar(self):
         if self._scalar is not None:
             return True
-        d = self.d
-        c = self.rows[0][0]
-        return all(self.rows[i][j] == (c if i == j else 0)
-                   for i in range(d) for j in range(d))
+        num, step = self._num, self.d + 1
+        c = num[0]
+        return all(n == (0 if k % step else c) for k, n in enumerate(num))
+
+    def max_entry_bits(self):
+        """Numerator plus denominator bits of the largest entry in lowest terms."""
+        den = self._den
+        den_bits = den.bit_length()
+        best = 0
+        for n in self._num:
+            if n.bit_length() + den_bits > best:  # else reducing cannot beat best
+                g = gcd(n, den)
+                best = max(best, (n // g).bit_length() + (den // g).bit_length())
+        return best
 
     def inverse(self):
-        """Exact inverse, computed once per matrix; NotInvertible on a singular matrix."""
+        """Exact inverse, computed once per matrix; NotInvertible on a singular matrix.
+
+        The inverse refers back to its matrix weakly, so the pair forms no reference
+        cycle and is freed as soon as the last outside reference goes.
+        """
         inv = self._inv
+        if type(inv) is ref:
+            inv = inv()
         if inv is None:
             inv = self._inverse()
             _set(self, "_inv", inv)
-            _set(inv, "_inv", self)
+            _set(inv, "_inv", ref(self))
         return inv
 
     def _inverse(self):
-        """In-place Gauss-Jordan on a copy of the d x d entries, the adjugate over the
-        determinant at d = 2, or 1/c for a tagged c·I.
+        """1/c for a tagged c·I, the adjugate over the determinant at d = 2, and
+        in-place Gauss-Jordan on the entries as Fractions otherwise.
 
         No identity half is carried along.  At column k the pivot's reciprocal takes
         the pivot's place and scales the rest of the pivot row; each other row with a
@@ -152,21 +201,14 @@ class RationalMatrix:
                 raise NotInvertible(context=f"singular {d}x{d} matrix")
             return RationalMatrix.scalar(d, 1 / c)
         if d == 2:
-            (a, b), (c, e) = self.rows
-            an, ad = a.numerator, a.denominator
-            bn, bd = b.numerator, b.denominator
-            cn, cd = c.numerator, c.denominator
-            en, ed = e.numerator, e.denominator
-            # det = (an*en*bd*cd - bn*cn*ad*ed) / (ad*ed*bd*cd); each entry of the
-            # adjugate [[e, -b], [-c, a]] times that denominator over det_n
-            det_n = an * en * bd * cd - bn * cn * ad * ed
-            if not det_n:
+            # (N/D)^-1 = D adj(N) / det(N) for the numerators N over the denominator D
+            a, b, c, e = self._num
+            det = a * e - b * c
+            if not det:
                 raise NotInvertible(context="singular 2x2 matrix")
-            aded, bdcd = ad * ed, bd * cd
-            return RationalMatrix._trusted(
-                ((Fraction(en * ad * bdcd, det_n), Fraction(-bn * aded * cd, det_n)),
-                 (Fraction(-cn * aded * bd, det_n), Fraction(an * ed * bdcd, det_n))))
-        a = [list(row) for row in self.rows]
+            den = self._den
+            return RationalMatrix._reduced(2, (e * den, -b * den, -c * den, a * den), det)
+        a = self._fraction_rows()
         swaps = []
         for k in range(d):
             pivot = next((r for r in range(k, d) if a[r][k]), None)
@@ -191,4 +233,15 @@ class RationalMatrix:
         for k, pivot in reversed(swaps):
             for row in a:
                 row[k], row[pivot] = row[pivot], row[k]
-        return RationalMatrix._trusted(tuple(map(tuple, a)))
+        return RationalMatrix._trusted(d, *_from_fractions([x for row in a for x in row]))
+
+
+def _from_fractions(entries):
+    """Canonical numerators and denominator of reduced Fractions, in order.
+
+    Over the lcm of the denominators no prime divides every numerator: an entry
+    whose denominator holds the lcm's full power of that prime has a numerator
+    coprime to it, and the lcm's cofactor for that entry lacks the prime.
+    """
+    den = lcm(*(x.denominator for x in entries))
+    return tuple(x.numerator * (den // x.denominator) for x in entries), den

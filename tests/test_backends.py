@@ -1,5 +1,8 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -190,6 +193,21 @@ def test_matrix_inverse_matches_reference_and_is_memoized(d):
         [False, False, True, True] + [False] * 4 if d == 2 else [])
 
 
+def test_matrix_and_its_stored_inverse_form_no_reference_cycle():
+    gc.disable()  # so only reference counting can free the matrix
+    try:
+        for d in (1, 2, 3):
+            x = MatrixRing(d).sample_generic(7)
+            inv = x.inverse()
+            rows, alive = x.rows, weakref.ref(x)
+            del x
+            assert alive() is None
+            again = inv.inverse()
+            assert again.rows == rows and inv.inverse() is again and again.inverse() is inv
+    finally:
+        gc.enable()
+
+
 def test_matrix_tags_leave_equality_and_centrality_value_based():
     for d in (1, 2, 3):
         for c in (F(1), F(2), F(-4, 9)):
@@ -202,6 +220,63 @@ def test_matrix_tags_leave_equality_and_centrality_value_based():
     x = b.sample_generic(5)
     assert b.one() is b.one() and b.mul(b.one(), x) is x and b.mul(x, b.one()) is x
     assert b.mul(b.constant_c(), x) == b.mul(x, b.constant_c()) == x + x
+
+
+def _is_canonical(m):
+    """Positive denominator sharing no factor with the numerators; rows reduced Fractions."""
+    return (m._den > 0 and gcd(m._den, *m._num) == 1 and _all_fractions(m)
+            and all(v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+                    for row in m.rows for v in row))
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_matrix_built_every_way_has_one_canonical_form(d, flip):
+    rng = random.Random(f"canonical:{d}")
+    while True:
+        rows = [[F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(d)] for _ in range(d)]
+        if _ref_inverse(RationalMatrix(rows)) is not None:
+            break
+    if flip:  # the determinant's other sign: swap two rows, or negate a 1x1 entry
+        rows = [rows[1], rows[0]] + rows[2:] if d > 1 else [[-rows[0][0]]]
+    m = RationalMatrix(rows)
+    unreduced = RationalMatrix([[f"{6 * v.numerator}/{6 * v.denominator}" for v in row]
+                                for row in rows])
+    negative = RationalMatrix([[F(-v.numerator, -v.denominator) for v in row] for row in rows])
+    # untagged factors and terms whose integer results share a factor to cancel
+    third = RationalMatrix([[F(int(i == j), 3) for j in range(d)] for i in range(d)])
+    product = RationalMatrix([[3 * v for v in row] for row in rows]) @ third
+    sum_ = (RationalMatrix([[v - F(5, 6) for v in row] for row in rows])
+            + RationalMatrix([[F(5, 6)] * d] * d))
+    twice_inverted = RationalMatrix(RationalMatrix(rows).inverse().rows).inverse()
+    copies = [unreduced, negative, product, sum_, twice_inverted]
+    for copy in copies:
+        assert copy == m and hash(copy) == hash(m)
+        assert copy.rows == m.rows and _is_canonical(copy)
+    assert _is_canonical(m) and m.rows == tuple(map(tuple, rows))
+    assert m.inverse() == twice_inverted.inverse() and _is_canonical(m.inverse())
+    zero = m + RationalMatrix([[-v for v in row] for row in rows])
+    assert zero._den == 1 and zero == RationalMatrix.scalar(d, 0) and _is_canonical(zero)
+
+
+def _oracle_label_bits(m):
+    return max(v.numerator.bit_length() + v.denominator.bit_length()
+               for row in m.rows for v in row)
+
+
+@pytest.mark.parametrize("d", [2, 3, backends.MAX_MATRIX_DIMENSION])
+def test_label_bits_is_the_largest_reduced_entry(d):
+    rng = random.Random(f"label-bits:{d}")
+
+    def entry():
+        bits = rng.choice([1, 8, 300])
+        return F(rng.getrandbits(bits) - 2 ** (bits - 1), rng.getrandbits(bits) | 1)
+
+    xs = [RationalMatrix([[entry() for _ in range(d)] for _ in range(d)]) for _ in range(4)]
+    values = xs + [x @ y for x in xs for y in xs] + [x + y for x in xs for y in xs]
+    values += [x.inverse() for x in xs[:2]] + [RationalMatrix.scalar(d, F(-7, 3 ** 200))]
+    for m in values:
+        assert backends.label_bits(m) == _oracle_label_bits(m), m
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.describe())

@@ -13,8 +13,8 @@ import pytest
 from rowmotion import cli as cli_module
 from rowmotion.cli import main
 from rowmotion.errors import NotInvertible
-from rowmotion.harness import (DEFAULT_MAX_ITER, MAX_ITER_LIMIT, ORBIT_WORK_BUDGET, THEOREMS,
-                               TheoremCheck, build_poset)
+from rowmotion.harness import (DEFAULT_MAX_ITER, MAX_ITER_LIMIT, ORBIT_WORK_BUDGET,
+                               SCAN_ELEMENT_BUDGET, THEOREMS, TheoremCheck, build_poset)
 from rowmotion.poset import MAX_ELEMENTS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -313,6 +313,14 @@ def test_env_seed_respected(capsys, monkeypatch):
     assert json.loads(out)[0]["seed"] == 99
 
 
+def test_non_integer_env_seed_exits_2_naming_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("ROWMOTION_SEED", "abc")
+    code, out, err = run(capsys, "verify", "--theorem", "involution",
+                         "--poset", "chain 1x1", "--points", "1")
+    assert code == 2 and not out
+    assert err == "error: ROWMOTION_SEED must be an integer, got 'abc'\n"
+
+
 def test_poset_json_format(capsys):
     code, out, _ = run(capsys, "poset", "--poset", "chain 2x2", "--format", "json")
     assert code == 0
@@ -403,6 +411,11 @@ def test_output_deterministic_across_runs(capsys):
      "--max-iter 4096 is too many steps for a poset of 200 elements"),
     (("orbit", "--realm", "tropical", "--poset", "chain 30x30"),  # the default 64 steps
      "--max-iter 64 is too many steps for a poset of 900 elements"),
+    (("scan", "--max", "1500x1500"), "--max 1500x1500: each side must be at most "
+     f"SCAN_ELEMENT_BUDGET = {SCAN_ELEMENT_BUDGET}"),
+    (("scan", "--max", "13x1"), "SCAN_ELEMENT_BUDGET"),
+    (("scan", "--max", f"1x{SCAN_ELEMENT_BUDGET + 1}", "--backend", "garbage"),
+     "SCAN_ELEMENT_BUDGET"),  # refused before the backend is built
 ])
 def test_bad_values_exit_2_naming_the_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
