@@ -140,9 +140,7 @@ class MatrixRing(AlgebraBackend):
 
     Inversion is partial (singular matrices model the degenerate labels
     where the skew-field maps are undefined).  The constant C is a scalar
-    matrix, hence central by construction.  ``one()`` and C are built once
-    and tagged as scalars, so a product with either is at most an entrywise
-    scaling (see ``matrices``).
+    matrix, hence central by construction.  ``one()`` and C are built once.
     """
 
     def __init__(self, d, const_c=Fraction(2)):

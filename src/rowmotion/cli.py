@@ -73,7 +73,8 @@ def build_parser():
                          f"{' and '.join(harness.DEFAULT_VERIFY_POSETS)})")
     sp.add_argument("--backend", help="override the theorem's default backends")
     sp.add_argument("--const-c", dest="const_c", help="central constant C as p/q")
-    sp.add_argument("--points", type=int, default=harness.DEFAULT_POINTS)
+    sp.add_argument("--points", type=int, default=harness.DEFAULT_POINTS,
+                    help=f"sample points per check, at most {harness.MAX_SAMPLES}")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
     sp.add_argument("--out")
@@ -85,7 +86,8 @@ def build_parser():
                     help=f"scan up to AxB, each side at most {harness.SCAN_ELEMENT_BUDGET}")
     sp.add_argument("--backend", default="matrix:2")
     sp.add_argument("--map", dest="map_id", choices=["bor", "bar"], default="bor")
-    sp.add_argument("--seeds", type=int, default=3, help="number of seeds per poset")
+    sp.add_argument("--seeds", type=int, default=3,
+                    help=f"number of seeds per poset, at most {harness.MAX_SAMPLES}")
     sp.add_argument("--seed", type=int, default=None, help="base seed")
     sp.add_argument("--max-iter", type=int, default=harness.DEFAULT_MAX_ITER)
     sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
@@ -277,7 +279,7 @@ def cmd_verify(args):
     if args.all and args.theorem:
         raise ValueError("--theorem has no effect with --all")
     theorems = list(dict.fromkeys(args.theorem)) or sorted(THEOREMS)  # repeats run once
-    points = _at_least_one("--points", args.points)
+    points = _at_least_one("--points", args.points, harness.MAX_SAMPLES)
     poset_specs = list(dict.fromkeys(args.poset)) or list(harness.DEFAULT_VERIFY_POSETS)
     seed = args.seed if args.seed is not None else _default_seed()
     for tid in theorems:
@@ -314,7 +316,7 @@ def cmd_scan(args):
         raise ValueError(f"--max {args.max_ab}: each side must be at most "
                          f"SCAN_ELEMENT_BUDGET = {harness.SCAN_ELEMENT_BUDGET}")
     base = args.seed if args.seed is not None else _default_seed()
-    seeds = [base + i for i in range(_at_least_one("--seeds", args.seeds))]
+    seeds = [base + i for i in range(_at_least_one("--seeds", args.seeds, harness.MAX_SAMPLES))]
     rows = harness.scan_conjecture(a_max, b_max, args.backend, seeds=seeds, map_id=args.map_id,
                                    max_iter=_at_least_one("--max-iter", args.max_iter,
                                                           harness.MAX_ITER_LIMIT))

@@ -27,6 +27,7 @@ DEFAULT_MAX_ITER = 64
 MAX_ITER_LIMIT = 4096  # 4096 tropical or PL steps on a 10-element poset take about 1 s
 ORBIT_WORK_BUDGET = 100_000  # steps x (elements + covers); a tropical orbit at it takes about 1 s
 SCAN_ELEMENT_BUDGET = 12
+MAX_SAMPLES = 1000  # verify --points and scan --seeds; verify --all at it takes about 75 s
 DEFAULT_VERIFY_POSETS = ("chain 2x3", "rootA 3")
 MODEL_NOTE = "generic-matrix evaluation (randomized identity testing, not symbolic)"
 
@@ -408,7 +409,11 @@ def labeling_orbit_report(poset, backend, map_id, seed, poset_name=None,
 
 def scan_conjecture(a_max, b_max, backend_spec, seeds=(0, 1, 2), map_id="bor",
                     max_iter=DEFAULT_MAX_ITER):
-    """Observed rowmotion orders on chain products, reported not asserted."""
+    """Observed rowmotion orders on chain products, reported not asserted.
+
+    Chain AxB is chain BxA, so each pair runs once as a <= b, up to the sorted bounds.
+    """
+    a_max, b_max = sorted((a_max, b_max))
     backend = parse_backend(backend_spec)
     rows = []
     for a in range(1, a_max + 1):

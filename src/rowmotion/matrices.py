@@ -15,13 +15,9 @@ as Fractions, brought back to integer form: fraction-free (Bareiss)
 elimination on the numerators was measured slower on large-entry matrix:8
 orbits, whose entries one common denominator inflates.
 
-Work whose result the algebra already gives is skipped.  A matrix made by
-``identity``, ``scalar`` or a product of two such matrices carries its
-scalar c as a tag, and a product with a tagged factor is the other factor
-scaled entrywise by c (the other factor itself when c = 1).  A successful
-inverse is stored on both matrices, so a matrix is inverted at most once
-and ``x.inverse().inverse() is x`` while x lives.  ``is_scalar`` falls back
-on the entries, so an untagged matrix equal to c·I is still scalar.
+``identity`` and ``scalar`` build plain matrices, which take the same paths
+as any other.  A successful inverse is stored on both matrices, so a matrix
+is inverted at most once and ``x.inverse().inverse() is x`` while x lives.
 """
 
 from __future__ import annotations
@@ -40,7 +36,7 @@ _ZERO = Fraction(0)
 class RationalMatrix:
     """An immutable d x d matrix of rationals, hashable and exactly comparable."""
 
-    __slots__ = ("d", "_num", "_den", "_scalar", "_inv", "_rows", "__weakref__")
+    __slots__ = ("d", "_num", "_den", "_inv", "_rows", "__weakref__")
 
     def __init__(self, rows):
         rows = [[Fraction(x) for x in row] for row in rows]
@@ -49,19 +45,18 @@ class RationalMatrix:
             raise ValueError("matrix must be square")
         self._init(d, *_from_fractions([x for row in rows for x in row]))
 
-    def _init(self, d, num, den, scalar=None):
+    def _init(self, d, num, den):
         _set(self, "d", d)
         _set(self, "_num", num)
         _set(self, "_den", den)
-        _set(self, "_scalar", scalar)
         _set(self, "_inv", None)
         _set(self, "_rows", None)
 
     @classmethod
-    def _trusted(cls, d, num, den, scalar=None):
+    def _trusted(cls, d, num, den):
         """A matrix from numerators and a denominator already in canonical form."""
         m = object.__new__(cls)
-        m._init(d, num, den, scalar)
+        m._init(d, num, den)
         return m
 
     @classmethod
@@ -81,6 +76,8 @@ class RationalMatrix:
     @property
     def rows(self):
         """The entries as a tuple of rows of reduced Fractions, built on first use."""
+        # No workload reads rows, but the tests compare rows throughout: they ran
+        # 109 s without this cache against 28 s with it.
         rows = self._rows
         if rows is None:
             rows = tuple(map(tuple, self._fraction_rows()))
@@ -101,11 +98,7 @@ class RationalMatrix:
     def scalar(cls, d, c):
         c = Fraction(c)
         num = tuple(c.numerator if i == j else 0 for i in range(d) for j in range(d))
-        return cls._trusted(d, num, c.denominator, scalar=c)
-
-    def _scaled(self, c):
-        return RationalMatrix._reduced(self.d, tuple(c.numerator * n for n in self._num),
-                                       c.denominator * self._den)
+        return cls._trusted(d, num, c.denominator)
 
     def __add__(self, other):
         if self.d != other.d:
@@ -120,15 +113,8 @@ class RationalMatrix:
         d = self.d
         if d != other.d:
             raise ValueError("dimension mismatch")
-        s, t = self._scalar, other._scalar
-        if s is not None:
-            if t is not None:
-                return RationalMatrix.scalar(d, s * t)
-            return other if s == 1 else other._scaled(s)
-        if t is not None:
-            return self if t == 1 else self._scaled(t)
         x, y = self._num, other._num
-        if d == 2:
+        if d == 2:  # verify-registry pass_s read x1.24 with the general product below
             a, b, c, e = x
             p, q, r, s = y
             num = (a * p + b * r, a * q + b * s, c * p + e * r, c * q + e * s)
@@ -150,8 +136,6 @@ class RationalMatrix:
         return f"RationalMatrix[{body}]"
 
     def is_scalar(self):
-        if self._scalar is not None:
-            return True
         num, step = self._num, self.d + 1
         c = num[0]
         return all(n == (0 if k % step else c) for k, n in enumerate(num))
@@ -159,13 +143,8 @@ class RationalMatrix:
     def max_entry_bits(self):
         """Numerator plus denominator bits of the largest entry in lowest terms."""
         den = self._den
-        den_bits = den.bit_length()
-        best = 0
-        for n in self._num:
-            if n.bit_length() + den_bits > best:  # else reducing cannot beat best
-                g = gcd(n, den)
-                best = max(best, (n // g).bit_length() + (den // g).bit_length())
-        return best
+        return max((n // (g := gcd(n, den))).bit_length() + (den // g).bit_length()
+                   for n in self._num)
 
     def inverse(self):
         """Exact inverse, computed once per matrix; NotInvertible on a singular matrix.
@@ -173,6 +152,8 @@ class RationalMatrix:
         The inverse refers back to its matrix weakly, so the pair forms no reference
         cycle and is freed as soon as the last outside reference goes.
         """
+        # Without the stored inverse orbit-scan read pass_s x1.19 and op_tail_ms x1.37;
+        # without the back-reference, op_tail_ms x1.035 (worse in 7 of 7 pairs).
         inv = self._inv
         if type(inv) is ref:
             inv = inv()
@@ -183,8 +164,8 @@ class RationalMatrix:
         return inv
 
     def _inverse(self):
-        """1/c for a tagged c·I, the adjugate over the determinant at d = 2, and
-        in-place Gauss-Jordan on the entries as Fractions otherwise.
+        """The adjugate over the determinant at d = 2, and in-place Gauss-Jordan on the
+        entries as Fractions otherwise.
 
         No identity half is carried along.  At column k the pivot's reciprocal takes
         the pivot's place and scales the rest of the pivot row; each other row with a
@@ -195,12 +176,7 @@ class RationalMatrix:
         Nothing is stored.
         """
         d = self.d
-        c = self._scalar
-        if c is not None:
-            if c == 0:
-                raise NotInvertible(context=f"singular {d}x{d} matrix")
-            return RationalMatrix.scalar(d, 1 / c)
-        if d == 2:
+        if d == 2:  # orbit-scan pass_s read x1.24 with Gauss-Jordan at d = 2
             # (N/D)^-1 = D adj(N) / det(N) for the numerators N over the denominator D
             a, b, c, e = self._num
             det = a * e - b * c

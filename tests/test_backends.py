@@ -53,7 +53,7 @@ def test_matrix_not_commutative():
 
 
 def _ref_product(x, y):
-    """Reference product from the entries alone: no tags, no shortcuts."""
+    """Reference product from the entries alone: no shortcuts."""
     d = len(x.rows)
     return tuple(tuple(sum((x.rows[i][k] * y.rows[k][j] for k in range(d)), F(0))
                        for j in range(d)) for i in range(d))
@@ -82,7 +82,7 @@ def _ref_inverse(x):
 
 
 def _shortcut_cases(d):
-    """Seeded generic, sparse and singular matrices, and scalars tagged or built from rows."""
+    """Seeded generic, sparse and singular matrices, and scalars built every way and from rows."""
     rng = random.Random(f"shortcuts:{d}")
     generic = [MatrixRing(d).sample_generic(rng.randrange(10**9)) for _ in range(4)]
     sparse = [RationalMatrix([[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(d)]
@@ -90,11 +90,11 @@ def _shortcut_cases(d):
     singular = [RationalMatrix([[F(0)] * d] + [[F(rng.randint(1, 9)) for _ in range(d)]
                                                for _ in range(d - 1)]),
                 RationalMatrix([[F(i + 1) * F(j + 2, 3) for j in range(d)] for i in range(d)])]
-    tagged = [RationalMatrix.identity(d), MatrixRing(d).one(), MatrixRing(d).constant_c(),
-              RationalMatrix.scalar(d, F(3, 7)), RationalMatrix.scalar(d, -1),
-              RationalMatrix.scalar(d, 0), MatrixRing(d).central_from_rational(F(-5, 2))]
-    from_rows = [RationalMatrix(m.rows) for m in tagged]
-    return generic + sparse + singular + tagged + from_rows
+    scalars = [RationalMatrix.identity(d), MatrixRing(d).one(), MatrixRing(d).constant_c(),
+               RationalMatrix.scalar(d, F(3, 7)), RationalMatrix.scalar(d, -1),
+               RationalMatrix.scalar(d, 0), MatrixRing(d).central_from_rational(F(-5, 2))]
+    from_rows = [RationalMatrix(m.rows) for m in scalars]
+    return generic + sparse + singular + scalars + from_rows
 
 
 def _swap_cases(d):
@@ -208,17 +208,29 @@ def test_matrix_and_its_stored_inverse_form_no_reference_cycle():
         gc.enable()
 
 
-def test_matrix_tags_leave_equality_and_centrality_value_based():
+def test_scalar_matrices_built_every_way_are_one_central_value():
     for d in (1, 2, 3):
-        for c in (F(1), F(2), F(-4, 9)):
-            tagged = RationalMatrix.scalar(d, c)
-            plain = RationalMatrix(tagged.rows)
-            assert tagged == plain and hash(tagged) == hash(plain)
-            assert plain.is_scalar() and MatrixRing(d).is_central(plain)
-            assert (tagged @ tagged).is_scalar() and (tagged @ tagged) == plain @ plain
+        ring = MatrixRing(d, const_c=F(-4, 9))
+        x = ring.sample_generic(d)
+        for c in (F(1), F(2), F(-4, 9), F(0)):
+            ways = [RationalMatrix.scalar(d, c), ring.central_from_rational(c),
+                    RationalMatrix([[c * (i == j) for j in range(d)] for i in range(d)])]
+            if c == 1:
+                ways += [RationalMatrix.identity(d), ring.one()]
+            if c == F(-4, 9):
+                ways.append(ring.constant_c())
+            ways += [RationalMatrix(m.rows) for m in ways]
+            first = ways[0]
+            for m in ways:
+                assert m == first and hash(m) == hash(first)
+                assert m.is_scalar() and ring.is_central(m)
+                for y in (x, first, m):
+                    assert (m @ y).rows == _ref_product(m, y)
+                    assert (y @ m).rows == _ref_product(y, m)
+                assert (m @ m).is_scalar()
     b = MatrixRing(2)
     x = b.sample_generic(5)
-    assert b.one() is b.one() and b.mul(b.one(), x) is x and b.mul(x, b.one()) is x
+    assert b.one() is b.one() and b.mul(b.one(), x) == x and b.mul(x, b.one()) == x
     assert b.mul(b.constant_c(), x) == b.mul(x, b.constant_c()) == x + x
 
 
@@ -243,7 +255,7 @@ def test_matrix_built_every_way_has_one_canonical_form(d, flip):
     unreduced = RationalMatrix([[f"{6 * v.numerator}/{6 * v.denominator}" for v in row]
                                 for row in rows])
     negative = RationalMatrix([[F(-v.numerator, -v.denominator) for v in row] for row in rows])
-    # untagged factors and terms whose integer results share a factor to cancel
+    # factors and terms whose integer results share a factor to cancel
     third = RationalMatrix([[F(int(i == j), 3) for j in range(d)] for i in range(d)])
     product = RationalMatrix([[3 * v for v in row] for row in rows]) @ third
     sum_ = (RationalMatrix([[v - F(5, 6) for v in row] for row in rows])

@@ -13,7 +13,7 @@ import pytest
 from rowmotion import cli as cli_module
 from rowmotion.cli import main
 from rowmotion.errors import NotInvertible
-from rowmotion.harness import (DEFAULT_MAX_ITER, MAX_ITER_LIMIT, ORBIT_WORK_BUDGET,
+from rowmotion.harness import (DEFAULT_MAX_ITER, MAX_ITER_LIMIT, MAX_SAMPLES, ORBIT_WORK_BUDGET,
                                SCAN_ELEMENT_BUDGET, THEOREMS, TheoremCheck, build_poset)
 from rowmotion.poset import MAX_ELEMENTS
 
@@ -260,6 +260,24 @@ def test_verify_builds_each_poset_once_before_any_check_runs(capsys, monkeypatch
     assert code == 0 and built == ["chain 2x2"]
 
 
+def test_verify_verbose_names_each_check_in_plan_order_and_keeps_the_report(capsys, tmp_path):
+    theorems, posets = ("reciprocity", "involution"), ("chain 1x2", "chain 2x2")
+    argv = ["verify", "--points", "2", "--seed", "1", "--format", "json"]
+    for tid in theorems:
+        argv += ["--theorem", tid]
+    for ps in posets:
+        argv += ["--poset", ps]
+    quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+    code, out, err = run(capsys, *argv, "--out", str(quiet))
+    assert code == 0 and not out and not err
+    code, out, err = run(capsys, *argv, "-v", "--out", str(loud))
+    assert code == 0 and not out
+    assert err.splitlines() == [
+        f"checking {tid} on {ps} over {bs}: {THEOREMS[tid].description}"
+        for tid in theorems for ps in posets for bs in THEOREMS[tid].default_backends]
+    assert loud.read_bytes() == quiet.read_bytes()
+
+
 def test_verify_repeated_theorem_and_poset_run_once(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "reciprocity", "--poset", "chain 1x2",
                        "--theorem", "reciprocity", "--poset", "chain 1x2", "--points", "2",
@@ -288,6 +306,21 @@ def test_scan_text_and_csv(capsys, tmp_path):
                      "--seeds", "1", "--format", "csv", "--out", str(path))
     assert code == 0
     assert path.read_text().splitlines()[0] == "a,b,backend,observed,expected,status"
+
+
+@pytest.mark.parametrize("max_ab,transposed", [("3x2", "2x3"), ("5x1", "1x5")])
+def test_scan_max_is_the_same_table_either_way_round(capsys, max_ab, transposed):
+    def table(spec):
+        code, out, _ = run(capsys, "scan", "--max", spec, "--backend", "rational",
+                           "--seeds", "1", "--seed", "0", "--format", "json")
+        assert code == 0
+        return out
+    out = table(max_ab)
+    assert out == table(transposed)
+    rows = json.loads(out)
+    a_max, b_max = sorted(map(int, max_ab.split("x")))
+    assert [(r["a"], r["b"]) for r in rows] == [
+        (a, b) for a in range(1, a_max + 1) for b in range(a, b_max + 1)]
 
 
 def test_homomesy_table(capsys):
@@ -416,6 +449,13 @@ def test_output_deterministic_across_runs(capsys):
     (("scan", "--max", "13x1"), "SCAN_ELEMENT_BUDGET"),
     (("scan", "--max", f"1x{SCAN_ELEMENT_BUDGET + 1}", "--backend", "garbage"),
      "SCAN_ELEMENT_BUDGET"),  # refused before the backend is built
+    (("verify", "--theorem", "involution", "--points", str(MAX_SAMPLES + 1)),
+     f"--points must be at most {MAX_SAMPLES}"),
+    (("verify", "--all", "--poset", "chain 9x", "--backend", "garbage", "--points", "100000"),
+     f"--points must be at most {MAX_SAMPLES}"),  # refused before the poset or backend is built
+    (("scan", "--seeds", str(MAX_SAMPLES + 1)), f"--seeds must be at most {MAX_SAMPLES}"),
+    (("scan", "--backend", "garbage", "--seeds", "100000"),
+     f"--seeds must be at most {MAX_SAMPLES}"),  # refused before the backend is built
 ])
 def test_bad_values_exit_2_naming_the_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
