@@ -124,9 +124,9 @@ class RationalField(AlgebraBackend):
         return Fraction(1)
 
     def invert(self, x):
-        if x == 0:
+        if not x:
             raise NotInvertible(context="rational zero")
-        return 1 / x
+        return Fraction(x.denominator, x.numerator)  # the constructor moves the sign up
 
     def constant_c(self):
         return self._c

@@ -15,6 +15,17 @@ as Fractions, brought back to integer form: fraction-free (Bareiss)
 elimination on the numerators was measured slower on large-entry matrix:8
 orbits, whose entries one common denominator inflates.
 
+Every matrix is made by ``_trusted`` (``_reduced`` divides out the gcd first).
+It fills the slots of an unguarded base class with plain attribute stores and
+then switches the object's class to ``RationalMatrix``, whose ``__setattr__``
+and ``__delattr__`` refuse every change.  Five ``object.__setattr__`` calls
+took about 1.1 us per matrix and five slot-descriptor ``__set__`` calls
+0.5 us; the stores and the switch take 0.2 us.  The d = 2 product reduces its
+own result: its denominator is a product of positive ones, so the gcd needs
+no sign step.  Fresh per-op times against five ``object.__setattr__`` calls
+and no d = 2 reduction in place (CPython 3.11, a 2-vCPU host): d = 2 product
+2.7 -> 1.2 us, sum 3.0 -> 2.0 us, d = 2 inverse 3.0 -> 2.0 us.
+
 ``identity`` and ``scalar`` build plain matrices, which take the same paths
 as any other.  A successful inverse is stored on both matrices, so a matrix
 is inverted at most once and ``x.inverse().inverse() is x`` while x lives.
@@ -33,44 +44,28 @@ _set = object.__setattr__
 _ZERO = Fraction(0)
 
 
-class RationalMatrix:
-    """An immutable d x d matrix of rationals, hashable and exactly comparable."""
+class _Unsealed:
+    """A matrix's slots without its guard, for ``_trusted`` to fill by plain stores."""
 
     __slots__ = ("d", "_num", "_den", "_inv", "_rows", "__weakref__")
 
-    def __init__(self, rows):
+
+class RationalMatrix(_Unsealed):
+    """An immutable d x d matrix of rationals, hashable and exactly comparable."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows):
         rows = [[Fraction(x) for x in row] for row in rows]
         d = len(rows)
         if any(len(row) != d for row in rows):
             raise ValueError("matrix must be square")
-        self._init(d, *_from_fractions([x for row in rows for x in row]))
-
-    def _init(self, d, num, den):
-        _set(self, "d", d)
-        _set(self, "_num", num)
-        _set(self, "_den", den)
-        _set(self, "_inv", None)
-        _set(self, "_rows", None)
-
-    @classmethod
-    def _trusted(cls, d, num, den):
-        """A matrix from numerators and a denominator already in canonical form."""
-        m = object.__new__(cls)
-        m._init(d, num, den)
-        return m
-
-    @classmethod
-    def _reduced(cls, d, num, den):
-        """A matrix from a tuple of integer numerators over a nonzero integer denominator."""
-        g = gcd(den, *num)
-        if den < 0:
-            g = -g
-        if g != 1:
-            num = tuple(n // g for n in num)
-            den //= g
-        return cls._trusted(d, num, den)
+        return _trusted(d, *_from_fractions([x for row in rows for x in row]))
 
     def __setattr__(self, name, value):
+        raise AttributeError("RationalMatrix is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("RationalMatrix is immutable")
 
     @property
@@ -98,7 +93,7 @@ class RationalMatrix:
     def scalar(cls, d, c):
         c = Fraction(c)
         num = tuple(c.numerator if i == j else 0 for i in range(d) for j in range(d))
-        return cls._trusted(d, num, c.denominator)
+        return _trusted(d, num, c.denominator)
 
     def __add__(self, other):
         if self.d != other.d:
@@ -106,23 +101,27 @@ class RationalMatrix:
         p, q = self._den, other._den
         g = gcd(p, q)
         s, t = q // g, p // g
-        num = tuple(a * s + b * t for a, b in zip(self._num, other._num))
-        return RationalMatrix._reduced(self.d, num, p * s)
+        num = tuple([a * s + b * t for a, b in zip(self._num, other._num)])
+        return _reduced(self.d, num, p * s)
 
     def __matmul__(self, other):
         d = self.d
         if d != other.d:
             raise ValueError("dimension mismatch")
         x, y = self._num, other._num
+        den = self._den * other._den
         if d == 2:  # verify-registry pass_s read x1.24 with the general product below
             a, b, c, e = x
             p, q, r, s = y
-            num = (a * p + b * r, a * q + b * s, c * p + e * r, c * q + e * s)
-        else:
-            cols = [y[j::d] for j in range(d)]
-            num = tuple(sum(map(mul, x[i:i + d], col))
-                        for i in range(0, d * d, d) for col in cols)
-        return RationalMatrix._reduced(d, num, self._den * other._den)
+            t, u, v, w = a * p + b * r, a * q + b * s, c * p + e * r, c * q + e * s
+            g = gcd(den, t, u, v, w)  # positive, as den is: no sign step
+            if g == 1:
+                return _trusted(2, (t, u, v, w), den)
+            return _trusted(2, (t // g, u // g, v // g, w // g), den // g)
+        cols = [y[j::d] for j in range(d)]
+        num = tuple([sum(map(mul, x[i:i + d], col))
+                     for i in range(0, d * d, d) for col in cols])
+        return _reduced(d, num, den)
 
     def __eq__(self, other):
         return (isinstance(other, RationalMatrix) and self._den == other._den
@@ -183,7 +182,7 @@ class RationalMatrix:
             if not det:
                 raise NotInvertible(context="singular 2x2 matrix")
             den = self._den
-            return RationalMatrix._reduced(2, (e * den, -b * den, -c * den, a * den), det)
+            return _reduced(2, (e * den, -b * den, -c * den, a * den), det)
         a = self._fraction_rows()
         swaps = []
         for k in range(d):
@@ -209,7 +208,7 @@ class RationalMatrix:
         for k, pivot in reversed(swaps):
             for row in a:
                 row[k], row[pivot] = row[pivot], row[k]
-        return RationalMatrix._trusted(d, *_from_fractions([x for row in a for x in row]))
+        return _trusted(d, *_from_fractions([x for row in a for x in row]))
 
 
 def _from_fractions(entries):
@@ -221,3 +220,31 @@ def _from_fractions(entries):
     """
     den = lcm(*(x.denominator for x in entries))
     return tuple(x.numerator * (den // x.denominator) for x in entries), den
+
+
+def _trusted(d, num, den):
+    """A matrix from numerators and a denominator already in canonical form.
+
+    The one place a matrix is made.  Its slots are filled while it is still an
+    ``_Unsealed``, by plain stores that the guard would refuse; switching its class
+    then seals it.  RationalMatrix adds no slot, so the layout stays as it is.
+    """
+    m = _Unsealed()
+    m.d = d
+    m._num = num
+    m._den = den
+    m._inv = None
+    m._rows = None
+    m.__class__ = RationalMatrix
+    return m
+
+
+def _reduced(d, num, den):
+    """A matrix from a tuple of integer numerators over a nonzero integer denominator."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = tuple([n // g for n in num])
+        den //= g
+    return _trusted(d, num, den)

@@ -271,6 +271,28 @@ def test_matrix_built_every_way_has_one_canonical_form(d, flip):
     assert zero._den == 1 and zero == RationalMatrix.scalar(d, 0) and _is_canonical(zero)
 
 
+def _matrices_from_every_source():
+    """A matrix from each place one is made: the constructor, both products, a sum,
+    an inverse, identity and a ring's one."""
+    x = RationalMatrix([[1, F(2, 3)], [-3, 4]])
+    y = MatrixRing(3).sample_generic(1)
+    return {"constructor": x, "d2 product": x @ x, "d3 product": y @ y, "sum": x + x,
+            "inverse": x.inverse(), "identity": RationalMatrix.identity(2),
+            "ring one": MatrixRing(3).one()}
+
+
+@pytest.mark.parametrize("name", ["d", "_num", "_den", "__class__", "fresh_name"])
+def test_matrices_from_every_source_are_immutable(name):
+    for source, m in _matrices_from_every_source().items():
+        before = (m.d, m._num, m._den)
+        with pytest.raises(AttributeError):
+            setattr(m, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+        assert type(m) is RationalMatrix, source
+        assert (m.d, m._num, m._den) == before and _is_canonical(m), source
+
+
 def _oracle_label_bits(m):
     return max(v.numerator.bit_length() + v.denominator.bit_length()
                for row in m.rows for v in row)
@@ -425,6 +447,26 @@ def test_rational_samples_fully_reduced_nonzero(monkeypatch):
         assert q != 0
         from math import gcd
         assert gcd(q.numerator, q.denominator) == 1
+
+
+def test_rational_invert_matches_division_in_lowest_terms():
+    rng = random.Random("rational-invert")
+    b = RationalField()
+    values = [1, -1, 7, -12, F(1), F(-5), F(-3, 4), F(9, 2)]
+    for bits in (8, 300):
+        for _ in range(100):
+            num = rng.getrandbits(bits) + 1
+            values += [F(num, rng.getrandbits(bits) + 1), F(-num, rng.getrandbits(bits) + 1),
+                       F(num), F(-num), num, -num]
+    for x in values:
+        inv = b.invert(x)
+        assert inv == 1 / F(x) and type(inv) is F, x  # a plain int gets a Fraction too
+        assert inv.denominator > 0 and gcd(inv.numerator, inv.denominator) == 1, x
+        assert b.mul(x, inv) == 1
+    for zero in (0, F(0), F(0, 5)):
+        with pytest.raises(NotInvertible) as err:
+            b.invert(zero)
+        assert err.value.context == "rational zero"
 
 
 def test_parse_backend():

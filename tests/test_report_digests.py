@@ -71,6 +71,10 @@ SCAN_DIGESTS = {
 
 POSET_DIGEST = "890d068560d9147894d3e5bafc25dfd796022a699e64a987ff01df1272e3fe64"
 
+# The whole registry on matrix:3, taken while each matrix was still built by five
+# object.__setattr__ calls.
+VERIFY_ALL_MATRIX3_DIGEST = "88b2f034b0d9375f2bbd7a59b2cdb7495821e2cfd513c6ce1bb019eb8457084d"
+
 
 def unseeded_report_digest(tmp_path, *argv):
     out = tmp_path / "report.json"
@@ -99,6 +103,12 @@ def test_pl_antichain_orbit_report_digest(tmp_path):
 def test_verify_report_digest(tmp_path, theorem):
     digest = report_digest(tmp_path, "verify", "--theorem", theorem, "--points", "5")
     assert digest == VERIFY_DIGESTS[theorem]
+
+
+def test_verify_all_matrix3_report_digest(tmp_path):
+    digest = report_digest(tmp_path, "verify", "--all", "--points", "5", "--backend", "matrix:3",
+                           "--poset", "chain 2x3")
+    assert digest == VERIFY_ALL_MATRIX3_DIGEST
 
 
 # Combinatorial orbits reject --seed and homomesy has no such flag: neither draws one.
