@@ -170,8 +170,8 @@ def cmd_poset(args):
 
 
 _PL_MAPS = {
-    "antichain": (polytopes.random_chain_polytope_point, polytopes.pl_antichain_rowmotion),
-    "order": (polytopes.random_order_polytope_point, polytopes.pl_order_rowmotion),
+    "antichain": (polytopes.random_chain_polytope_point, "antichain_rowmotion"),
+    "order": (polytopes.random_order_polytope_point, "order_rowmotion"),
 }
 
 
@@ -251,8 +251,8 @@ def cmd_orbit(args):
             raise ValueError("--map for the pl realm must be 'order' or 'antichain'")
         sample, rowmotion = _PL_MAPS[map_id]
         start = _parse_labeling(p, args.labeling) if args.labeling else sample(p, seed)
-        order = detect_order(lambda f: rowmotion(p, f), start, lambda a, b: a == b,
-                             max_iter=max_iter)
+        order = detect_order(lambda f: polytopes.pl_apply(p, rowmotion, f), start,
+                             lambda a, b: a == b, max_iter=max_iter)
         report = {"map": f"pl-{map_id}", "poset": args.poset, "seed": seed,
                   "order": order if order is not None else "exceeded"}
         if args.labeling:  # a given labeling draws no seed

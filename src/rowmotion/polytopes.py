@@ -1,20 +1,22 @@
 """Piecewise-linear toggles and transfer maps on exact-rational labelings.
 
 Labelings are tuples of :class:`fractions.Fraction`, one value per poset
-element.  Maps are only applied inside their defining polytopes; a
-labeling outside the domain raises :class:`DomainViolation` rather than
-being clamped.  Inside the domain every map is the tropicalization of the
-birational one: the generic :class:`Dynamics` over the max-plus semiring
-with C = 1.
+element.  Every map is the tropicalization of the birational one: the
+generic :class:`Dynamics` over the max-plus semiring with C = 1.  One
+applier, :func:`pl_apply`, runs each of them, by map name or as a toggle
+word, after one check against the polytope that the domain table names for
+the step; a labeling outside it raises :class:`DomainViolation` rather than
+being clamped.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
 from .backends import TropicalSemiring, unit_interval_fraction
-from .dynamics import Dynamics
+from .dynamics import Atom, Dynamics
 from .errors import DomainViolation
 
 ZERO = Fraction(0)
@@ -34,15 +36,10 @@ def indicator(p, members):
     return tuple(ONE if v in members else ZERO for v in range(p.n))
 
 
-def _tropical(p, method, f, *args):
-    """Apply one Dynamics map over the max-plus semiring to a tuple labeling."""
-    dyn = Dynamics(p, _TROPICAL)
-    return method(dyn, *args, dyn.labeling(f))
-
-
 def _max_chain_sum(p, f):
     """The largest maximal-chain sum: one max-plus inverse down transfer."""
-    best = _tropical(p, Dynamics.inv_down_transfer, f)
+    dyn = Dynamics(p, _TROPICAL)
+    best = dyn.inv_down_transfer(dyn.labeling(f))
     return max((best[m] for m in p.maximal_elements()), default=ZERO)
 
 
@@ -72,76 +69,68 @@ def in_chain_polytope(p, f):
     return _max_chain_sum(p, f) <= ONE
 
 
-def _require(p, f, predicate, name):
-    if not predicate(p, f):
-        raise DomainViolation(f"labeling is outside the {name}")
+# -- the applier ---------------------------------------------------------------
+
+_ORDER, _REVERSING, _CHAIN = "order polytope", "order-reversing polytope", "chain polytope"
+
+# The polytope each Dynamics map and each toggle-atom kind reads (None: any labeling).
+_DOMAIN = {
+    "T": _ORDER, "E": _ORDER, "rank_T": _ORDER,
+    "down_transfer": _ORDER, "order_rowmotion": _ORDER,
+    "up_transfer": _REVERSING,
+    "tau": _CHAIN, "eps": _CHAIN, "rank_tau": _CHAIN,
+    "inv_down_transfer": _CHAIN, "inv_up_transfer": _CHAIN, "antichain_rowmotion": _CHAIN,
+    "theta": None,
+}
 
 
-# -- toggles -----------------------------------------------------------------
+def pl_apply(p, step, f):
+    """Apply ``step`` to f over the max-plus semiring with C = 1.
+
+    ``step`` is a Dynamics map name from the domain table or a toggle word, a
+    tuple of Atoms.  f is checked once against the polytope the step reads:
+    each toggle maps its polytope to itself, so the check covers a whole word,
+    and a word mixing order and antichain atoms has no domain.  A rowmotion
+    name runs the one-sweep Dynamics method; the word of its single antichain
+    toggles would rerun both inverse transfer recurrences once per element.
+    """
+    dyn = Dynamics(p, _TROPICAL)
+    if isinstance(step, str):
+        if step not in _DOMAIN or not hasattr(dyn, step):
+            raise ValueError(f"unknown PL map {step!r}")
+        domains, run = {_DOMAIN[step]}, getattr(dyn, step)
+    else:
+        word = tuple(step)
+        domains, run = {_DOMAIN.get(kind) for kind, _ in word}, partial(dyn.apply_word, word)
+    domains.discard(None)
+    if len(domains) > 1:
+        raise ValueError("a PL toggle word cannot mix order and antichain atoms")
+    # Looked up per call, so a wrapper installed on a membership test sees the call.
+    member = {_ORDER: in_order_polytope, _REVERSING: in_order_reversing,
+              _CHAIN: in_chain_polytope}
+    for polytope in domains:
+        if not member[polytope](p, f):
+            raise DomainViolation(f"labeling is outside the {polytope}")
+    return run(dyn.labeling(f))
+
+
+# Named entries over pl_apply, looked up by name by perfbench's workloads and spans.
 
 
 def pl_order_toggle(p, v, f):
-    """Reflect f(v) inside the interval allowed by its neighbours.
-
-    Boundary values 0 below the minimal elements and 1 above the maximal
-    elements.  An involution on the order polytope.
-    """
-    _require(p, f, in_order_polytope, "order polytope")
-    return _tropical(p, Dynamics.order_toggle, f, v)
+    return pl_apply(p, (Atom("T", v),), f)
 
 
 def pl_antichain_toggle(p, v, g):
-    """Chain polytope toggle: 1 minus the best chain sum through v."""
-    _require(p, g, in_chain_polytope, "chain polytope")
-    return _tropical(p, Dynamics.antichain_toggle, g, v)
-
-
-# -- transfer maps -----------------------------------------------------------
-
-
-def pl_complement(p, f):
-    return _tropical(p, Dynamics.theta, f)
-
-
-def pl_down_transfer(p, f):
-    """f(x) minus the best lower-cover value; order polytope -> chain polytope."""
-    _require(p, f, in_order_polytope, "order polytope")
-    return _tropical(p, Dynamics.down_transfer, f)
-
-
-def pl_up_transfer(p, f):
-    """f(x) minus the best upper-cover value; order-reversing -> chain polytope."""
-    _require(p, f, in_order_reversing, "order-reversing polytope")
-    return _tropical(p, Dynamics.up_transfer, f)
-
-
-def pl_inv_down_transfer(p, f):
-    """Best chain sum from the bottom; chain polytope -> order polytope."""
-    _require(p, f, in_chain_polytope, "chain polytope")
-    return _tropical(p, Dynamics.inv_down_transfer, f)
-
-
-def pl_inv_up_transfer(p, f):
-    """Best chain sum towards the top; chain polytope -> order-reversing."""
-    _require(p, f, in_chain_polytope, "chain polytope")
-    return _tropical(p, Dynamics.inv_up_transfer, f)
-
-
-# -- rowmotion ---------------------------------------------------------------
-#
-# Each toggle maps its polytope to itself, so the domain is checked once.
+    return pl_apply(p, (Atom("tau", v),), g)
 
 
 def pl_order_rowmotion(p, f):
-    """Toggle product over a linear extension, applied top-down."""
-    _require(p, f, in_order_polytope, "order polytope")
-    return _tropical(p, Dynamics.order_rowmotion, f)
+    return pl_apply(p, "order_rowmotion", f)
 
 
 def pl_antichain_rowmotion(p, g):
-    """Toggle product over a linear extension, applied bottom-up."""
-    _require(p, g, in_chain_polytope, "chain polytope")
-    return _tropical(p, Dynamics.antichain_rowmotion, g)
+    return pl_apply(p, "antichain_rowmotion", g)
 
 
 # -- random points ------------------------------------------------------------

@@ -204,17 +204,17 @@ def test_criterion_9_tropical_bridge():
         for seed in range(100):
             f = pl.random_order_polytope_point(p, derive_seed("acc9op", seed))
             lab = dyn.labeling(f)
-            assert dyn.theta(lab) == pl.pl_complement(p, f)
-            assert dyn.down_transfer(lab) == pl.pl_down_transfer(p, f)
+            assert dyn.theta(lab) == pl.pl_apply(p, "theta", f)
+            assert dyn.down_transfer(lab) == pl.pl_apply(p, "down_transfer", f)
             assert dyn.order_rowmotion(lab) == pl.pl_order_rowmotion(p, f)
             for v in range(p.n):
                 assert dyn.order_toggle(v, lab) == pl.pl_order_toggle(p, v, f)
             h = pl.random_order_reversing_point(p, derive_seed("acc9or", seed))
-            assert dyn.up_transfer(dyn.labeling(h)) == pl.pl_up_transfer(p, h)
+            assert dyn.up_transfer(dyn.labeling(h)) == pl.pl_apply(p, "up_transfer", h)
             g = pl.random_chain_polytope_point(p, derive_seed("acc9cp", seed))
             glab = dyn.labeling(g)
-            assert dyn.inv_down_transfer(glab) == pl.pl_inv_down_transfer(p, g)
-            assert dyn.inv_up_transfer(glab) == pl.pl_inv_up_transfer(p, g)
+            assert dyn.inv_down_transfer(glab) == pl.pl_apply(p, "inv_down_transfer", g)
+            assert dyn.inv_up_transfer(glab) == pl.pl_apply(p, "inv_up_transfer", g)
             assert dyn.antichain_rowmotion(glab) == pl.pl_antichain_rowmotion(p, g)
             for v in range(p.n):
                 assert dyn.antichain_toggle(v, glab) == \
@@ -222,21 +222,21 @@ def test_criterion_9_tropical_bridge():
         # vertex restriction: PL maps agree with the set maps on indicators
         for s in comb.all_filters(p):
             f = pl.indicator(p, s.members)
-            assert pl.pl_complement(p, f) == pl.indicator(p, comb.complement(p, s).members)
-            assert pl.pl_down_transfer(p, f) == \
+            assert pl.pl_apply(p, "theta", f) == pl.indicator(p, comb.complement(p, s).members)
+            assert pl.pl_apply(p, "down_transfer", f) == \
                 pl.indicator(p, comb.down_transfer(p, s).members)
             for v in range(p.n):
                 assert pl.pl_order_toggle(p, v, f) == \
                     pl.indicator(p, comb.toggle_filter(p, v, s).members)
         for s in comb.all_ideals(p):
             f = pl.indicator(p, s.members)
-            assert pl.pl_up_transfer(p, f) == \
+            assert pl.pl_apply(p, "up_transfer", f) == \
                 pl.indicator(p, comb.up_transfer(p, s).members)
         for s in comb.all_antichains(p):
             g = pl.indicator(p, s.members)
-            assert pl.pl_inv_down_transfer(p, g) == \
+            assert pl.pl_apply(p, "inv_down_transfer", g) == \
                 pl.indicator(p, comb.inverse_down_transfer(p, s).members)
-            assert pl.pl_inv_up_transfer(p, g) == \
+            assert pl.pl_apply(p, "inv_up_transfer", g) == \
                 pl.indicator(p, comb.inverse_up_transfer(p, s).members)
             for v in range(p.n):
                 assert pl.pl_antichain_toggle(p, v, g) == \

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import weakref
 from fractions import Fraction
@@ -291,6 +293,21 @@ def test_matrices_from_every_source_are_immutable(name):
             delattr(m, name)
         assert type(m) is RationalMatrix, source
         assert (m.d, m._num, m._den) == before and _is_canonical(m), source
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_matrix_copies_and_pickles_are_equal_sealed_matrices(d):
+    rng = random.Random(f"copy:{d}")
+    m = RationalMatrix([[F(rng.randint(-9, 9), rng.randint(1, 9)) + (i == j)
+                         for j in range(d)] for i in range(d)])
+    inverted = RationalMatrix(m.rows)
+    inverted.inverse()  # one matrix whose inverse is stored
+    for x in (m, inverted, inverted.inverse()):
+        for dup in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(dup) is RationalMatrix and dup == x and hash(dup) == hash(x)
+            with pytest.raises(AttributeError):
+                dup._num = (0,) * (d * d)
+            assert dup.inverse() == x.inverse()
 
 
 def _oracle_label_bits(m):

@@ -187,6 +187,15 @@ def test_orbit_pl_with_labeling_reports_no_seed(capsys, monkeypatch):
     assert code == 0 and seeded == plain
 
 
+@pytest.mark.parametrize("map_id,labeling,polytope", [("antichain", '["1","1"]', "chain"),
+                                                       ("order", '["1","0"]', "order")])
+def test_orbit_pl_labeling_outside_its_polytope_exit_2(capsys, map_id, labeling, polytope):
+    code, out, err = run(capsys, "orbit", "--realm", "pl", "--poset", "chain 1x2",
+                         "--map", map_id, "--labeling", labeling)
+    assert code == 2 and not out
+    assert err == f"error: labeling is outside the {polytope} polytope\n"
+
+
 def test_orbit_pl_labels_past_the_bit_bound_exit_2(capsys, monkeypatch):
     # PL orbits run through the same label-size stop as the algebraic ones.
     monkeypatch.setattr("rowmotion.dynamics.MAX_LABEL_BITS", 3)

@@ -897,19 +897,19 @@ def test_tropical_operations_equal_pl_maps(p23):
     for seed in range(100):
         f = pl.random_order_polytope_point(p23, seed)
         lab = dyn.labeling(f)
-        assert dyn.theta(lab) == pl.pl_complement(p23, f)
-        assert dyn.down_transfer(lab) == pl.pl_down_transfer(p23, f)
+        assert dyn.theta(lab) == pl.pl_apply(p23, "theta", f)
+        assert dyn.down_transfer(lab) == pl.pl_apply(p23, "down_transfer", f)
         for v in range(p23.n):
             assert dyn.order_toggle(v, lab) == pl.pl_order_toggle(p23, v, f)
         assert dyn.order_rowmotion(lab) == pl.pl_order_rowmotion(p23, f)
 
         h = pl.random_order_reversing_point(p23, seed)
-        assert dyn.up_transfer(dyn.labeling(h)) == pl.pl_up_transfer(p23, h)
+        assert dyn.up_transfer(dyn.labeling(h)) == pl.pl_apply(p23, "up_transfer", h)
 
         g = pl.random_chain_polytope_point(p23, seed)
         glab = dyn.labeling(g)
-        assert dyn.inv_down_transfer(glab) == pl.pl_inv_down_transfer(p23, g)
-        assert dyn.inv_up_transfer(glab) == pl.pl_inv_up_transfer(p23, g)
+        assert dyn.inv_down_transfer(glab) == pl.pl_apply(p23, "inv_down_transfer", g)
+        assert dyn.inv_up_transfer(glab) == pl.pl_apply(p23, "inv_up_transfer", g)
         for v in range(p23.n):
             assert dyn.antichain_toggle(v, glab) == pl.pl_antichain_toggle(p23, v, g)
         assert dyn.antichain_rowmotion(glab) == pl.pl_antichain_rowmotion(p23, g)

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from rowmotion.backends import MatrixRing, RationalField, TropicalSemiring
-from rowmotion.dynamics import Dynamics
-from rowmotion.errors import DomainViolation
+from rowmotion.dynamics import Atom, Dynamics
+from rowmotion.errors import DomainViolation, NotGraded
 from rowmotion.poset import chain_product, random_graded_poset, random_poset, root_poset_a
 from rowmotion.polytopes import (
     in_chain_polytope,
@@ -14,13 +14,9 @@ from rowmotion.polytopes import (
     indicator,
     pl_antichain_rowmotion,
     pl_antichain_toggle,
-    pl_complement,
-    pl_down_transfer,
-    pl_inv_down_transfer,
-    pl_inv_up_transfer,
+    pl_apply,
     pl_order_rowmotion,
     pl_order_toggle,
-    pl_up_transfer,
     random_chain_polytope_point,
     random_order_polytope_point,
     random_order_reversing_point,
@@ -96,16 +92,16 @@ def test_pl_antichain_toggle_restricts_to_antichain_toggle(p23):
 def test_pl_transfers_restrict_to_combinatorial_maps(p23):
     for s in all_filters(p23):
         f = indicator(p23, s.members)
-        assert pl_complement(p23, f) == indicator(p23, complement(p23, s).members)
-        assert pl_down_transfer(p23, f) == indicator(p23, down_transfer(p23, s).members)
+        assert pl_apply(p23, "theta", f) == indicator(p23, complement(p23, s).members)
+        assert pl_apply(p23, "down_transfer", f) == indicator(p23, down_transfer(p23, s).members)
     for s in all_ideals(p23):
         f = indicator(p23, s.members)
-        assert pl_up_transfer(p23, f) == indicator(p23, up_transfer(p23, s).members)
+        assert pl_apply(p23, "up_transfer", f) == indicator(p23, up_transfer(p23, s).members)
     for s in all_antichains(p23):
         g = indicator(p23, s.members)
-        assert pl_inv_down_transfer(p23, g) == \
+        assert pl_apply(p23, "inv_down_transfer", g) == \
             indicator(p23, inverse_down_transfer(p23, s).members)
-        assert pl_inv_up_transfer(p23, g) == \
+        assert pl_apply(p23, "inv_up_transfer", g) == \
             indicator(p23, inverse_up_transfer(p23, s).members)
 
 
@@ -118,28 +114,28 @@ def test_comb_maps_are_pl_maps_at_vertices_of_random_posets():
             return indicator(p, s.members)
 
         def through_complement(pl_map, f):  # ideal indicators are 1 - filter indicators
-            return pl_complement(p, pl_map(pl_complement(p, f)))
+            return pl_apply(p, "theta", pl_map(pl_apply(p, "theta", f)))
 
         for s in all_filters(p):
             f = ind(s)
             assert pl_order_rowmotion(p, f) == ind(rowmotion_filter(p, s))
-            assert pl_complement(p, f) == ind(complement(p, s))
-            assert pl_down_transfer(p, f) == ind(down_transfer(p, s))
+            assert pl_apply(p, "theta", f) == ind(complement(p, s))
+            assert pl_apply(p, "down_transfer", f) == ind(down_transfer(p, s))
             for v in range(p.n):
                 assert pl_order_toggle(p, v, f) == ind(toggle_filter(p, v, s))
         for s in all_ideals(p):
             f = ind(s)
             assert through_complement(lambda h: pl_order_rowmotion(p, h), f) == \
                 ind(rowmotion_ideal(p, s))
-            assert pl_up_transfer(p, f) == ind(up_transfer(p, s))
+            assert pl_apply(p, "up_transfer", f) == ind(up_transfer(p, s))
             for v in range(p.n):
                 assert through_complement(lambda h: pl_order_toggle(p, v, h), f) == \
                     ind(toggle_ideal(p, v, s))
         for s in all_antichains(p):
             g = ind(s)
             assert pl_antichain_rowmotion(p, g) == ind(rowmotion_antichain(p, s))
-            assert pl_inv_down_transfer(p, g) == ind(inverse_down_transfer(p, s))
-            assert pl_inv_up_transfer(p, g) == ind(inverse_up_transfer(p, s))
+            assert pl_apply(p, "inv_down_transfer", g) == ind(inverse_down_transfer(p, s))
+            assert pl_apply(p, "inv_up_transfer", g) == ind(inverse_up_transfer(p, s))
             for v in range(p.n):
                 assert pl_antichain_toggle(p, v, g) == ind(toggle_antichain(p, v, s))
 
@@ -169,39 +165,94 @@ def test_pl_toggles_stay_in_polytopes(a3, p23):
 
 def test_pl_complement_of_zero_is_one(p23):
     zero = (F(0),) * 6
-    assert pl_complement(p23, zero) == (F(1),) * 6
+    assert pl_apply(p23, "theta", zero) == (F(1),) * 6
 
 
 def test_pl_domain_violation(p23):
     bad = (F(2),) * 6
-    with pytest.raises(DomainViolation):
+    with pytest.raises(DomainViolation, match="^labeling is outside the order polytope$"):
         pl_order_toggle(p23, 0, bad)
-    with pytest.raises(DomainViolation):
-        pl_down_transfer(p23, bad)
-    with pytest.raises(DomainViolation):
+    with pytest.raises(DomainViolation, match="^labeling is outside the order polytope$"):
+        pl_apply(p23, "down_transfer", bad)
+    with pytest.raises(DomainViolation, match="^labeling is outside the order-reversing polytope$"):
+        pl_apply(p23, "up_transfer", bad)
+    with pytest.raises(DomainViolation, match="^labeling is outside the chain polytope$"):
         pl_antichain_toggle(p23, 0, bad)
+
+
+def bridge_posets():
+    return ([chain_product(2, 3), root_poset_a(3)]
+            + [random_graded_poset(seed) for seed in range(6)]
+            + [random_poset(7, seed) for seed in range(4)])
+
+
+@pytest.mark.parametrize("p", bridge_posets(), ids=repr)
+def test_toggle_group_isomorphism_on_polytope_points(p):
+    """The paper's isomorphism between the two toggle groups, run as PL toggle
+    words: theta o inv-up carries each antichain-side word to its order-side one."""
+    dyn = Dynamics(p, TropicalSemiring())
+
+    def bridge(g):
+        return pl_apply(p, "theta", pl_apply(p, "inv_up_transfer", g))
+
+    pairs = [(dyn.star_word((Atom(k, v),)), (Atom(k, v),)) for v in range(p.n) for k in "TE"]
+    pairs += [((Atom(k, v),), dyn.star_word((Atom(k, v),)))
+              for v in range(p.n) for k in ("tau", "eps")]
+    if p.is_graded:
+        pairs.append((dyn.antichain_gyration_word(), dyn.order_gyration_word()))
+    for seed in range(10):
+        g = random_chain_polytope_point(p, seed)
+        side = bridge(g)
+        for anti, order in pairs:
+            assert bridge(pl_apply(p, anti, g)) == pl_apply(p, order, side), (anti, order)
+
+
+def test_pl_apply_runs_names_and_words_alike(p23):
+    ext = p23.default_linear_extension
+    for seed in range(10):
+        f = random_order_polytope_point(p23, seed)
+        g = random_chain_polytope_point(p23, seed)
+        assert pl_apply(p23, "order_rowmotion", f) == \
+            pl_apply(p23, tuple(Atom("T", v) for v in reversed(ext)), f)
+        assert pl_apply(p23, "antichain_rowmotion", g) == \
+            pl_apply(p23, tuple(Atom("tau", v) for v in ext), g)
+        assert pl_apply(p23, (), f) == f
+
+
+def test_pl_apply_errors(p23):
+    f = random_order_polytope_point(p23, 1)
+    with pytest.raises(ValueError, match="mix order and antichain"):
+        pl_apply(p23, (Atom("T", 0), Atom("tau", 1)), f)
+    for name in ("rowmotion", "T", "order_rowmotion_via_transfers"):
+        with pytest.raises(ValueError, match=f"unknown PL map '{name}'"):
+            pl_apply(p23, name, f)
+    with pytest.raises(DomainViolation, match="^labeling is outside the chain polytope$"):
+        pl_apply(p23, (Atom("tau", 0),), (F(1),) * 6)
+    ungraded = random_poset(7, 0)
+    with pytest.raises(NotGraded):
+        pl_apply(ungraded, (Atom("rank_T", 0),), random_order_polytope_point(ungraded, 1))
 
 
 def test_pl_transfer_roundtrips_random_points(p23):
     for seed in range(100):
         f = random_order_polytope_point(p23, seed)
-        assert pl_inv_down_transfer(p23, pl_down_transfer(p23, f)) == f
+        assert pl_apply(p23, "inv_down_transfer", pl_apply(p23, "down_transfer", f)) == f
         h = random_order_reversing_point(p23, seed)
-        assert pl_inv_up_transfer(p23, pl_up_transfer(p23, h)) == h
+        assert pl_apply(p23, "inv_up_transfer", pl_apply(p23, "up_transfer", h)) == h
         g = random_chain_polytope_point(p23, seed)
-        assert pl_down_transfer(p23, pl_inv_down_transfer(p23, g)) == g
-        assert pl_up_transfer(p23, pl_inv_up_transfer(p23, g)) == g
+        assert pl_apply(p23, "down_transfer", pl_apply(p23, "inv_down_transfer", g)) == g
+        assert pl_apply(p23, "up_transfer", pl_apply(p23, "inv_up_transfer", g)) == g
 
 
 def test_pl_rowmotion_equals_transfer_composition(p23, a3):
     for p in (p23, a3):
         for seed in range(50):
             f = random_order_polytope_point(p, seed)
-            via_transfers = pl_complement(p, pl_inv_up_transfer(p, pl_down_transfer(p, f)))
-            assert pl_order_rowmotion(p, f) == via_transfers
+            up = pl_apply(p, "inv_up_transfer", pl_apply(p, "down_transfer", f))
+            assert pl_order_rowmotion(p, f) == pl_apply(p, "theta", up)
             g = random_chain_polytope_point(p, seed)
-            via_transfers = pl_down_transfer(p, pl_complement(p, pl_inv_up_transfer(p, g)))
-            assert pl_antichain_rowmotion(p, g) == via_transfers
+            flipped = pl_apply(p, "theta", pl_apply(p, "inv_up_transfer", g))
+            assert pl_antichain_rowmotion(p, g) == pl_apply(p, "down_transfer", flipped)
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (2, 2), (2, 3), (1, 5), (2, 4), (3, 3)])
@@ -312,11 +363,11 @@ def test_pl_maps_match_hand_written_formulas(p):
         f = random_order_polytope_point(p, seed)
         h = random_order_reversing_point(p, seed)
         g = random_chain_polytope_point(p, seed)
-        assert pl_complement(p, f) == oracle_complement(p, f)
-        assert pl_down_transfer(p, f) == oracle_down_transfer(p, f)
-        assert pl_up_transfer(p, h) == oracle_up_transfer(p, h)
-        assert pl_inv_down_transfer(p, g) == oracle_inv_down_transfer(p, g)
-        assert pl_inv_up_transfer(p, g) == oracle_inv_up_transfer(p, g)
+        assert pl_apply(p, "theta", f) == oracle_complement(p, f)
+        assert pl_apply(p, "down_transfer", f) == oracle_down_transfer(p, f)
+        assert pl_apply(p, "up_transfer", h) == oracle_up_transfer(p, h)
+        assert pl_apply(p, "inv_down_transfer", g) == oracle_inv_down_transfer(p, g)
+        assert pl_apply(p, "inv_up_transfer", g) == oracle_inv_up_transfer(p, g)
         assert pl_order_rowmotion(p, f) == oracle_order_rowmotion(p, f)
         assert pl_antichain_rowmotion(p, g) == oracle_antichain_rowmotion(p, g)
         for v in range(p.n):

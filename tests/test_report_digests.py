@@ -47,6 +47,8 @@ VERIFY_DIGESTS = {
 }
 
 PL_DIGEST = "7410ba9c85b9565b29583e561da7106505693e46a376461d7e6b271a89bac20a"
+# the order-map PL orbit, taken before the PL maps shared one applier
+PL_ORDER_DIGEST = "a90d48a2a16e1f19e774940a1a6bbca5e1ad0df83b4e1c4237e5385aa23654a1"
 
 # Combinatorial reports, taken while filters still had their own toggle body.
 COMB_ORBIT_DIGESTS = {
@@ -97,6 +99,12 @@ def test_pl_antichain_orbit_report_digest(tmp_path):
     digest = report_digest(tmp_path, "orbit", "--realm", "pl", "--map", "antichain",
                            "--poset", "chain 3x3")
     assert digest == PL_DIGEST
+
+
+def test_pl_order_orbit_report_digest(tmp_path):
+    digest = report_digest(tmp_path, "orbit", "--realm", "pl", "--map", "order",
+                           "--poset", "chain 3x3")
+    assert digest == PL_ORDER_DIGEST
 
 
 @pytest.mark.parametrize("theorem", sorted(VERIFY_DIGESTS))
