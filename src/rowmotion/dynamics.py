@@ -19,7 +19,9 @@ upwards.
 Boundary values are injected inside operations and never stored: the
 virtual bottom element carries the multiplicative identity, the virtual
 top carries it for the plain transfer maps and the central constant C
-for toggles and the complement map.
+for toggles and the complement map.  The identity is never multiplied:
+an element with no lower (or upper) covers keeps its own label, or its
+own inverted label, where a product with the boundary value would stand.
 """
 
 from __future__ import annotations
@@ -100,17 +102,22 @@ class Dynamics:
 
     def _transfer(self, f, down):
         b = self.backend
+        add, mul, invert = b.add, b.mul, b.invert
         covers = self.poset.down_adjacency if down else self.poset.up_adjacency
         out = []
         for x in range(self.poset.n):
-            near = [f[y] for y in covers[x]]
-            acc = b.sum(near) if near else b.one()
+            acc = None
+            for y in covers[x]:
+                acc = f[y] if acc is None else add(acc, f[y])
+            if acc is None:  # the boundary identity is its own inverse: x keeps f[x]
+                out.append(f[x])
+                continue
             try:
-                inv = b.invert(acc)
+                inv = invert(acc)
             except NotInvertible as exc:
                 side = "down" if down else "up"
                 raise NotInvertible(context=f"{side} transfer at {self._name(x)}") from exc
-            out.append(b.mul(f[x], inv) if down else b.mul(inv, f[x]))
+            out.append(mul(f[x], inv) if down else mul(inv, f[x]))
         return tuple(out)
 
     def inv_down_transfer(self, f):
@@ -127,38 +134,56 @@ class Dynamics:
         ``elements`` must contain, before each element, all of its lower
         covers (``down``) or all of its upper covers (otherwise).
         """
-        b = self.backend
+        add, mul = self.backend.add, self.backend.mul
         covers = self.poset.down_adjacency if down else self.poset.up_adjacency
         out = [None] * self.poset.n
         for x in elements:
-            near = [out[y] for y in covers[x]]
-            acc = b.sum(near) if near else b.one()
-            out[x] = b.mul(f[x], acc) if down else b.mul(acc, f[x])
+            acc = None
+            for y in covers[x]:
+                acc = out[y] if acc is None else add(acc, out[y])
+            if acc is None:
+                out[x] = f[x]
+            else:
+                out[x] = mul(f[x], acc) if down else mul(acc, f[x])
         return out
 
     # -- order toggles ---------------------------------------------------------
 
     def order_toggle(self, v, f):
         """Lower-cover sum, inverted value, parallel sum of upper covers."""
+        self._require_element("T", v)
         return self._order_sweep(f, (v,), elggot=False)
 
     def order_elggot(self, v, f):
         """Inverse of the order toggle (same data, mirrored product)."""
+        self._require_element("E", v)
         return self._order_sweep(f, (v,), elggot=True)
 
     def _order_sweep(self, f, toggled, elggot):
-        """Toggle the elements of ``toggled`` in turn on one list of labels."""
+        """Toggle the elements of ``toggled`` in turn on one list of labels.
+
+        The toggle at v is L·f(v)⁻¹·R, the elggot R·f(v)⁻¹·L, with L the
+        lower-cover sum and R the parallel sum of the upper covers (C at a
+        maximal element); at a minimal element L is the identity and is left out.
+        """
         b = self.backend
+        add, mul, invert = b.add, b.mul, b.invert
+        lower_covers, upper_covers = self.poset.down_adjacency, self.poset.up_adjacency
         out = list(f)
         for v in toggled:
-            lower = [out[u] for u in self.poset.down_adjacency[v]]
-            upper = [out[w] for w in self.poset.up_adjacency[v]]
+            lower = None
+            for u in lower_covers[v]:
+                lower = out[u] if lower is None else add(lower, out[u])
+            upper = upper_covers[v]
             try:
-                left = b.sum(lower) if lower else b.one()
-                right = parallel_sum(b, upper) if upper else b.constant_c()
+                right = parallel_sum(b, [out[w] for w in upper]) if upper else b.constant_c()
+                inv = invert(out[v])
                 if elggot:
-                    left, right = right, left
-                out[v] = b.mul(b.mul(left, b.invert(out[v])), right)
+                    out[v] = mul(right, inv)
+                    if lower is not None:
+                        out[v] = mul(out[v], lower)
+                else:
+                    out[v] = mul(inv if lower is None else mul(lower, inv), right)
             except NotInvertible as exc:
                 kind = "elggot" if elggot else "toggle"
                 raise NotInvertible(context=f"order {kind} at {self._name(v)}") from exc
@@ -168,10 +193,12 @@ class Dynamics:
 
     def antichain_toggle(self, v, g):
         """C over the rotated chain sum through v."""
+        self._require_element("tau", v)
         return self._antichain_sweep(g, (v,), self.extension, elggot=False)
 
     def antichain_elggot(self, v, g):
         """Inverse of the antichain toggle (opposite rotation split)."""
+        self._require_element("eps", v)
         return self._antichain_sweep(g, (v,), self.extension, elggot=True)
 
     def _antichain_sweep(self, g, toggled, extension, elggot):
@@ -182,13 +209,14 @@ class Dynamics:
         the top of the chain down to v.  That sum is L·U[v]: U is the
         inverse up transfer of the starting labels, run once on the
         elements at or above some toggled one, which are untoggled above v
-        when v's turn comes; L = Σ_{u⋖v} D[u] (one at a minimal element),
-        where D, the inverse down transfer of the new labels, grows along
-        the sweep on the elements below some toggled one.  The elggot is
-        the same sweep, top-down over the dual poset with every product
-        reversed, so v's own label comes first.
+        when v's turn comes; L = Σ_{u⋖v} D[u] (the identity at a minimal
+        element, so there the sum is U[v] itself), where D, the inverse down
+        transfer of the new labels, grows along the sweep on the elements
+        below some toggled one.  The elggot is the same sweep, top-down over
+        the dual poset with every product reversed, so v's own label comes first.
         """
         b = self.backend
+        add, invert, c = b.add, b.invert, b.constant_c()
         lower, upper = self.poset.down_adjacency, self.poset.up_adjacency
         if elggot:
             extension = extension[::-1]
@@ -208,16 +236,17 @@ class Dynamics:
         for x in extension:
             if x not in below:
                 continue
-            near = [down[u] for u in lower[x]]
-            acc = b.sum(near) if near else b.one()
+            acc = None
+            for u in lower[x]:
+                acc = down[u] if acc is None else add(acc, down[u])
             if x in toggled:
                 try:
-                    out[x] = b.mul(b.constant_c(), b.invert(mul(acc, up[x])))
+                    out[x] = b.mul(c, invert(up[x] if acc is None else mul(acc, up[x])))
                 except NotInvertible as exc:
                     kind = "elggot" if elggot else "toggle"
                     raise NotInvertible(context=f"antichain {kind} at {self._name(x)}") from exc
             if not below.isdisjoint(upper[x]):  # a later element reads D[x]
-                down[x] = mul(out[x], acc)
+                down[x] = out[x] if acc is None else mul(out[x], acc)
         return tuple(out)
 
     # -- rowmotion ----------------------------------------------------------------
@@ -249,9 +278,7 @@ class Dynamics:
 
     def _apply_atom(self, atom, f):
         kind, i = atom
-        if kind in _ELEMENT_ATOMS:
-            if not 0 <= i < self.poset.n:
-                raise ValueError(f"atom {atom} references a missing element")
+        if kind in _ELEMENT_ATOMS:  # each single-toggle method checks the element
             return getattr(self, _ELEMENT_ATOMS[kind])(i, f)
         if kind in ("rank_T", "rank_tau"):
             self._require_graded()
@@ -298,6 +325,10 @@ class Dynamics:
         return tuple(out)
 
     # -- graded machinery -----------------------------------------------------
+
+    def _require_element(self, kind, v):
+        if not 0 <= v < self.poset.n:
+            raise ValueError(f"atom {Atom(kind, v)} references a missing element")
 
     def _require_graded(self):
         if not self.poset.is_graded:

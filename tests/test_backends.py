@@ -486,6 +486,54 @@ def test_rational_invert_matches_division_in_lowest_terms():
         assert err.value.context == "rational zero"
 
 
+def _oracle_values(tag):
+    """Seeded 8- and 300-bit fractions of both signs, zero and plain ints."""
+    rng = random.Random(tag)
+    values = [0, 1, -3, F(0), F(1), F(-1), F(5, 7), F(-9, 4)]
+    for bits in (8, 300):
+        for _ in range(12):
+            num = rng.getrandbits(bits) + 1
+            values += [F(num, rng.getrandbits(bits) + 1), F(-num, rng.getrandbits(bits) + 1),
+                       num, -num]
+    return values
+
+
+def _assert_matches(got, want, *operands):
+    assert got == want and hash(got) == hash(want), operands
+    assert type(got) is F, operands  # a plain int gets a Fraction too
+    assert got.denominator > 0 and gcd(got.numerator, got.denominator) == 1, operands
+
+
+def test_rational_and_tropical_kernels_match_stdlib_arithmetic():
+    rational, tropical = RationalField(), TropicalSemiring()
+    values = _oracle_values("integer-kernels")
+    for x in values:
+        for y in values:
+            _assert_matches(rational.add(x, y), F(x) + y, x, y)
+            _assert_matches(rational.mul(x, y), F(x) * y, x, y)
+            _assert_matches(tropical.mul(x, y), F(x) + y, x, y)
+            assert tropical.add(x, y) is max(x, y), (x, y)  # one operand, as max picks
+        _assert_matches(tropical.invert(x), -F(x), x)
+        if x:
+            _assert_matches(rational.invert(x), 1 / F(x), x)
+    for zero in (0, F(0), F(0, 5), rational.add(F(1, 3), F(-1, 3))):
+        with pytest.raises(NotInvertible) as err:
+            rational.invert(zero)
+        assert err.value.context == "rational zero"
+    assert rational.one() is rational.one() == 1 and tropical.one() is tropical.one() == 0
+
+
+def test_kernel_results_copy_and_pickle_as_fractions():
+    rational, tropical = RationalField(), TropicalSemiring()
+    big = F(2**200 + 1, 3**90)
+    made = [rational.mul(big, F(-6, 35)), rational.add(big, F(1, 2)), rational.invert(-big),
+            rational.one(), tropical.mul(big, F(-1, 3)), tropical.invert(big), tropical.one()]
+    for q in made:
+        for twin in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            _assert_matches(twin, q)
+            assert (twin.numerator, twin.denominator) == (q.numerator, q.denominator)
+
+
 def test_parse_backend():
     assert parse_backend("rational").describe() == "rational"
     assert parse_backend("matrix:3").describe() == "matrix:3"

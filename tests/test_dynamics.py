@@ -678,6 +678,18 @@ def test_toggle_word_atoms_validated(p22):
         dyn.star_word((Atom("spin", 0),))
 
 
+@pytest.mark.parametrize("method", ["order_toggle", "order_elggot",
+                                    "antichain_toggle", "antichain_elggot"])
+def test_single_toggles_refuse_a_missing_element(p22, method):
+    # A negative index must not wrap around to the last element, and one
+    # past the end must be the word path's ValueError, not an IndexError.
+    dyn = rational_dyn(p22)
+    g = dyn.random_labeling(0)
+    for v in (-1, p22.n):
+        with pytest.raises(ValueError, match=r"\[-?\d+\] references a missing element"):
+            getattr(dyn, method)(v, g)
+
+
 def test_rank_toggle_requires_graded():
     from rowmotion.poset import parse_poset
     p = parse_poset("4\n0<1\n1<2\n3<2\n")
@@ -1127,3 +1139,135 @@ def test_order_sweep_matches_rebuilt_toggles(backend_name, linear_extensions):
     assert graded >= 4
     assert degenerate == ({"order toggle", "order elggot"} if backend_name != "tropical"
                           else set())  # max-plus inversion is total
+
+
+# -- identity-free sweeps ----------------------------------------------------------
+
+
+class IdentityCountingBackend:
+    """Delegates to ``inner`` and counts the products with an operand equal to one()."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.identity_products = 0
+
+    def mul(self, x, y):
+        one = self.inner.one()
+        if self.inner.equals(x, one) or self.inner.equals(y, one):
+            self.identity_products += 1
+        return self.inner.mul(x, y)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class IdentityMultiplyingDynamics(Dynamics):
+    """The sweeps written with the boundary identity multiplied in, where the
+    library leaves it out: a reference that shares no sweep code with it."""
+
+    def _transfer(self, f, down):
+        b = self.backend
+        covers = self.poset.down_adjacency if down else self.poset.up_adjacency
+        out = []
+        for x in range(self.poset.n):
+            near = [f[y] for y in covers[x]]
+            acc = b.sum(near) if near else b.one()
+            try:
+                inv = b.invert(acc)
+            except NotInvertible as exc:
+                side = "down" if down else "up"
+                raise NotInvertible(context=f"{side} transfer at {self._name(x)}") from exc
+            out.append(b.mul(f[x], inv) if down else b.mul(inv, f[x]))
+        return tuple(out)
+
+    def _inv_transfer(self, f, elements, down):
+        b = self.backend
+        covers = self.poset.down_adjacency if down else self.poset.up_adjacency
+        out = [None] * self.poset.n
+        for x in elements:
+            near = [out[y] for y in covers[x]]
+            acc = b.sum(near) if near else b.one()
+            out[x] = b.mul(f[x], acc) if down else b.mul(acc, f[x])
+        return out
+
+    def _order_sweep(self, f, toggled, elggot):
+        return rebuilt_order_toggles(self, tuple(f), toggled, elggot)
+
+    def _antichain_sweep(self, g, toggled, extension, elggot):
+        b = self.backend
+        lower, upper = self.poset.down_adjacency, self.poset.up_adjacency
+        if elggot:
+            extension = extension[::-1]
+            lower, upper = upper, lower
+        mul = (lambda x, y: b.mul(y, x)) if elggot else b.mul
+        toggled = set(toggled)
+        above, below = set(toggled), set(toggled)
+        for x in extension:
+            if x not in above and not above.isdisjoint(lower[x]):
+                above.add(x)
+        for x in reversed(extension):
+            if x not in below and not below.isdisjoint(upper[x]):
+                below.add(x)
+        up = self._inv_transfer(g, [x for x in reversed(extension) if x in above], down=elggot)
+        down = [None] * self.poset.n
+        out = list(g)
+        for x in extension:
+            if x not in below:
+                continue
+            near = [down[u] for u in lower[x]]
+            acc = b.sum(near) if near else b.one()
+            if x in toggled:
+                try:
+                    out[x] = b.mul(b.constant_c(), b.invert(mul(acc, up[x])))
+                except NotInvertible as exc:
+                    kind = "elggot" if elggot else "toggle"
+                    raise NotInvertible(context=f"antichain {kind} at {self._name(x)}") from exc
+            if not below.isdisjoint(upper[x]):
+                down[x] = mul(out[x], acc)
+        return tuple(out)
+
+
+def _sweep_runs(dyn):
+    """Every map that sweeps: both rowmotions, each single toggle and elggot,
+    the four transfers and the rowmotions through them, and a toggle word."""
+    n = dyn.poset.n
+    runs = [dyn.order_rowmotion, dyn.antichain_rowmotion, dyn.down_transfer,
+            dyn.up_transfer, dyn.inv_down_transfer, dyn.inv_up_transfer,
+            dyn.order_rowmotion_via_transfers, dyn.antichain_rowmotion_via_transfers]
+    for method in ("order_toggle", "order_elggot", "antichain_toggle", "antichain_elggot"):
+        runs += [lambda f, m=getattr(dyn, method), v=v: m(v, f) for v in range(n)]
+    word = [Atom(kind, v) for v in (0, n - 1) for kind in ("T", "tau", "E", "eps")]
+    if dyn.poset.is_graded:
+        word += [Atom(kind, i) for i in (0, dyn.poset.top_rank)
+                 for kind in ("rank_T", "rank_tau")]
+    runs.append(lambda f: dyn.apply_word(word, f))
+    return runs
+
+
+def _generic_labeling(backend, p, seed):
+    # Tropical samples lie in [0, 1] and may be 0, its one(); labels of both
+    # signs with large denominators make no label or sum equal to it.
+    if backend.is_tropical:
+        rng = random.Random(seed)
+        return tuple(F(rng.randint(1, 10**6) * rng.choice((-1, 1)), rng.randint(1, 10**6))
+                     for _ in range(p.n))
+    return Dynamics(p, backend).random_labeling(seed)
+
+
+@pytest.mark.parametrize("backend_name", sorted(ORACLE_BACKENDS))
+def test_sweeps_never_multiply_by_the_identity(backend_name):
+    from rowmotion.poset import random_graded_poset, random_poset
+    posets = ([random_poset(n, seed) for n, seed in ((6, 3), (8, 5))]
+              + [random_graded_poset(seed) for seed in (1, 5)])
+    runs = 0
+    for p in posets:
+        lean = IdentityCountingBackend(ORACLE_BACKENDS[backend_name]())
+        heavy = IdentityCountingBackend(ORACLE_BACKENDS[backend_name]())
+        dyn, ref = Dynamics(p, lean), IdentityMultiplyingDynamics(p, heavy)
+        g = _generic_labeling(lean.inner, p, derive_seed("identity-free", p.serialize()))
+        for run, ref_run in zip(_sweep_runs(dyn), _sweep_runs(ref)):
+            assert dyn.equal(run(g), ref_run(g))
+            runs += 1
+        assert lean.identity_products == 0, p.serialize()
+        assert heavy.identity_products > 0  # the reference does multiply by one()
+    assert runs > 4 * 30
