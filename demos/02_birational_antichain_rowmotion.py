@@ -36,13 +36,13 @@ def main():
     for k in range(1, 6):
         cur = dyn.antichain_rowmotion(cur)
         print(f"  step {k}: {show(dyn, cur)}")
-        if dyn.equal(cur, g):
+        if cur == g:
             print(f"  ... returned to the start: the order is exactly {k} = 2+3.")
     print()
 
     print("The same map factors through the transfer maps:")
     via = dyn.down_transfer(dyn.theta(dyn.inv_up_transfer(g)))
-    assert dyn.equal(via, dyn.antichain_rowmotion(g))
+    assert via == dyn.antichain_rowmotion(g)
     print("  down-transfer(complement(inverse-up-transfer(g))) equals one")
     print("  full sweep of toggles, exactly, at this labeling.")
     print()
@@ -50,7 +50,7 @@ def main():
     print("And order rowmotion is its conjugate under down-transfer:")
     lhs = dyn.down_transfer(dyn.order_rowmotion(g))
     rhs = dyn.antichain_rowmotion(dyn.down_transfer(g))
-    assert dyn.equal(lhs, rhs)
+    assert lhs == rhs
     print("  down-transfer o order-rowmotion = antichain-rowmotion o down-transfer.")
 
 

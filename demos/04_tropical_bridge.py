@@ -49,7 +49,7 @@ def main():
     print("down the whole ladder: matrices -> rationals -> max-plus -> sets.")
     half = dyn.labeling([Fraction(1, 2)] * p.n)
     print("  e.g. toggling twice at any element fixes any tropical labeling:",
-          all(dyn.equal(dyn.antichain_toggle(v, dyn.antichain_toggle(v, half)), half)
+          all(dyn.antichain_toggle(v, dyn.antichain_toggle(v, half)) == half
               for v in range(p.n)))
 
 

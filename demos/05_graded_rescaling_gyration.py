@@ -6,6 +6,7 @@ rank toggles by a clean bookkeeping rule, and toggling even ranks before
 odd ones (gyration) is conjugate to rowmotion.
 """
 
+import operator
 import random
 from fractions import Fraction
 
@@ -35,13 +36,13 @@ def main():
         swapped = list(scalars)
         swapped[i] = 1 / total
         rhs = dyn.graded_rescale(swapped, dyn.apply_word(rank_tau, g))
-        print(f"  rank {i}: law holds -> {dyn.equal(lhs, rhs)}")
+        print(f"  rank {i}: law holds -> {lhs == rhs}")
     print()
 
     print("Full antichain rowmotion rotates the rescaling vector instead:")
     lhs = dyn.antichain_rowmotion(dyn.graded_rescale(scalars, g))
     rhs = dyn.graded_rescale([1 / total] + scalars[:-1], dyn.antichain_rowmotion(g))
-    print("  (a0,a1,a2) -> (1/(a0*a1*a2), a0, a1):", dyn.equal(lhs, rhs))
+    print("  (a0,a1,a2) -> (1/(a0*a1*a2), a0, a1):", lhs == rhs)
     print()
 
     print("Gyration toggles even ranks first, then odd ranks:")
@@ -50,7 +51,7 @@ def main():
     print("  antichain word:", " ".join(map(str, bag)))
     bridge = lambda h: dyn.theta(dyn.inv_up_transfer(h))
     print("  diagram with rowmotion's bridge commutes:",
-          dyn.equal(bridge(dyn.apply_word(bag, g)), dyn.apply_word(bog, bridge(g))))
+          bridge(dyn.apply_word(bag, g)) == dyn.apply_word(bog, bridge(g)))
     print()
 
     print("Because gyration is conjugate to rowmotion inside the toggle group,")
@@ -58,8 +59,8 @@ def main():
     rng = random.Random(6)
     h = dyn.labeling([Fraction(rng.randint(1, 30), rng.randint(1, 30))
                       for _ in range(p.n)])
-    k_gyr = detect_order(lambda x: dyn.apply_word(bog, x), h, dyn.equal, max_iter=30)
-    k_row = detect_order(dyn.order_rowmotion, h, dyn.equal, max_iter=30)
+    k_gyr = detect_order(lambda x: dyn.apply_word(bog, x), h, operator.eq, max_iter=30)
+    k_row = detect_order(dyn.order_rowmotion, h, operator.eq, max_iter=30)
     print(f"  gyration order {k_gyr}, rowmotion order {k_row}")
     print()
 
@@ -71,9 +72,9 @@ def main():
     bridge_nc = lambda x: nc.theta(nc.inv_up_transfer(x))
     rhs = nc.apply_word(bog, bridge_nc(gm))
     print("  plain rank word commutes :",
-          nc.equal(bridge_nc(nc.apply_word(bag, gm)), rhs))
+          bridge_nc(nc.apply_word(bag, gm)) == rhs)
     print("  starred image commutes   :",
-          nc.equal(bridge_nc(nc.apply_word(nc.star_word(bog), gm)), rhs))
+          bridge_nc(nc.apply_word(nc.star_word(bog), gm)) == rhs)
 
 
 if __name__ == "__main__":

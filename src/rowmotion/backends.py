@@ -118,6 +118,7 @@ class AlgebraBackend(ABC):
     def sample_generic(self, seed): ...
 
     def equals(self, x, y):
+        """A hook for tracing backends only: library code compares canonical values with ``==``."""
         return x == y
 
     def is_central(self, x):
@@ -138,9 +139,12 @@ class AlgebraBackend(ABC):
         return total
 
     def product(self, values):
-        """Left-to-right product; order matters for noncommutative backends."""
-        out = self.one()
-        for v in values:
+        """Left-to-right product from the first factor, ``one()`` if empty; order matters."""
+        it = iter(values)
+        out = next(it, None)
+        if out is None:
+            return self.one()
+        for v in it:
             out = self.mul(out, v)
         return out
 

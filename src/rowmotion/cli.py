@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -252,7 +253,7 @@ def cmd_orbit(args):
         sample, rowmotion = _PL_MAPS[map_id]
         start = _parse_labeling(p, args.labeling) if args.labeling else sample(p, seed)
         order = detect_order(lambda f: polytopes.pl_apply(p, rowmotion, f), start,
-                             lambda a, b: a == b, max_iter=max_iter)
+                             operator.eq, max_iter=max_iter)
         report = {"map": f"pl-{map_id}", "poset": args.poset, "seed": seed,
                   "order": order if order is not None else "exceeded"}
         if args.labeling:  # a given labeling draws no seed

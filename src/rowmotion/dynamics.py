@@ -75,10 +75,6 @@ class Dynamics:
     def random_labeling(self, seed):
         return random_labeling(self.backend, self.poset, seed)
 
-    def equal(self, f, g):
-        b = self.backend
-        return all(b.equals(x, y) for x, y in zip(f, g))
-
     # -- transfer maps -------------------------------------------------------
 
     def theta(self, f):

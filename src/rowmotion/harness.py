@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,7 +119,7 @@ def _check_involution(dyn, g, rng):
         pairs = [(dyn.order_toggle, dyn.order_elggot), (dyn.order_elggot, dyn.order_toggle),
                  (dyn.antichain_toggle, dyn.antichain_elggot),
                  (dyn.antichain_elggot, dyn.antichain_toggle)]
-    return all(dyn.equal(undo(v, do(v, g)), g)
+    return all(undo(v, do(v, g)) == g
                for v in range(dyn.poset.n) for do, undo in pairs)
 
 
@@ -130,12 +131,12 @@ def _check_commutation(dyn, g, rng):
             if not covering:
                 a = dyn.order_toggle(u, dyn.order_toggle(v, g))
                 b = dyn.order_toggle(v, dyn.order_toggle(u, g))
-                if not dyn.equal(a, b):
+                if a != b:
                     return False
             if p.incomparable(u, v):
                 a = dyn.antichain_toggle(u, dyn.antichain_toggle(v, g))
                 b = dyn.antichain_toggle(v, dyn.antichain_toggle(u, g))
-                if not dyn.equal(a, b):
+                if a != b:
                     return False
     return True
 
@@ -148,8 +149,8 @@ def _check_extension_independence(dyn, g, rng):
     two = tuple(reversed(Poset(p.n, [(v, u) for u, v in p.covers]).default_linear_extension))
     if one == two:
         return True
-    return (dyn.equal(dyn.antichain_rowmotion(g, one), dyn.antichain_rowmotion(g, two))
-            and dyn.equal(dyn.order_rowmotion(g, one), dyn.order_rowmotion(g, two)))
+    return (dyn.antichain_rowmotion(g, one) == dyn.antichain_rowmotion(g, two)
+            and dyn.order_rowmotion(g, one) == dyn.order_rowmotion(g, two))
 
 
 def _check_reciprocity(dyn, g, rng):
@@ -160,8 +161,7 @@ def _check_reciprocity(dyn, g, rng):
     xs = list(g[:k])
     par = parallel_sum(b, xs)
     inv_sum = b.sum([b.invert(x) for x in xs])
-    return (b.equals(b.mul(par, inv_sum), b.one())
-            and b.equals(b.mul(inv_sum, par), b.one()))
+    return b.mul(par, inv_sum) == b.one() and b.mul(inv_sum, par) == b.one()
 
 
 def _check_meteor_gorge(dyn, g, rng):
@@ -172,28 +172,28 @@ def _check_meteor_gorge(dyn, g, rng):
     for v in range(dyn.poset.n):
         both = b.invert(b.mul(nd[v], du[v]))
         tog = dyn.antichain_toggle(v, g)[v]
-        if not b.equals(tog, b.mul(b.mul(c, both), g[v])):
+        if tog != b.mul(b.mul(c, both), g[v]):
             return False
-        if not b.equals(tog, b.product([c, b.invert(du[v]), b.invert(nd[v]), g[v]])):
+        if tog != b.product([c, b.invert(du[v]), b.invert(nd[v]), g[v]]):
             return False
         elg = dyn.antichain_elggot(v, g)[v]
-        if not b.equals(elg, b.product([c, g[v], both])):
+        if elg != b.product([c, g[v], both]):
             return False
     return True
 
 
 def _check_bar_transfer(dyn, g, rng):
-    return dyn.equal(dyn.antichain_rowmotion(g), dyn.antichain_rowmotion_via_transfers(g))
+    return dyn.antichain_rowmotion(g) == dyn.antichain_rowmotion_via_transfers(g)
 
 
 def _check_nor_transfer(dyn, g, rng):
-    return dyn.equal(dyn.order_rowmotion(g), dyn.order_rowmotion_via_transfers(g))
+    return dyn.order_rowmotion(g) == dyn.order_rowmotion_via_transfers(g)
 
 
 def _check_across_bridge(dyn, g, pairs):
     """theta o inv-up carries each antichain-side word to its order-side partner."""
     side = _theta_invup(dyn, g)
-    return all(dyn.equal(_theta_invup(dyn, dyn.apply_word(anti, g)), dyn.apply_word(order, side))
+    return all(_theta_invup(dyn, dyn.apply_word(anti, g)) == dyn.apply_word(order, side)
                for anti, order in pairs)
 
 
@@ -231,7 +231,7 @@ def _check_rescale_rank(dyn, g, rng):
         swapped = list(scalars)
         swapped[i] = inv_total
         rhs = dyn.graded_rescale(swapped, dyn.apply_word((Atom("rank_tau", i),), g))
-        if not dyn.equal(lhs, rhs):
+        if lhs != rhs:
             return False
     return True
 
@@ -243,7 +243,7 @@ def _check_rescale_bar(dyn, g, rng):
     lhs = dyn.antichain_rowmotion(dyn.graded_rescale(scalars, g))
     rotated = [inv_total] + scalars[:-1]
     rhs = dyn.graded_rescale(rotated, dyn.antichain_rowmotion(g))
-    return dyn.equal(lhs, rhs)
+    return lhs == rhs
 
 
 @dataclass(frozen=True)
@@ -396,7 +396,7 @@ def labeling_orbit_report(poset, backend, map_id, seed, poset_name=None,
     def attempt(k):
         start = dyn.random_labeling(derive_seed("orbit", seed, k))
         try:
-            order = detect_order(step, start, dyn.equal, max_iter=max_iter)
+            order = detect_order(step, start, operator.eq, max_iter=max_iter)
         except LabelsTooLarge as exc:
             return None, exc.iterates
         return order, order or max_iter

@@ -4,6 +4,7 @@ Each test prints a single PASS line with its runtime (visible under
 ``pytest -s``) and enforces both exactness and the wall-clock budget.
 """
 
+import operator
 import random
 import time
 from contextlib import contextmanager
@@ -121,7 +122,7 @@ def test_criterion_4_bar_symbolic_oracle_and_order_five():
                 assert bar[IDX23[coord]] == val
         for seed in range(50):
             g = dyn.random_labeling(derive_seed("acc4b", seed))
-            assert detect_order(dyn.antichain_rowmotion, g, dyn.equal, max_iter=5) == 5
+            assert detect_order(dyn.antichain_rowmotion, g, operator.eq, max_iter=5) == 5
 
 
 def test_criterion_5_bar_order_small_rectangles():
@@ -132,7 +133,7 @@ def test_criterion_5_bar_order_small_rectangles():
                 dyn = Dynamics(p, RationalField(const_c=F(3, 2)))
                 for seed in range(10):
                     g = dyn.random_labeling(derive_seed("acc5", a, b, seed))
-                    order = detect_order(dyn.antichain_rowmotion, g, dyn.equal,
+                    order = detect_order(dyn.antichain_rowmotion, g, operator.eq,
                                          max_iter=a + b)
                     assert order == a + b
 
@@ -144,8 +145,8 @@ def test_criterion_6_noncommutative_order_five_and_scan():
             dyn = Dynamics(p, MatrixRing(d))
             for seed in range(10):
                 g = dyn.random_labeling(derive_seed("acc6", d, seed))
-                assert detect_order(dyn.antichain_rowmotion, g, dyn.equal, max_iter=5) == 5
-                assert detect_order(dyn.order_rowmotion, g, dyn.equal, max_iter=5) == 5
+                assert detect_order(dyn.antichain_rowmotion, g, operator.eq, max_iter=5) == 5
+                assert detect_order(dyn.order_rowmotion, g, operator.eq, max_iter=5) == 5
         rows = scan_conjecture(3, 3, "matrix:2", seeds=(0, 1, 2))
         assert all(r["status"] == "consistent" for r in rows)
         assert all(r["observed"] == r["expected"] for r in rows)

@@ -56,8 +56,9 @@ def test_matrix_not_commutative():
 
 def _ref_product(x, y):
     """Reference product from the entries alone: no shortcuts."""
-    d = len(x.rows)
-    return tuple(tuple(sum((x.rows[i][k] * y.rows[k][j] for k in range(d)), F(0))
+    xr, yr = x.rows, y.rows
+    d = len(xr)
+    return tuple(tuple(sum((xr[i][k] * yr[k][j] for k in range(d)), F(0))
                        for j in range(d)) for i in range(d))
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 from types import SimpleNamespace
 
 import pytest
@@ -74,6 +75,17 @@ def test_run_check_involution_noncommutative_catches_wrong_elggot(monkeypatch):
     monkeypatch.setattr(Dynamics, "order_elggot", Dynamics.order_toggle)
     rep = run_check(CheckSpec("involution", "chain 2x3", "matrix:2"))
     assert rep["status"] == "fail"
+
+
+@pytest.mark.parametrize("theorem, backend", [("bar-transfer", "rational"),
+                                              ("bar-transfer", "tropical"),
+                                              ("nar-transfer", "matrix:2")])
+def test_run_check_fails_a_transfer_that_drops_a_label(monkeypatch, theorem, backend):
+    # A labeling one label short is not equal to the full one, whatever its prefix.
+    down_transfer = Dynamics.down_transfer
+    monkeypatch.setattr(Dynamics, "down_transfer", lambda self, f: down_transfer(self, f)[:-1])
+    rep = run_check(CheckSpec(theorem, "chain 2x3", backend))
+    assert rep["status"] == "fail" and rep["failures"] == rep["points"] == 20
 
 
 def _s4(b, xs):
@@ -237,7 +249,7 @@ def test_orbit_report_stops_when_a_label_outgrows_the_bound(monkeypatch, backend
     # The stop lives in the bare loop, so every orbit has it, not only reports.
     dyn = Dynamics(p, backend)
     with pytest.raises(LabelsTooLarge, match="MAX_LABEL_BITS = 16 bits") as exc:
-        detect_order(dyn.antichain_rowmotion, dyn.random_labeling(0), dyn.equal)
+        detect_order(dyn.antichain_rowmotion, dyn.random_labeling(0), operator.eq)
     assert 1 <= exc.value.iterates < 5
 
 
