@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import NotInvertible
-from .matrices import RationalMatrix
+from .matrices import RationalMatrix, _from_fractions, _trusted
 
 DEFAULT_SAMPLE_RANGE = (1, 50)  # positive, so every sampled rational is nonzero
 TROPICAL_DENOMINATOR_BOUND = 50
@@ -38,7 +38,7 @@ MAX_MATRIX_DIMENSION = 8  # parse_backend's limit: a large-entry matrix:8 orbit 
 
 def derive_seed(*parts):
     """Stable integer seed from arbitrary labelled parts."""
-    text = ":".join(str(p) for p in parts)
+    text = ":".join(map(str, parts))
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
@@ -79,17 +79,26 @@ def _rational_add(x, y):
 
 
 def _sample_fraction(rng):
+    """num/den, each drawn by randint's own rejection loop, inlined (CPython 3.10
+    to 3.13; a test pins the values against ``rng.randint(*DEFAULT_SAMPLE_RANGE)``)."""
     lo, hi = DEFAULT_SAMPLE_RANGE
-    num = rng.randint(lo, hi)
-    den = rng.randint(lo, hi)
-    return Fraction(num, den)
+    span = hi - lo + 1
+    bits, getrandbits = span.bit_length(), rng.getrandbits
+    num = den = span
+    while num >= span:
+        num = getrandbits(bits)
+    while den >= span:
+        den = getrandbits(bits)
+    g = gcd(num + lo, den + lo)
+    return _fraction((num + lo) // g, (den + lo) // g)
 
 
 def unit_interval_fraction(rng, denominator_bound):
     """A rational in [0, 1]: a denominator up to the bound, then a numerator up to it."""
     den = rng.randint(1, denominator_bound)
     num = rng.randint(0, den)
-    return Fraction(num, den)
+    g = gcd(num, den)
+    return _fraction(num // g, den // g)
 
 
 class AlgebraBackend(ABC):
@@ -244,8 +253,8 @@ class MatrixRing(AlgebraBackend):
 
     def sample_generic(self, seed):
         rng = random.Random(seed)
-        return RationalMatrix(tuple(tuple(_sample_fraction(rng) for _ in range(self.d))
-                                    for _ in range(self.d)))
+        entries = [_sample_fraction(rng) for _ in range(self.d * self.d)]
+        return _trusted(self.d, *_from_fractions(entries))
 
 
 class TropicalSemiring(AlgebraBackend):

@@ -26,6 +26,7 @@ own inverted label, where a product with the boundary value would stand.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .backends import label_bits, parallel_sum, random_labeling
@@ -42,8 +43,6 @@ class Atom(NamedTuple):
         return f"{self.kind}[{self.index}]"
 
 
-_ELEMENT_ATOMS = {"T": "order_toggle", "E": "order_elggot",
-                  "tau": "antichain_toggle", "eps": "antichain_elggot"}
 _INVERSE_KIND = {"T": "E", "E": "T", "tau": "eps", "eps": "tau"}
 _STAR_KIND = {"T": "tau", "E": "eps", "tau": "T", "eps": "E"}
 
@@ -61,6 +60,7 @@ class Dynamics:
         self.poset = poset
         self.backend = backend
         self.extension = poset.default_linear_extension
+        self._plans = {}  # antichain sweep plans by (toggled, extension, elggot)
 
     # -- labelings ---------------------------------------------------------
     #
@@ -190,15 +190,15 @@ class Dynamics:
     def antichain_toggle(self, v, g):
         """C over the rotated chain sum through v."""
         self._require_element("tau", v)
-        return self._antichain_sweep(g, (v,), self.extension, elggot=False)
+        return self._antichain_sweep(g, frozenset((v,)), self.extension, elggot=False)
 
     def antichain_elggot(self, v, g):
         """Inverse of the antichain toggle (opposite rotation split)."""
         self._require_element("eps", v)
-        return self._antichain_sweep(g, (v,), self.extension, elggot=True)
+        return self._antichain_sweep(g, frozenset((v,)), self.extension, elggot=True)
 
     def _antichain_sweep(self, g, toggled, extension, elggot):
-        """Toggle each element of ``toggled``, bottom-up along ``extension``.
+        """Toggle each element of the set ``toggled``, bottom-up along ``extension``.
 
         The toggle at v is C over the sum, over the maximal chains through
         v, of the labels below v multiplied top-down, then the labels from
@@ -210,15 +210,43 @@ class Dynamics:
         transfer of the new labels, grows along the sweep on the elements
         below some toggled one.  The elggot is the same sweep, top-down over
         the dual poset with every product reversed, so v's own label comes first.
+        So a sweep is the single toggles of ``toggled`` in extension order,
+        with the same inversions in the same order.  Its set-up reads no label
+        and is kept per Dynamics, keyed by all three arguments.
         """
         b = self.backend
         add, invert, c = b.add, b.invert, b.constant_c()
+        key = (toggled, extension, elggot)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._antichain_plan(toggled, extension, elggot)
+        up_order, steps = plan
+        mul = (lambda x, y: b.mul(y, x)) if elggot else b.mul
+        up = self._inv_transfer(g, up_order, down=elggot)
+        down = [None] * self.poset.n
+        out = list(g)
+        for x, near, toggles, read_later in steps:
+            acc = None
+            for u in near:
+                acc = down[u] if acc is None else add(acc, down[u])
+            if toggles:
+                try:
+                    out[x] = b.mul(c, invert(up[x] if acc is None else mul(acc, up[x])))
+                except NotInvertible as exc:
+                    kind = "elggot" if elggot else "toggle"
+                    raise NotInvertible(context=f"antichain {kind} at {self._name(x)}") from exc
+            if read_later:
+                down[x] = out[x] if acc is None else mul(out[x], acc)
+        return tuple(out)
+
+    def _antichain_plan(self, toggled, extension, elggot):
+        """The elements at or above a toggled one, top-down, for U; then for each
+        element at or below one, bottom-up: its lower covers, whether it is
+        toggled, and whether a later element reads its D value."""
         lower, upper = self.poset.down_adjacency, self.poset.up_adjacency
         if elggot:
             extension = extension[::-1]
             lower, upper = upper, lower
-        mul = (lambda x, y: b.mul(y, x)) if elggot else b.mul
-        toggled = set(toggled)
         above, below = set(toggled), set(toggled)  # at or above / at or below a toggled one
         for x in extension:
             if x not in above and not above.isdisjoint(lower[x]):
@@ -226,24 +254,9 @@ class Dynamics:
         for x in reversed(extension):
             if x not in below and not below.isdisjoint(upper[x]):
                 below.add(x)
-        up = self._inv_transfer(g, [x for x in reversed(extension) if x in above], down=elggot)
-        down = [None] * self.poset.n
-        out = list(g)
-        for x in extension:
-            if x not in below:
-                continue
-            acc = None
-            for u in lower[x]:
-                acc = down[u] if acc is None else add(acc, down[u])
-            if x in toggled:
-                try:
-                    out[x] = b.mul(c, invert(up[x] if acc is None else mul(acc, up[x])))
-                except NotInvertible as exc:
-                    kind = "elggot" if elggot else "toggle"
-                    raise NotInvertible(context=f"antichain {kind} at {self._name(x)}") from exc
-            if not below.isdisjoint(upper[x]):  # a later element reads D[x]
-                down[x] = out[x] if acc is None else mul(out[x], acc)
-        return tuple(out)
+        return ([x for x in reversed(extension) if x in above],
+                [(x, lower[x], x in toggled, not below.isdisjoint(upper[x]))
+                 for x in extension if x in below])
 
     # -- rowmotion ----------------------------------------------------------------
 
@@ -256,8 +269,8 @@ class Dynamics:
         """Antichain toggles along a linear extension, applied bottom-up, as
         one sweep: O(n + covers) backend operations, where toggling element
         by element reruns both inverse transfer recurrences for each one."""
-        ext = self.extension if extension is None else extension
-        return self._antichain_sweep(g, ext, ext, elggot=False)
+        ext = self.extension if extension is None else tuple(extension)
+        return self._antichain_sweep(g, self.poset.elements, ext, elggot=False)
 
     def order_rowmotion_via_transfers(self, f):
         return self.theta(self.inv_up_transfer(self.down_transfer(f)))
@@ -268,27 +281,63 @@ class Dynamics:
     # -- toggle words -----------------------------------------------------------
 
     def apply_word(self, word, f):
+        """Apply the atoms of ``word`` in turn, each maximal run that one sweep
+        applies exactly as that sweep: T (with rank_T) or E atoms in any order,
+        tau atoms at increasing and eps atoms at decreasing positions of the
+        extension, rank_tau atoms at increasing ranks.  A bad atom raises once
+        the run before it is applied, so a degenerate run raises NotInvertible."""
+        sweep, run, last = None, [], None
         for atom in word:
-            f = self._apply_atom(atom, f)
-        return f
+            try:
+                kind, elements, place = self._read_atom(atom)
+            except (ValueError, NotGraded):
+                self._apply_run(sweep, run, f)
+                raise
+            if kind != sweep or (place is not None and place <= last):
+                f = self._apply_run(sweep, run, f)
+                sweep, run = kind, []
+            run += elements
+            last = place
+        return self._apply_run(sweep, run, f)
 
-    def _apply_atom(self, atom, f):
+    def _read_atom(self, atom):
+        """The sweep an atom joins, its elements, and its place, which must
+        increase along an antichain run (None: any order)."""
         kind, i = atom
-        if kind in _ELEMENT_ATOMS:  # each single-toggle method checks the element
-            return getattr(self, _ELEMENT_ATOMS[kind])(i, f)
+        if kind in ("T", "E"):
+            self._require_element(kind, i)
+            return kind, (i,), None
+        if kind in ("tau", "eps"):
+            self._require_element(kind, i)
+            return kind, (i,), self._position[i] if kind == "tau" else -self._position[i]
         if kind in ("rank_T", "rank_tau"):
             self._require_graded()
             if not 0 <= i <= self.poset.top_rank:
                 raise ValueError(f"atom {atom} references a missing rank")
-            # Same-rank toggles commute pairwise, so a rank toggles as one sweep.
-            # The antichain sweep goes rank by rank, in index order within a
-            # rank, so a degenerate value is reported where single toggles report it.
+            # A rank atom is its rank's toggles in index order.  The antichain sweep
+            # along _by_rank takes them so, so a degenerate value is reported where
+            # single toggles report it.
             elements = self.poset.rank_elements(i)
-            if kind == "rank_T":
-                return self._order_sweep(f, elements, elggot=False)
-            by_rank = sorted(range(self.poset.n), key=self.poset.rank.__getitem__)
-            return self._antichain_sweep(f, elements, by_rank, elggot=False)
+            return ("T", elements, None) if kind == "rank_T" else (kind, elements, i)
         raise ValueError(f"unknown toggle-word atom {atom}")
+
+    def _apply_run(self, sweep, run, f):
+        if not run:
+            return f
+        if sweep in ("T", "E"):
+            return self._order_sweep(f, run, elggot=sweep == "E")
+        extension = self._by_rank if sweep == "rank_tau" else self.extension
+        return self._antichain_sweep(f, frozenset(run), extension, elggot=sweep == "eps")
+
+    @cached_property
+    def _position(self):
+        """Each element's place in the extension."""
+        return {x: k for k, x in enumerate(self.extension)}
+
+    @cached_property
+    def _by_rank(self):
+        """The linear extension of rank atoms: by rank, then by index."""
+        return tuple(sorted(range(self.poset.n), key=self.poset.rank.__getitem__))
 
     def eta_word(self, elements):
         """Order toggles clearing the strict lower set of ``elements``, top-down."""

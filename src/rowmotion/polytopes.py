@@ -50,8 +50,14 @@ def in_unit_cube(f):
     return all(ZERO <= x <= ONE for x in f)
 
 
+def _require_length(p, f):
+    if len(f) != p.n:
+        raise ValueError(f"expected {p.n} values")
+
+
 def in_order_polytope(p, f):
     """Order-preserving labelings into [0, 1]."""
+    _require_length(p, f)
     if not in_unit_cube(f):
         return False
     return all(f[u] <= f[v] for (u, v) in p.covers)
@@ -59,11 +65,13 @@ def in_order_polytope(p, f):
 
 def in_order_reversing(p, f):
     """Order-reversing labelings into [0, 1]: those f with 1 - f order-preserving."""
+    _require_length(p, f)
     return in_order_polytope(p, [ONE - x for x in f])
 
 
 def in_chain_polytope(p, f):
     """Non-negative labelings whose every maximal-chain sum is at most 1."""
+    _require_length(p, f)
     if any(x < ZERO for x in f):
         return False
     return _max_chain_sum(p, f) <= ONE
@@ -91,10 +99,12 @@ def pl_apply(p, step, f):
     tuple of Atoms.  f is checked once against the polytope the step reads:
     each toggle maps its polytope to itself, so the check covers a whole word,
     and a word mixing order and antichain atoms has no domain.  A rowmotion
-    name runs the one-sweep Dynamics method; the word of its single antichain
-    toggles would rerun both inverse transfer recurrences once per element.
+    name runs the one-sweep Dynamics method, and so does the word of its
+    single antichain toggles in extension order.  f must have one value per
+    element, which is checked before any membership test.
     """
     dyn = Dynamics(p, _TROPICAL)
+    f = dyn.labeling(f)
     if isinstance(step, str):
         if step not in _DOMAIN or not hasattr(dyn, step):
             raise ValueError(f"unknown PL map {step!r}")
@@ -111,7 +121,7 @@ def pl_apply(p, step, f):
     for polytope in domains:
         if not member[polytope](p, f):
             raise DomainViolation(f"labeling is outside the {polytope}")
-    return run(dyn.labeling(f))
+    return run(f)
 
 
 # Named entries over pl_apply, looked up by name by perfbench's workloads and spans.

@@ -467,6 +467,34 @@ def test_rational_samples_fully_reduced_nonzero(monkeypatch):
         assert gcd(q.numerator, q.denominator) == 1
 
 
+@pytest.mark.parametrize("spec", ["rational", "tropical", "matrix:1", "matrix:2", "matrix:3",
+                                  "matrix:8"])
+def test_sample_generic_pins_its_values(spec):
+    # References drawn by randint and built by the public constructors: the
+    # sampler's own draws and builders must give these values, in these forms.
+    b = parse_backend(spec)
+    lo, hi = backends.DEFAULT_SAMPLE_RANGE
+    seeds = [0, 1, 2**64 - 1] + [derive_seed("sample-pin", spec, k) for k in range(40)]
+    for seed in seeds:
+        rng = random.Random(seed)
+        got = b.sample_generic(seed)
+        if spec == "tropical":
+            den = rng.randint(1, backends.TROPICAL_DENOMINATOR_BOUND)
+            want = F(rng.randint(0, den), den)
+        elif spec == "rational":
+            want = F(rng.randint(lo, hi), rng.randint(lo, hi))
+        else:
+            want = RationalMatrix([[F(rng.randint(lo, hi), rng.randint(lo, hi))
+                                    for _ in range(b.d)] for _ in range(b.d)])
+            assert type(got) is RationalMatrix
+            assert (got.d, got._num, got._den) == (want.d, want._num, want._den)
+            assert got._den > 0 and gcd(got._den, *got._num) == 1
+            continue
+        assert type(got) is Fraction and got == want
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert got.denominator > 0 and gcd(got.numerator, got.denominator) == 1
+
+
 def test_rational_invert_matches_division_in_lowest_terms():
     rng = random.Random("rational-invert")
     b = RationalField()

@@ -233,6 +233,20 @@ def test_pl_apply_errors(p23):
         pl_apply(ungraded, (Atom("rank_T", 0),), random_order_polytope_point(ungraded, 1))
 
 
+def test_wrong_length_labelings_are_refused_before_any_membership_test(p22):
+    # One value too many must not pass the order tests, and one too few must not
+    # reach an IndexError: each raises the labeling's own ValueError.
+    steps = ["order_rowmotion", "up_transfer", "antichain_rowmotion", "theta",
+             (Atom("T", 0),), (Atom("tau", 0),)]
+    for f in ([F(0)] * 5, [F(0), F(1, 2)], [F(-1)] * 5, []):
+        for member in (in_order_polytope, in_order_reversing, in_chain_polytope):
+            with pytest.raises(ValueError, match="^expected 4 values$"):
+                member(p22, f)
+        for step in steps:
+            with pytest.raises(ValueError, match="^expected 4 values$"):
+                pl_apply(p22, step, f)
+
+
 def test_pl_transfer_roundtrips_random_points(p23):
     for seed in range(100):
         f = random_order_polytope_point(p23, seed)
