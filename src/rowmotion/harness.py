@@ -14,6 +14,7 @@ import json
 import math
 import operator
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ DEFAULT_MAX_ITER = 64
 MAX_ITER_LIMIT = 4096  # 4096 tropical or PL steps on a 10-element poset take about 1 s
 ORBIT_WORK_BUDGET = 100_000  # steps x (elements + covers); a tropical orbit at it takes about 1 s
 SCAN_ELEMENT_BUDGET = 12
-MAX_SAMPLES = 1000  # verify --points and scan --seeds; verify --all at it takes about 28 s
+MAX_SAMPLES = 1000  # verify --points and scan --seeds; verify --all at it takes about 23 s
 DEFAULT_VERIFY_POSETS = ("chain 2x3", "rootA 3")
 MODEL_NOTE = "generic-matrix evaluation (randomized identity testing, not symbolic)"
 
@@ -318,7 +319,7 @@ def run_check(spec: CheckSpec, poset=None, backend=None):
         points = spec.points
         for i in range(points):
             def attempt(k):
-                g = dyn.random_labeling(derive_seed(spec.seed, i, k))
+                g = _point(dyn, derive_seed(spec.seed, i, k))
                 # the point's own generator, built only by the checks that draw
                 return thm.check(dyn, g, lambda: random.Random(derive_seed("aux", spec.seed, i, k)))
             ok, degenerate = _redraw(
@@ -338,6 +339,29 @@ def run_check(spec: CheckSpec, poset=None, backend=None):
     if model_note:
         report["model"] = model_note
     return report
+
+
+# Registry points drawn so far, per backend object: {backend: {(n, seed): labeling}}.
+_POINTS = weakref.WeakKeyDictionary()
+
+
+def _point(dyn, seed):
+    """The registry point ``dyn.random_labeling(seed)``, drawn once per backend object.
+
+    A labeling depends only on the backend, the element count and the seed, so
+    every check that shares a backend object reads one draw per point, redraws
+    included, and a matrix's stored inverse with it.  Entries go with their
+    backend.  A backend that cannot be weakly keyed draws afresh.
+    """
+    try:
+        drawn = _POINTS.setdefault(dyn.backend, {})
+    except TypeError:
+        return dyn.random_labeling(seed)
+    key = (dyn.poset.n, seed)
+    g = drawn.get(key)
+    if g is None:
+        g = drawn[key] = dyn.random_labeling(seed)
+    return g
 
 
 def _redraw(attempt, what):

@@ -1,11 +1,15 @@
+import gc
+import hashlib
 import itertools
 import json
 import operator
+import weakref
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
-from rowmotion import harness
+from rowmotion import backends, cli, harness
 from rowmotion.backends import MatrixRing, RationalField, parse_backend
 from rowmotion.dynamics import Dynamics, detect_order
 from rowmotion.errors import GenericityFailure, LabelsTooLarge, NotInvertible
@@ -369,17 +373,25 @@ def test_emit_report_unknown_format():
 
 
 def test_concurrent_checks_share_poset_and_stay_deterministic():
-    # checks are independent pure jobs: a thread pool over one shared poset
-    # (exercising the lazily cached chain index) matches the sequential run
+    # checks are independent pure jobs: a thread pool over one shared poset and
+    # one shared backend, whose registry points the threads draw and read
+    # concurrently, matches the sequential run
+    import sys
     from concurrent.futures import ThreadPoolExecutor
 
     p = chain_product(2, 3)
-    specs = [CheckSpec(t, "chain 2x3", "rational", points=4, seed=5)
-             for t in ("bar-transfer", "meteor-gorge", "tau-star", "involution")]
+    specs = [CheckSpec(t, "chain 2x3", "matrix:2", points=8, seed=5)
+             for t in ("nar-transfer", "meteor-gorge", "tau-star-nc", "involution",
+                       "commutation", "reciprocity", "gyration", "rescale-bar")]
     sequential = [run_check(s, poset=p) for s in specs]
-    fresh = chain_product(2, 3)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        parallel = list(pool.map(lambda s: run_check(s, poset=fresh), specs))
+    fresh, shared = chain_product(2, 3), MatrixRing(2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(lambda s: run_check(s, poset=fresh, backend=shared), specs))
+    finally:
+        sys.setswitchinterval(interval)
     assert parallel == sequential
 
 
@@ -393,3 +405,84 @@ def test_nar_and_nor_orders_match():
         bar = labeling_orbit_report(p, backend, "bar", seed=1, max_iter=10)
         bor = labeling_orbit_report(p, backend, "bor", seed=1, max_iter=10)
         assert bar.order == bor.order == a + b
+
+
+def _verify_all_rows(shared):
+    """Each row of `verify --all` in the CLI's order, or the GenericityFailure it raised.
+
+    ``shared``: one backend and one poset object per spec across all checks, as
+    the CLI builds them; otherwise a fresh backend and poset for every check.
+    """
+    specs = default_check_specs()
+    backend_objects = {s.backend_spec: parse_backend(s.backend_spec) for s in specs}
+    posets = {s.poset_spec: build_poset(s.poset_spec) for s in specs}
+    rows = []
+    for s in specs:
+        if shared:
+            poset, backend = posets[s.poset_spec], backend_objects[s.backend_spec]
+        else:
+            poset, backend = build_poset(s.poset_spec), parse_backend(s.backend_spec)
+        try:
+            rows.append(run_check(s, poset=poset, backend=backend))
+        except GenericityFailure as exc:
+            rows.append(f"GenericityFailure: {exc}")
+    return rows
+
+
+@pytest.mark.parametrize("sample_range", [backends.DEFAULT_SAMPLE_RANGE, (1, 3)])
+def test_shared_registry_points_give_the_rows_of_fresh_draws(monkeypatch, sample_range):
+    # (1, 3) makes matrix:2 points degenerate often: 228 redraws, and four checks
+    # that stay degenerate through every retry, with the same rows either way.
+    monkeypatch.setattr(backends, "DEFAULT_SAMPLE_RANGE", sample_range)
+    shared = _verify_all_rows(shared=True)
+    assert shared == _verify_all_rows(shared=False)
+    raised = [r for r in shared if isinstance(r, str)]
+    retries = sum(r["retries"] for r in shared if not isinstance(r, str))
+    if sample_range == (1, 3):
+        assert retries == 228 and len(raised) == 4
+        assert all("rootA 3/matrix:2: point 2 stayed degenerate" in r for r in raised)
+    else:
+        assert retries == 0 and not raised
+
+
+def test_verify_draws_each_registry_point_once_per_backend(monkeypatch, tmp_path):
+    draws, alive = Counter(), []
+
+    def counting_backend(spec, *args, **kwargs):
+        b = parse_backend(spec, *args, **kwargs)
+
+        class Counting(type(b)):
+            def sample_generic(self, seed):
+                draws[spec] += 1
+                return super().sample_generic(seed)
+        b.__class__ = Counting
+        alive.append(weakref.ref(b))
+        return b
+    monkeypatch.setattr(cli, "parse_backend", counting_backend)
+    entries = len(harness._POINTS)
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--all", "--points", "20", "--seed", "0",
+                     "--format", "json", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "41f0606e5483349ed04b52472639dece48985041157002f665999a3151d3d542"
+    # both default posets have six elements, so the two share each point's 20 seeds
+    assert draws == {"rational": 6 * 20, "tropical": 6 * 20, "matrix:2": 6 * 20}
+    gc.collect()
+    assert alive and all(ref() is None for ref in alive)
+    assert len(harness._POINTS) == entries
+
+
+def test_orbit_reports_draw_afresh():
+    b = RationalField()
+    labeling_orbit_report(chain_product(2, 2), b, "bar", seed=1)
+    assert b not in harness._POINTS
+
+
+def test_a_backend_that_cannot_be_weakly_keyed_draws_afresh():
+    class ValueEqual(RationalField):
+        __hash__ = None
+
+        def __eq__(self, other):
+            return isinstance(other, RationalField)
+    spec = CheckSpec("tau-star", "rootA 3", "rational", points=5, seed=9)
+    assert run_check(spec, backend=ValueEqual()) == run_check(spec)

@@ -1,8 +1,11 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from rowmotion import polytopes
 from rowmotion.backends import MatrixRing, RationalField, TropicalSemiring
 from rowmotion.dynamics import Atom, Dynamics
 from rowmotion.errors import DomainViolation, NotGraded
@@ -435,3 +438,37 @@ def test_antichain_maps_never_enumerate_chains():
     g = random_chain_polytope_point(p, 5)
     assert in_chain_polytope(p, g)
     assert in_chain_polytope(p, pl_antichain_rowmotion(p, g))
+
+
+def test_pl_orbits_keep_one_dynamics_per_poset(monkeypatch):
+    built = []
+
+    class CountingDynamics(Dynamics):
+        def __init__(self, poset, backend):
+            built.append(poset.n)
+            super().__init__(poset, backend)
+    monkeypatch.setattr(polytopes, "Dynamics", CountingDynamics)
+    tropical = TropicalSemiring(const_c=1)
+    posets = [random_poset(n, seed) for n in range(3, 9) for seed in (n, 20 + n)]
+    for p in posets:
+        g = random_chain_polytope_point(p, p.n)
+        f = random_order_polytope_point(p, p.n)
+        word = tuple(Atom("tau", v) for v in reversed(p.default_linear_extension))
+        for _ in range(p.n + 3):  # each step checks its domain, then runs on the kept Dynamics
+            fresh = Dynamics(p, tropical)
+            g, expected = pl_apply(p, "antichain_rowmotion", g), fresh.antichain_rowmotion(g)
+            assert g == expected
+            f, expected = pl_apply(p, "order_rowmotion", f), fresh.order_rowmotion(f)
+            assert f == expected
+            assert pl_apply(p, word, g) == fresh.apply_word(word, g)
+    assert built == [p.n for p in posets]
+
+
+def test_pl_dynamics_goes_with_its_poset():
+    p = chain_product(2, 3)
+    pl_antichain_rowmotion(p, random_chain_polytope_point(p, 1))
+    assert p in polytopes._DYNAMICS
+    entries, ref = len(polytopes._DYNAMICS), weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None and len(polytopes._DYNAMICS) == entries - 1
