@@ -289,7 +289,8 @@ def cmd_verify(args):
     plan = [(tid, (args.backend,) if args.backend else THEOREMS[tid].default_backends)
             for tid in theorems]
     # Every backend and poset is built before any check runs, so a bad spec exits at once.
-    backends = {bs: _parse_backend(bs, args.const_c) for _, specs in plan for bs in specs}
+    backends = {bs: _parse_backend(bs, args.const_c)
+                for bs in dict.fromkeys(bs for _, specs in plan for bs in specs)}
     posets = {ps: build_poset(ps) for ps in poset_specs}
     reports = []
     for tid, specs in plan:

@@ -152,24 +152,28 @@ class Poset:
     # -- maximal chains --------------------------------------------------
 
     def maximal_chains(self):
-        """All maximal chains, bottom-to-top; at most ``DEFAULT_CHAIN_BUDGET``."""
+        """All maximal chains, bottom-to-top; at most ``DEFAULT_CHAIN_BUDGET``.
+
+        A depth-first walk up the covers, smallest cover first, that keeps one
+        iterator per level of the current chain on an explicit stack, so a
+        chain as long as ``MAX_ELEMENTS`` needs no recursion.
+        """
         chains = []
-
-        def extend(chain, v):
-            ups = self.up_adjacency[v]
-            if not ups:
-                if len(chains) >= DEFAULT_CHAIN_BUDGET:
-                    raise ChainBudgetExceeded(
-                        f"more than {DEFAULT_CHAIN_BUDGET} maximal chains")
-                chains.append(tuple(chain))
-                return
-            for w in ups:
-                chain.append(w)
-                extend(chain, w)
+        for bottom in self.minimal_elements():
+            chain, branches = [bottom], [iter(self.up_adjacency[bottom])]
+            while branches:
+                w = next(branches[-1], None)
+                if w is not None:
+                    chain.append(w)
+                    branches.append(iter(self.up_adjacency[w]))
+                    continue
+                if not self.up_adjacency[chain[-1]]:  # a maximal element ends a chain
+                    if len(chains) >= DEFAULT_CHAIN_BUDGET:
+                        raise ChainBudgetExceeded(
+                            f"more than {DEFAULT_CHAIN_BUDGET} maximal chains")
+                    chains.append(tuple(chain))
                 chain.pop()
-
-        for v in self.minimal_elements():
-            extend([v], v)
+                branches.pop()
         return tuple(chains)
 
     def chains_through(self, v):

@@ -269,6 +269,30 @@ def test_verify_builds_each_poset_once_before_any_check_runs(capsys, monkeypatch
     assert code == 0 and built == ["chain 2x2"]
 
 
+def test_verify_builds_each_backend_spec_once(capsys, monkeypatch):
+    built = []
+
+    def recording_parse(spec, *args, parse=cli_module.parse_backend, **kwargs):
+        built.append(spec)
+        return parse(spec, *args, **kwargs)
+    monkeypatch.setattr("rowmotion.cli.parse_backend", recording_parse)
+    code, _, _ = run(capsys, "verify", "--all", "--poset", "chain 1x2", "--points", "1")
+    assert code == 0
+    assert sorted(built) == sorted({bs for t in THEOREMS.values() for bs in t.default_backends})
+    assert len(built) == 3
+
+
+def test_verify_bad_default_backend_exits_2_before_any_check_runs(capsys, monkeypatch):
+    # sorted last, so every other theorem's checks would run first
+    monkeypatch.setitem(THEOREMS, "zz-bad-backend",
+                        TheoremCheck(lambda dyn, g, rng: True, False, ("garbage",), "fixture"))
+    checked = []
+    monkeypatch.setattr("rowmotion.harness.run_check", lambda *a, **k: checked.append(a))
+    code, out, err = run(capsys, "verify", "--all", "--poset", "chain 1x1", "--points", "1")
+    assert code == 2 and "garbage" in err and not out
+    assert checked == []
+
+
 def test_verify_verbose_names_each_check_in_plan_order_and_keeps_the_report(capsys, tmp_path):
     theorems, posets = ("reciprocity", "involution"), ("chain 1x2", "chain 2x2")
     argv = ["verify", "--points", "2", "--seed", "1", "--format", "json"]

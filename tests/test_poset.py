@@ -328,8 +328,8 @@ def test_extension_invariant_adjacent_transpositions(a3, linear_extensions):
     assert len(seen) == len(exts)
 
 
-def dfs_chains_through(p, v):
-    """Independent oracle: enumerate maximal chains by DFS and filter."""
+def dfs_maximal_chains(p):
+    """Independent oracle: maximal chains by recursive DFS, in the library's order."""
     chains = []
 
     def walk(chain):
@@ -342,7 +342,12 @@ def dfs_chains_through(p, v):
 
     for m in p.minimal_elements():
         walk([m])
-    return [c for c in chains if v in c]
+    return chains
+
+
+def dfs_chains_through(p, v):
+    """Independent oracle: enumerate maximal chains by DFS and filter."""
+    return [c for c in dfs_maximal_chains(p) if v in c]
 
 
 def test_chains_through_2x3_bottom(p23):
@@ -373,6 +378,27 @@ def test_chains_are_maximal_and_positions_correct(p23, a3):
                 assert chain[-1] in p.maximal_elements()
                 assert all((chain[i], chain[i + 1]) in p.covers
                            for i in range(len(chain) - 1))
+
+
+def test_maximal_chains_match_recursive_oracle_in_order():
+    rng = random.Random(29)
+    posets = [Poset(0, []), Poset(3, []), root_poset_a(4), chain_product(3, 4)]
+    posets += [random_poset(rng.randint(1, 12), rng.randrange(10**6)) for _ in range(40)]
+    posets += [random_graded_poset(seed) for seed in range(20)]
+    for p in posets:
+        assert list(p.maximal_chains()) == dfs_maximal_chains(p), p
+
+
+def test_longest_admitted_chain_needs_no_recursion():
+    # 1200 elements, past the interpreter's default recursion limit of 1000
+    p = chain_product(1, 1200)
+    assert p.maximal_chains() == (tuple(range(1200)),)
+    assert p.chains_through(1199) == ((tuple(range(1200)), 1199),)
+
+
+def test_chain_budget_admits_exactly_the_budget(monkeypatch):
+    monkeypatch.setattr("rowmotion.poset.DEFAULT_CHAIN_BUDGET", 4)
+    assert Poset(4, []).maximal_chains() == ((0,), (1,), (2,), (3,))
 
 
 def test_chain_budget_exceeded(monkeypatch):

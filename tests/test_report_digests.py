@@ -57,6 +57,10 @@ COMB_ORBIT_DIGESTS = {
     "rowF": "cddbf6fad881a68d1c9fe36fa5c0b5de7eb80b7a0f156a3fcc0d703fd85b9c27",
 }
 
+# The largest grid that state-space enumeration admits (2^20 masks), taken while
+# every mask was still a frozenset run through a set validator.
+COMB_LARGEST_DIGEST = "af72b0aef95fbec9ca32dbf1d9fe5a45538da2019d8a89a8038a88bf1390be44"
+
 HOMOMESY_DIGESTS = {
     "rowA": "a90a7d039371de561a34fde32775bdef28367a13228cc39bcf1f6dbfc0c26d0a",
     "rowJ": "1bd950158565685e7e72f0c343307c3ab6ade73aa89e17e658b29db5e2a87c78",
@@ -125,6 +129,11 @@ def test_comb_orbit_report_digest(tmp_path, map_id):
     digest = unseeded_report_digest(tmp_path, "orbit", "--realm", "comb", "--poset", "chain 3x3",
                                     "--map", map_id)
     assert digest == COMB_ORBIT_DIGESTS[map_id]
+
+
+def test_comb_orbit_report_digest_on_the_largest_admitted_grid(tmp_path):
+    digest = unseeded_report_digest(tmp_path, "orbit", "--realm", "comb", "--poset", "chain 4x5")
+    assert digest == COMB_LARGEST_DIGEST
 
 
 @pytest.mark.parametrize("map_id", sorted(HOMOMESY_DIGESTS))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rowmotion.errors import KindMismatch
-from rowmotion.poset import chain_product, random_graded_poset, random_poset
+from rowmotion.poset import Poset, chain_product, random_graded_poset, random_poset, root_poset_a
 from rowmotion.subsets import (
     Kind,
     SubsetState,
@@ -19,6 +19,9 @@ from rowmotion.subsets import (
     ideal,
     inverse_down_transfer,
     inverse_up_transfer,
+    is_antichain,
+    is_filter,
+    is_ideal,
     map_order,
     orbit,
     orbit_average,
@@ -260,6 +263,48 @@ def test_filter_rowmotion_matches_reference_toggle_product(p):
         assert rowmotion_filter(p, s) == got
         moved += got != s
     assert moved  # rowmotion is not the identity on any nonempty poset
+
+
+def reference_all_states(p, validator, kind):
+    """The enumeration before integer masks: a frozenset per mask, then the
+    set validator.  A reference for the mask tests of ``all_*``."""
+    out = []
+    for mask in range(1 << p.n):
+        members = frozenset(v for v in range(p.n) if mask >> v & 1)
+        if validator(p, members):
+            out.append(SubsetState(members, kind))
+    return out
+
+
+ENUMERATIONS = [(all_ideals, is_ideal, Kind.IDEAL), (all_filters, is_filter, Kind.FILTER),
+                (all_antichains, is_antichain, Kind.ANTICHAIN)]
+
+
+def relabeled(p, rng):
+    """``p`` with its indices shuffled, so the identity need not be a linear extension."""
+    perm = list(range(p.n))
+    rng.shuffle(perm)
+    return Poset(p.n, [(perm[u], perm[v]) for (u, v) in p.covers])
+
+
+def test_state_enumeration_matches_set_reference_on_relabeled_posets(p23, a3):
+    rng = random.Random(4111)
+    posets = [Poset(0, []), p23, a3]
+    posets += [relabeled(random_poset(n, rng.randrange(10**6)), rng)
+               for n in range(12) for _ in range(10)]
+    assert sum(u > v for p in posets for (u, v) in p.covers) > 100
+    for p in posets:
+        for enumerate_states, validator, kind in ENUMERATIONS:
+            assert enumerate_states(p) == reference_all_states(p, validator, kind), (p.covers, kind)
+
+
+@pytest.mark.parametrize("p,count", [(chain_product(4, 4), 70), (root_poset_a(5), 132),
+                                     (chain_product(3, 6), 84)], ids=repr)
+def test_census_state_counts(p, count):
+    # the posets of the comb-census benchmark; each kind is in bijection with the others
+    for enumerate_states, _, kind in ENUMERATIONS:
+        states = enumerate_states(p)
+        assert len(states) == count and {s.kind for s in states} == {kind}
 
 
 def test_rowmotion_as_three_step_composition_exhaustive(a3):
