@@ -18,7 +18,7 @@ from . import harness, polytopes, subsets
 from .backends import RationalField, parse_backend
 from .dynamics import Dynamics, detect_order
 from .errors import GenericityFailure, RowmotionError
-from .harness import THEOREMS, CheckSpec, build_poset, emit_report
+from .harness import THEOREMS, build_poset, emit_report
 
 REALM_BACKENDS = {"birational": "rational", "nc": "matrix:2", "tropical": "tropical"}
 
@@ -279,29 +279,21 @@ def cmd_verify(args):
         return 0
     if args.all and args.theorem:
         raise ValueError("--theorem has no effect with --all")
-    theorems = list(dict.fromkeys(args.theorem)) or sorted(THEOREMS)  # repeats run once
     points = _at_least_one("--points", args.points, harness.MAX_SAMPLES)
-    poset_specs = list(dict.fromkeys(args.poset)) or list(harness.DEFAULT_VERIFY_POSETS)
     seed = args.seed if args.seed is not None else _default_seed()
-    for tid in theorems:
-        if tid not in THEOREMS:
-            raise ValueError(f"unknown theorem {tid!r}; try --list")
-    plan = [(tid, (args.backend,) if args.backend else THEOREMS[tid].default_backends)
-            for tid in theorems]
+    specs = harness.default_check_specs(args.poset or harness.DEFAULT_VERIFY_POSETS, points,
+                                        seed, theorems=args.theorem, backend=args.backend)
     # Every backend and poset is built before any check runs, so a bad spec exits at once.
     backends = {bs: _parse_backend(bs, args.const_c)
-                for bs in dict.fromkeys(bs for _, specs in plan for bs in specs)}
-    posets = {ps: build_poset(ps) for ps in poset_specs}
+                for bs in dict.fromkeys(s.backend_spec for s in specs)}
+    posets = {ps: build_poset(ps) for ps in dict.fromkeys(s.poset_spec for s in specs)}
     reports = []
-    for tid, specs in plan:
-        for ps in poset_specs:
-            for bs in specs:
-                if args.verbose:
-                    print(f"checking {tid} on {ps} over {bs}: "
-                          f"{THEOREMS[tid].description}", file=sys.stderr)
-                reports.append(harness.run_check(
-                    CheckSpec(tid, ps, bs, points=points, seed=seed),
-                    poset=posets[ps], backend=backends[bs]))
+    for s in specs:
+        if args.verbose:
+            print(f"checking {s.theorem} on {s.poset_spec} over {s.backend_spec}: "
+                  f"{THEOREMS[s.theorem].description}", file=sys.stderr)
+        reports.append(harness.run_check(s, poset=posets[s.poset_spec],
+                                         backend=backends[s.backend_spec]))
     reports.sort(key=lambda r: (r["theorem"], r["poset"], r["backend"], r["seed"]))
     _emit(reports, args.format, args.out)
     failed = sum(r["failures"] for r in reports)

@@ -153,13 +153,10 @@ def test_criterion_6_noncommutative_order_five_and_scan():
 
 
 CRITERION_7_BACKENDS = {
-    "bar-transfer": ("rational",),
+    "bar-transfer": ("rational", "matrix:2"),
     "nor-transfer": ("rational", "matrix:2"),
-    "nar-transfer": ("matrix:2",),
-    "t-star": ("rational",),
-    "tau-star": ("rational",),
-    "t-star-nc": ("matrix:2",),
-    "tau-star-nc": ("matrix:2",),
+    "t-star": ("rational", "matrix:2"),
+    "tau-star": ("rational", "matrix:2"),
     "gyration": ("rational", "matrix:2"),
 }
 

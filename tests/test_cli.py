@@ -237,9 +237,14 @@ def test_verify_list(capsys):
         assert tid in out
 
 
-def test_verify_unknown_theorem_exit_2(capsys):
-    code, _, err = run(capsys, "verify", "--theorem", "fermat")
-    assert code == 2 and "fermat" in err
+def test_verify_unknown_theorem_exit_2(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr("rowmotion.cli.parse_backend", built.append)
+    # the last three are the ids that bar-transfer, t-star and tau-star absorbed
+    for theorem in ("fermat", "nar-transfer", "t-star-nc", "tau-star-nc"):
+        code, out, err = run(capsys, "verify", "--theorem", "involution", "--theorem", theorem)
+        assert code == 2 and not out and not built
+        assert f"unknown theorem {theorem!r}; try --list" in err
 
 
 def test_verify_failure_exit_1(capsys, monkeypatch):

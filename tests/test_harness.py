@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import itertools
 import json
 import operator
@@ -30,16 +29,21 @@ from rowmotion.poset import chain_product, random_graded_poset, random_poset
 def test_registry_contents():
     expected = {
         "involution", "commutation", "extension-independence", "reciprocity",
-        "meteor-gorge", "bar-transfer", "nar-transfer", "nor-transfer",
-        "t-star", "tau-star", "t-star-nc", "tau-star-nc", "gyration",
-        "rescale-rank", "rescale-bar",
+        "meteor-gorge", "bar-transfer", "nor-transfer", "t-star", "tau-star",
+        "gyration", "rescale-rank", "rescale-bar",
     }
     assert set(THEOREMS) == expected
 
 
+def test_each_identity_is_one_registry_entry():
+    # An identity's realms are its default backends, not a second id for its check.
+    checks = Counter(t.check for t in THEOREMS.values())
+    assert max(checks.values()) == 1
+
+
 def test_checkspec_validation():
-    with pytest.raises(KeyError):
-        CheckSpec("no-such-theorem", "chain 2x3", "rational")
+    with pytest.raises(ValueError, match="unknown theorem 'no-such-theorem'"):
+        default_check_specs(theorems=["no-such-theorem"])
     with pytest.raises(ValueError):
         CheckSpec("bar-transfer", "chain 2x3", "rational", points=0)
 
@@ -83,7 +87,7 @@ def test_run_check_involution_noncommutative_catches_wrong_elggot(monkeypatch):
 
 @pytest.mark.parametrize("theorem, backend", [("bar-transfer", "rational"),
                                               ("bar-transfer", "tropical"),
-                                              ("nar-transfer", "matrix:2")])
+                                              ("bar-transfer", "matrix:2")])
 def test_run_check_fails_a_transfer_that_drops_a_label(monkeypatch, theorem, backend):
     # A labeling one label short is not equal to the full one, whatever its prefix.
     down_transfer = Dynamics.down_transfer
@@ -116,7 +120,7 @@ class S4Dynamics(Dynamics):
         return out
 
 
-@pytest.mark.parametrize("theorem", ["involution", "t-star-nc", "commutation"])
+@pytest.mark.parametrize("theorem", ["involution", "t-star", "commutation"])
 def test_s4_defect_is_invisible_on_2x2_matrices_only(monkeypatch, theorem):
     # Amitsur-Levitzki: s4 vanishes on 2x2 matrices, so the matrix:2 default
     # backends cannot see this defect, while matrix:3 sees it at every point.
@@ -381,7 +385,7 @@ def test_concurrent_checks_share_poset_and_stay_deterministic():
 
     p = chain_product(2, 3)
     specs = [CheckSpec(t, "chain 2x3", "matrix:2", points=8, seed=5)
-             for t in ("nar-transfer", "meteor-gorge", "tau-star-nc", "involution",
+             for t in ("bar-transfer", "meteor-gorge", "tau-star", "involution",
                        "commutation", "reciprocity", "gyration", "rescale-bar")]
     sequential = [run_check(s, poset=p) for s in specs]
     fresh, shared = chain_product(2, 3), MatrixRing(2)
@@ -445,7 +449,7 @@ def test_shared_registry_points_give_the_rows_of_fresh_draws(monkeypatch, sample
         assert retries == 0 and not raised
 
 
-def test_verify_draws_each_registry_point_once_per_backend(monkeypatch, tmp_path):
+def test_verify_draws_each_registry_point_once_per_backend(monkeypatch, pre_merge_verify_digest):
     draws, alive = Counter(), []
 
     def counting_backend(spec, *args, **kwargs):
@@ -460,16 +464,22 @@ def test_verify_draws_each_registry_point_once_per_backend(monkeypatch, tmp_path
         return b
     monkeypatch.setattr(cli, "parse_backend", counting_backend)
     entries = len(harness._POINTS)
-    out = tmp_path / "verify.json"
-    assert cli.main(["verify", "--all", "--points", "20", "--seed", "0",
-                     "--format", "json", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+    assert pre_merge_verify_digest("--all", "--points", "20") == \
         "41f0606e5483349ed04b52472639dece48985041157002f665999a3151d3d542"
     # both default posets have six elements, so the two share each point's 20 seeds
     assert draws == {"rational": 6 * 20, "tropical": 6 * 20, "matrix:2": 6 * 20}
     gc.collect()
     assert alive and all(ref() is None for ref in alive)
     assert len(harness._POINTS) == entries
+
+
+@pytest.mark.parametrize("backend", ["rational", "tropical", "matrix:2"])
+def test_verify_all_with_a_backend_runs_each_theorem_once_per_poset(capsys, backend):
+    assert cli.main(["verify", "--all", "--points", "2", "--backend", backend,
+                     "--format", "json"]) == 0
+    pairs = [(r["theorem"], r["poset"]) for r in json.loads(capsys.readouterr().out)]
+    assert len(pairs) == len(set(pairs)) == len(THEOREMS) * len(harness.DEFAULT_VERIFY_POSETS)
+    assert len(pairs) == 24
 
 
 def test_orbit_reports_draw_afresh():
