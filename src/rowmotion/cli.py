@@ -176,29 +176,17 @@ _PL_MAPS = {
 }
 
 
-def _parse_const_c(text):
-    """The --const-c value as an exact Fraction, or None when the flag is absent."""
-    if text is None:
-        return None
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"--const-c {text!r}: zero denominator") from None
-    except ValueError as exc:
-        raise ValueError(f"--const-c {text!r}: {exc}") from None
-
-
 def _parse_backend(spec, const_c_text):
-    """``parse_backend(spec)`` with the --const-c value, so that an error the
-    value causes (C = 0 outside the tropical backend) names the flag."""
-    backend = parse_backend(spec)
-    const_c = _parse_const_c(const_c_text)
-    if const_c is None:
-        return backend
+    """``parse_backend(spec)`` with the --const-c text as C, built by one call.  On an
+    error the spec is parsed again without C: a bad spec is the error reported, and
+    otherwise the error names the flag (a malformed value, or C = 0 outside the
+    tropical backend)."""
     try:
-        return parse_backend(spec, const_c=const_c)
-    except ValueError as exc:
-        raise ValueError(f"--const-c {const_c_text!r}: {exc}") from None
+        return parse_backend(spec, const_c=const_c_text)
+    except (ValueError, ZeroDivisionError) as exc:
+        parse_backend(spec)
+        reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+        raise ValueError(f"--const-c {const_c_text!r}: {reason}") from None
 
 
 def _parse_labeling(p, text):

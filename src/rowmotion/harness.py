@@ -85,14 +85,15 @@ def build_poset(spec):
     """Builders behind the CLI poset strings.
 
     "chain AxB" | "rootA M" | "random N SEED" | a file path in the poset
-    text format.  A malformed spec raises ValueError quoting the spec.
+    text format.  Keywords and the x are read in any case; a file path keeps its
+    own.  A malformed spec raises ValueError quoting the spec.
     """
-    words = spec.split()
+    words = spec.lower().split()
     try:
         if words and words[0] == "chain" and len(words) == 2 and "x" in words[1]:
             a, b = words[1].split("x", 1)
             return chain_product(int(a), int(b))
-        if words and words[0].lower() == "roota" and len(words) == 2:
+        if words and words[0] == "roota" and len(words) == 2:
             return root_poset_a(int(words[1]))
         if words and words[0] == "random" and len(words) == 3:
             return random_poset(int(words[1]), int(words[2]))

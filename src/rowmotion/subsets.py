@@ -38,28 +38,23 @@ class SubsetState:
         return len(self.members)
 
 
-def is_ideal(p, members):
-    return all(u in members for v in members for u in p.down_adjacency[v])
-
-
-def is_filter(p, members):
-    return all(w in members for v in members for w in p.up_adjacency[v])
-
-
-def is_antichain(p, members):
-    ms = sorted(members)
-    return all(p.incomparable(u, v) for i, u in enumerate(ms) for v in ms[i + 1:])
-
-
-_VALIDATORS = {Kind.IDEAL: is_ideal, Kind.FILTER: is_filter, Kind.ANTICHAIN: is_antichain}
+# Per kind, which of (tested, outside) is the member mask's complement: a mask is a
+# state of the kind when no element of ``tested`` has a strict down-set meeting ``outside``.
+_COMPLEMENTED = {Kind.IDEAL: (0, 1), Kind.FILTER: (1, 0), Kind.ANTICHAIN: (0, 0)}
 
 
 def make_state(p, members, kind):
     members = frozenset(members)
     kind = Kind(kind)
-    check = _VALIDATORS.get(kind)
-    if check is not None and not check(p, members):
-        raise KindMismatch(f"{sorted(members)} is not a valid {kind.value}")
+    stray = members - p.elements
+    if stray:
+        raise KindMismatch(f"{sorted(stray)} are not elements of a poset of {p.n} elements")
+    if kind in _COMPLEMENTED:
+        full = (1 << p.n) - 1
+        mask = sum(1 << v for v in members)
+        tested, outside = (mask ^ full * c for c in _COMPLEMENTED[kind])
+        if any(tested >> v & 1 and p._below[v] & outside for v in range(p.n)):
+            raise KindMismatch(f"{sorted(members)} is not a valid {kind.value}")
     return SubsetState(members, kind)
 
 
@@ -226,8 +221,7 @@ def _all_states(p, kind):
             f"(at most {MAX_ENUMERATED_ELEMENTS})")
     n, below = p.n, p._below
     full = (1 << n) - 1
-    flip_tested, flip_outside = {Kind.IDEAL: (0, full), Kind.FILTER: (full, 0),
-                                 Kind.ANTICHAIN: (0, 0)}[kind]
+    flip_tested, flip_outside = (full * c for c in _COMPLEMENTED[kind])
     out = []
     for mask in range(full + 1):
         tested, outside = mask ^ flip_tested, mask ^ flip_outside

@@ -27,10 +27,11 @@ def run(capsys, *argv):
 
 
 def test_poset_inspect(capsys):
-    code, out, _ = run(capsys, "poset", "--poset", "chain 2x3")
-    assert code == 0
-    assert "elements: 6" in out
-    assert "maximal_chains: 3" in out
+    for spec in ("chain 2x3", "Chain 2x3", "chain 2X3"):
+        code, out, _ = run(capsys, "poset", "--poset", spec)
+        assert code == 0
+        assert "elements: 6" in out
+        assert "maximal_chains: 3" in out
 
 
 def test_poset_counts_chains_past_the_enumeration_budget(capsys):
@@ -281,10 +282,13 @@ def test_verify_builds_each_backend_spec_once(capsys, monkeypatch):
         built.append(spec)
         return parse(spec, *args, **kwargs)
     monkeypatch.setattr("rowmotion.cli.parse_backend", recording_parse)
-    code, _, _ = run(capsys, "verify", "--all", "--poset", "chain 1x2", "--points", "1")
-    assert code == 0
-    assert sorted(built) == sorted({bs for t in THEOREMS.values() for bs in t.default_backends})
-    assert len(built) == 3
+    for const_c in ((), ("--const-c", "3")):
+        built.clear()
+        code, _, _ = run(capsys, "verify", "--all", "--poset", "chain 1x2", "--points", "1",
+                         *const_c)
+        assert code == 0
+        assert sorted(built) == sorted({bs for t in THEOREMS.values() for bs in t.default_backends})
+        assert len(built) == 3
 
 
 def test_verify_bad_default_backend_exits_2_before_any_check_runs(capsys, monkeypatch):

@@ -25,6 +25,8 @@ from rowmotion.harness import (
 )
 from rowmotion.poset import chain_product, random_graded_poset, random_poset
 
+from test_report_digests import report_digest
+
 
 def test_registry_contents():
     expected = {
@@ -52,9 +54,18 @@ def test_build_poset_specs(tmp_path):
     assert build_poset("chain 2x3").n == 6
     assert build_poset("rootA 3").n == 6
     assert build_poset("random 5 7").n == 5
-    path = tmp_path / "p.poset"
+    # keywords and the x in any case; a file path keeps its own
+    for spelled, canonical in [("Chain 2x3", "chain 2x3"), ("chain 2X3", "chain 2x3"),
+                               ("CHAIN 2X3", "chain 2x3"), ("Random 5 1", "random 5 1"),
+                               ("RANDOM 5 7", "random 5 7"), ("roota 3", "rootA 3"),
+                               ("ROOTA 4", "rootA 4")]:
+        got, want = build_poset(spelled), build_poset(canonical)
+        assert (got.covers, got.element_names) == (want.covers, want.element_names)
+    path = tmp_path / "Mixed.Poset"
     path.write_text(build_poset("chain 2x2").serialize())
     assert build_poset(str(path)).covers == chain_product(2, 2).covers
+    with pytest.raises(FileNotFoundError):
+        build_poset(str(tmp_path / "mixed.poset"))
     with pytest.raises(FileNotFoundError):
         build_poset("missing.poset")
 
@@ -449,7 +460,7 @@ def test_shared_registry_points_give_the_rows_of_fresh_draws(monkeypatch, sample
         assert retries == 0 and not raised
 
 
-def test_verify_draws_each_registry_point_once_per_backend(monkeypatch, pre_merge_verify_digest):
+def test_verify_draws_each_registry_point_once_per_backend(monkeypatch, tmp_path):
     draws, alive = Counter(), []
 
     def counting_backend(spec, *args, **kwargs):
@@ -464,8 +475,8 @@ def test_verify_draws_each_registry_point_once_per_backend(monkeypatch, pre_merg
         return b
     monkeypatch.setattr(cli, "parse_backend", counting_backend)
     entries = len(harness._POINTS)
-    assert pre_merge_verify_digest("--all", "--points", "20") == \
-        "41f0606e5483349ed04b52472639dece48985041157002f665999a3151d3d542"
+    assert report_digest(tmp_path, "verify", "--all", "--points", "20") == \
+        "d8f12b75edc468d9bc71d93ae8061bc82088ad8c2fa95ffe67649e36a77e7f64"
     # both default posets have six elements, so the two share each point's 20 seeds
     assert draws == {"rational": 6 * 20, "tropical": 6 * 20, "matrix:2": 6 * 20}
     gc.collect()

@@ -33,21 +33,22 @@ ORBIT_DIGESTS = {
     ("rootA 4", "matrix:3", "bor"): "f7b9263575b78b670ec0f100792f0426aad6bdad305cf433fb3f0b94f5a29420",
 }
 
+# `verify --points 5 --theorem ID`, on its default backends and, for the identities
+# that span both realms, under --backend matrix:2, which runs their noncommutative rows.
 VERIFY_DIGESTS = {
-    "bar-transfer": "467562b35f008af2d7b4a5d33ddf5ad616394b28db3ccc70bb2e115527915e18",
-    "nar-transfer": "47af6a852100a19398c8807e34ef51c4ec4fd849a437a33446ba198020d2c41c",
-    "extension-independence": "c7db469547962f031bbce28a468147e06302743fbd18caebb79c1729687b7ee2",
-    "rescale-bar": "d9b61d906af12cee8f0b7a8d75e1150a1ccf7a7ea8e4a4e3e4d64096f228335b",
-    "gyration": "40eb625e870cd7a122d6c499ff211894c42bca6f5676f3774d070f9f12d2c4d0",
-    # the starred-toggle checks, taken before the star words became one map
-    "t-star": "f66a3a47f6bfd60d9a7c01d875fa85d870fc4f5ae38a11ae8800112912aa6ee4",
-    "tau-star": "8240e3a8d56e99d821101359e8cfecda963b54b41069387c0e28206736ef6b1d",
-    "t-star-nc": "1dcacbcea1a334bf9b20e9322935f16aea1a0853d44631eaa996e8535b258f8c",
-    "tau-star-nc": "cbf3d67009d2a7a0187bcdd95b52fde4c50eef3b7cae7cd29868863dcb5c7282",
+    ("bar-transfer",): "4cc254e5b782e472080370a1053e6bee18928856208d0601e7e1150fbc2ec6ee",
+    ("bar-transfer", "--backend", "matrix:2"):
+        "ac2e346ca726c3b33e0ef602c2abaac6b52a3ce61ad41d23e091a02511441e3a",
+    ("extension-independence",): "c7db469547962f031bbce28a468147e06302743fbd18caebb79c1729687b7ee2",
+    ("rescale-bar",): "d9b61d906af12cee8f0b7a8d75e1150a1ccf7a7ea8e4a4e3e4d64096f228335b",
+    ("gyration",): "40eb625e870cd7a122d6c499ff211894c42bca6f5676f3774d070f9f12d2c4d0",
+    ("t-star",): "857de7464a295e9b567048b71b775c639a1fe3e80676383bd5f5fd0a6c227010",
+    ("t-star", "--backend", "matrix:2"):
+        "be757395cc32929def4e86ee73756198cb578269a292c96a466ef13e5356cd99",
+    ("tau-star",): "a41afde6013c9856af4dd766c2c4314557cfb8716dcac02a6d7ec28a952e1ef6",
+    ("tau-star", "--backend", "matrix:2"):
+        "117b40bfcb053a02545fafa87d573822a9dedb030df6a95a6466cddcc4f539c7",
 }
-# These and the verify digests below were pinned while nar-transfer, t-star-nc and
-# tau-star-nc were registry entries of their own; pre_merge_verify_digest maps
-# today's reports back to those ids.
 
 PL_DIGEST = "7410ba9c85b9565b29583e561da7106505693e46a376461d7e6b271a89bac20a"
 # the order-map PL orbit, taken before the PL maps shared one applier
@@ -80,18 +81,19 @@ SCAN_DIGESTS = {
 
 POSET_DIGEST = "890d068560d9147894d3e5bafc25dfd796022a699e64a987ff01df1272e3fe64"
 
-# The whole registry on matrix:3, taken while each matrix was still built by five
-# object.__setattr__ calls.
-VERIFY_ALL_MATRIX3_DIGEST = "88b2f034b0d9375f2bbd7a59b2cdb7495821e2cfd513c6ce1bb019eb8457084d"
+# The whole registry on matrix:3.
+VERIFY_ALL_MATRIX3_DIGEST = "f41cad8583a9785385e08605ba1d9c1fb9af350d9a422b70c62bc378a05ce321"
 
 # `verify --all --points 20` with --backend, and the default plan at the MAX_SAMPLES
-# cap, whose one degenerate matrix:2 point is redrawn once in each of its rows.
+# cap, whose one degenerate matrix:2 point is redrawn once in each of its rows.  CI
+# pins these four, the matrix:3 plan above and the default plan at --points 20
+# (tests/test_harness.py) against the installed package.
 VERIFY_ALL_BACKEND_DIGESTS = {
-    "rational": "e83e3528e333329271b143e402af8ab8608422c2bd033b94af75c17ebd656fbd",
-    "tropical": "36d8c10b762a043f394ef1adaa6cd874301d64580efd2f5c199022a659c3b595",
-    "matrix:2": "1f8bbcda592dc30506ab3abc40a524ac7157e0f8682231aa5332b377ccfb60da",
+    "rational": "a6a1c895af3d61bc20d5a36e389721e0ed2172144c0cbc8ab638facf10daea4e",
+    "tropical": "d6caf231817e24d805e974322d1ba862a4fac912c83d25d00652cb6d487ef6d4",
+    "matrix:2": "d420591f83adcf20376296855ebe53f9f6c848b7057f87d67cd120e496118edc",
 }
-VERIFY_ALL_CAP_DIGEST = "726ac7b6fbf77200b3ad755ed02f34ef87c9b504ab52e38cfe538e8a72b8b2c1"
+VERIFY_ALL_CAP_DIGEST = "4d3680c08bfaf48dcb0fd347eff5778a0461967ef23fe7e232084effa4b314c7"
 
 
 def unseeded_report_digest(tmp_path, *argv):
@@ -123,26 +125,27 @@ def test_pl_order_orbit_report_digest(tmp_path):
     assert digest == PL_ORDER_DIGEST
 
 
-@pytest.mark.parametrize("theorem", sorted(VERIFY_DIGESTS))
-def test_verify_report_digest(pre_merge_verify_digest, theorem):
-    digest = pre_merge_verify_digest("--points", "5", theorem=theorem)
-    assert digest == VERIFY_DIGESTS[theorem]
+@pytest.mark.parametrize("argv", sorted(VERIFY_DIGESTS), ids=" ".join)
+def test_verify_report_digest(tmp_path, argv):
+    digest = report_digest(tmp_path, "verify", "--points", "5", "--theorem", *argv)
+    assert digest == VERIFY_DIGESTS[argv]
 
 
-def test_verify_all_matrix3_report_digest(pre_merge_verify_digest):
-    digest = pre_merge_verify_digest("--all", "--points", "5", "--backend", "matrix:3",
-                                     "--poset", "chain 2x3")
+def test_verify_all_matrix3_report_digest(tmp_path):
+    digest = report_digest(tmp_path, "verify", "--all", "--points", "5", "--backend", "matrix:3",
+                           "--poset", "chain 2x3")
     assert digest == VERIFY_ALL_MATRIX3_DIGEST
 
 
 @pytest.mark.parametrize("backend", sorted(VERIFY_ALL_BACKEND_DIGESTS))
-def test_verify_all_backend_report_digest(pre_merge_verify_digest, backend):
-    digest = pre_merge_verify_digest("--all", "--points", "20", "--backend", backend)
+def test_verify_all_backend_report_digest(tmp_path, backend):
+    digest = report_digest(tmp_path, "verify", "--all", "--points", "20", "--backend", backend)
     assert digest == VERIFY_ALL_BACKEND_DIGESTS[backend]
 
 
-def test_verify_all_report_digest_at_the_sample_cap(pre_merge_verify_digest):
-    assert pre_merge_verify_digest("--all", "--points", "1000") == VERIFY_ALL_CAP_DIGEST
+def test_verify_all_report_digest_at_the_sample_cap(tmp_path):
+    digest = report_digest(tmp_path, "verify", "--all", "--points", "1000")
+    assert digest == VERIFY_ALL_CAP_DIGEST
 
 
 # Combinatorial orbits reject --seed and homomesy has no such flag: neither draws one.

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,9 +20,7 @@ from rowmotion.subsets import (
     ideal,
     inverse_down_transfer,
     inverse_up_transfer,
-    is_antichain,
-    is_filter,
-    is_ideal,
+    make_state,
     map_order,
     orbit,
     orbit_average,
@@ -265,6 +264,21 @@ def test_filter_rowmotion_matches_reference_toggle_product(p):
     assert moved  # rowmotion is not the identity on any nonempty poset
 
 
+# The set validators that make_state ran before the mask test: the reference for
+# it and for the enumerator.
+def is_ideal(p, members):
+    return all(u in members for v in members for u in p.down_adjacency[v])
+
+
+def is_filter(p, members):
+    return all(w in members for v in members for w in p.up_adjacency[v])
+
+
+def is_antichain(p, members):
+    ms = sorted(members)
+    return all(p.incomparable(u, v) for i, u in enumerate(ms) for v in ms[i + 1:])
+
+
 def reference_all_states(p, validator, kind):
     """The enumeration before integer masks: a frozenset per mask, then the
     set validator.  A reference for the mask tests of ``all_*``."""
@@ -278,6 +292,34 @@ def reference_all_states(p, validator, kind):
 
 ENUMERATIONS = [(all_ideals, is_ideal, Kind.IDEAL), (all_filters, is_filter, Kind.FILTER),
                 (all_antichains, is_antichain, Kind.ANTICHAIN)]
+
+
+@pytest.mark.parametrize("kind", [Kind.IDEAL, Kind.FILTER, Kind.ANTICHAIN])
+def test_make_state_refuses_members_outside_the_poset(p22, kind):
+    # on an antichain poset, -1 once passed the set test of an ideal, and
+    # rowmotion then reported the input error as a CompositionMismatch
+    for p, members in [(p22, {99}), (p22, {-1}), (p22, {0, 4}), (Poset(3, []), {-1})]:
+        stray = re.escape(f"{sorted(members - p.elements)} are not elements")
+        with pytest.raises(KindMismatch, match=stray):
+            make_state(p, members, kind)
+
+
+def test_make_state_accepts_exactly_the_subsets_the_set_validators_accept():
+    # every subset of -1..n, so that each poset also meets members on both sides of it
+    rng = random.Random(2803)
+    posets = [relabeled(random_poset(n, rng.randrange(10**6)), rng)
+              for n in range(9) for _ in range(4)]
+    for p in posets:
+        for mask in range(1 << p.n + 2):
+            members = frozenset(v - 1 for v in range(p.n + 2) if mask >> v & 1)
+            for _, validator, kind in ENUMERATIONS:
+                try:
+                    make_state(p, members, kind)
+                    accepted = True
+                except KindMismatch:
+                    accepted = False
+                expected = members <= p.elements and validator(p, members)
+                assert accepted == expected, (p.covers, sorted(members), kind)
 
 
 def relabeled(p, rng):
