@@ -17,7 +17,12 @@ those of the stdlib operators.  Per call (CPython 3.11.7, 2-vCPU Linux
 host, operands from ``sample_generic``, median of 5 processes), stdlib
 operators → these kernels: rational mul 1.48 → 0.69 µs, add 1.50 →
 0.70 µs, invert 0.93 → 0.36 µs; tropical mul 1.55 → 0.66 µs, add
-0.78 → 0.30 µs, invert 0.82 → 0.36 µs.
+0.78 → 0.30 µs, invert 0.82 → 0.36 µs.  The kernels read ``Fraction``'s
+two slots, ``_numerator`` and ``_denominator``, which ``_fraction`` fills,
+and fall back to the ``numerator`` and ``denominator`` properties on an
+``int`` or ``bool`` operand.  Against the properties, with fresh sampled
+operands (same host, median of 5 processes): rational mul 0.67 → 0.49 µs,
+add 0.65 → 0.48 µs, invert 0.34 → 0.24 µs.
 """
 
 from __future__ import annotations
@@ -65,8 +70,10 @@ _ZERO = _fraction(0, 1)  # the tropical one()
 
 def _rational_add(x, y):
     """x + y, with Henrici's gcd steps (those of ``Fraction.__add__``)."""
-    na, da = x.numerator, x.denominator
-    nb, db = y.numerator, y.denominator
+    try:
+        na, da, nb, db = x._numerator, x._denominator, y._numerator, y._denominator
+    except AttributeError:  # an int or bool operand
+        na, da, nb, db = x.numerator, x.denominator, y.numerator, y.denominator
     g = gcd(da, db)
     if g == 1:
         return _fraction(na * db + da * nb, da * db)
@@ -179,8 +186,10 @@ class RationalField(AlgebraBackend):
 
     def mul(self, x, y):
         """x * y, cross-cancelled (the gcd steps of ``Fraction.__mul__``)."""
-        na, da = x.numerator, x.denominator
-        nb, db = y.numerator, y.denominator
+        try:
+            na, da, nb, db = x._numerator, x._denominator, y._numerator, y._denominator
+        except AttributeError:  # an int or bool operand
+            na, da, nb, db = x.numerator, x.denominator, y.numerator, y.denominator
         g1 = gcd(na, db)
         if g1 > 1:
             na //= g1
@@ -195,7 +204,10 @@ class RationalField(AlgebraBackend):
         return _ONE
 
     def invert(self, x):
-        n, d = x.numerator, x.denominator
+        try:
+            n, d = x._numerator, x._denominator
+        except AttributeError:  # an int or bool operand
+            n, d = x.numerator, x.denominator
         if not n:
             raise NotInvertible(context="rational zero")
         return _fraction(d, n) if n > 0 else _fraction(-d, -n)
@@ -272,7 +284,11 @@ class TropicalSemiring(AlgebraBackend):
 
     def add(self, x, y):
         """max(x, y): y only when it is strictly larger, as ``max`` picks."""
-        return y if y.numerator * x.denominator > x.numerator * y.denominator else x
+        try:
+            larger = y._numerator * x._denominator > x._numerator * y._denominator
+        except AttributeError:  # an int or bool operand
+            larger = y.numerator * x.denominator > x.numerator * y.denominator
+        return y if larger else x
 
     def mul(self, x, y):
         return _rational_add(x, y)
@@ -281,7 +297,10 @@ class TropicalSemiring(AlgebraBackend):
         return _ZERO
 
     def invert(self, x):
-        return _fraction(-x.numerator, x.denominator)
+        try:
+            return _fraction(-x._numerator, x._denominator)
+        except AttributeError:  # an int or bool operand
+            return _fraction(-x.numerator, x.denominator)
 
     def constant_c(self):
         return self._c

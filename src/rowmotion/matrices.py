@@ -8,12 +8,16 @@ the sign sits on the numerators.  Equality and hashing read this form, and
 ``rows`` is a view of it as reduced ``Fraction``s.
 
 Sums, products and entrywise scalings are integer arithmetic at every d,
-reduced once per result by one gcd sweep.  At d = 2 the inverse is the
-adjugate of the numerators times the denominator, over the numerators'
-integer determinant.  At d >= 3 it is in-place Gauss-Jordan on the entries
-as Fractions, brought back to integer form: fraction-free (Bareiss)
-elimination on the numerators was measured slower on large-entry matrix:8
-orbits, whose entries one common denominator inflates.
+reduced once per result by one gcd sweep.  At d = 2 the sum, the product
+and the inverse are closed forms on the four numerators.  The sum is over
+the denominators' lcm; the inverse is the adjugate of the numerators times
+the denominator, over the numerators' integer determinant, with the
+determinant's common factor with the numerators and then with the
+denominator divided out before the products, and the sign put on the
+numerators.  At d >= 3 the inverse is in-place Gauss-Jordan on
+the entries as Fractions, brought back to integer form: fraction-free
+(Bareiss) elimination on the numerators was measured slower on large-entry
+matrix:8 orbits, whose entries one common denominator inflates.
 
 Every matrix is made by ``_trusted`` (``_reduced`` divides out the gcd first),
 copies and pickles included.  It fills the slots of an unguarded base class
@@ -25,7 +29,10 @@ about 1.1 us per matrix and five slot-descriptor ``__set__`` calls
 own result: its denominator is a product of positive ones, so the gcd needs
 no sign step.  Fresh per-op times against five ``object.__setattr__`` calls
 and no d = 2 reduction in place (CPython 3.11, a 2-vCPU host): d = 2 product
-2.7 -> 1.2 us, sum 3.0 -> 2.0 us, d = 2 inverse 3.0 -> 2.0 us.
+2.7 -> 1.2 us, sum 3.0 -> 2.0 us, d = 2 inverse 3.0 -> 2.0 us.  The d = 2
+closed-form sum and inverse then took a sum of a product and a sample
+from 2.0 to 1.3 us and a fresh product's inverse from 2.3 to 1.7 us (same
+host, median of 5 processes).
 
 ``identity`` and ``scalar`` build plain matrices, which take the same paths
 as any other.  A successful inverse is stored on both matrices, so a matrix
@@ -95,13 +102,25 @@ class RationalMatrix(_Unsealed):
         return _trusted(d, num, c.denominator)
 
     def __add__(self, other):
-        if self.d != other.d:
+        d = self.d
+        if d != other.d:
             raise ValueError("dimension mismatch")
         p, q = self._den, other._den
+        if d == 2:  # one gcd for the lcm and one over the result
+            a, b, c, e = self._num
+            a2, b2, c2, e2 = other._num
+            g = gcd(p, q)
+            s, r = q // g, p // g
+            t, u, v, w = a * s + a2 * r, b * s + b2 * r, c * s + c2 * r, e * s + e2 * r
+            den = p * s
+            g = gcd(den, t, u, v, w)  # positive, as den is: no sign step
+            if g == 1:
+                return _trusted(2, (t, u, v, w), den)
+            return _trusted(2, (t // g, u // g, v // g, w // g), den // g)
         g = gcd(p, q)
         s, t = q // g, p // g
         num = tuple([a * s + b * t for a, b in zip(self._num, other._num)])
-        return _reduced(self.d, num, p * s)
+        return _reduced(d, num, p * s)
 
     def __matmul__(self, other):
         d = self.d
@@ -175,13 +194,24 @@ class RationalMatrix(_Unsealed):
         """
         d = self.d
         if d == 2:  # orbit-scan pass_s read x1.24 with Gauss-Jordan at d = 2
-            # (N/D)^-1 = D adj(N) / det(N) for the numerators N over the denominator D
+            # (N/D)^-1 = D adj(N) / det(N) for the numerators N over the denominator D.
+            # Dividing out det's common factor with N's entries, then with D, leaves
+            # det coprime to the products, so they need no gcd.
             a, b, c, e = self._num
             det = a * e - b * c
             if not det:
                 raise NotInvertible(context="singular 2x2 matrix")
+            g = gcd(det, a, b, c, e)
+            if g != 1:
+                a, b, c, e, det = a // g, b // g, c // g, e // g, det // g
             den = self._den
-            return _reduced(2, (e * den, -b * den, -c * den, a * den), det)
+            g = gcd(det, den)
+            if g != 1:
+                den //= g
+                det //= g
+            if det < 0:
+                den, det = -den, -det
+            return _trusted(2, (e * den, -b * den, -c * den, a * den), det)
         a = self._fraction_rows()
         swaps = []
         for k in range(d):

@@ -274,6 +274,50 @@ def test_matrix_built_every_way_has_one_canonical_form(d, flip):
     assert zero._den == 1 and zero == RationalMatrix.scalar(d, 0) and _is_canonical(zero)
 
 
+def _closed_form_cases():
+    """2x2 matrices for the closed-form sum and inverse: a negative determinant that
+    shares a factor with the denominator, one that shares a factor with the entries,
+    one that shares both, two with equal denominators whose sum cancels, and
+    300-bit entries."""
+    rng = random.Random("closed-form-2x2")
+
+    def entry():
+        return F(rng.getrandbits(300) - 2**299, rng.getrandbits(300) | 1)
+
+    return ([RationalMatrix([[F(1, 5), F(4, 5)], [F(3, 5), F(2, 5)]]),  # det -2/5
+             RationalMatrix([[F(6, 5), F(3, 5)], [F(3, 5), F(6, 5)]]),  # det 27/25
+             RationalMatrix([[F(6, 5), F(3, 5)], [F(3, 5), F(-6, 5)]]),  # det -9/5
+             RationalMatrix([[F(1, 6), F(1, 6)], [F(1, 6), F(5, 6)]]),
+             RationalMatrix([[F(1, 6), F(5, 6)], [F(-1, 6), F(1, 6)]])]
+            + [RationalMatrix([[entry(), entry()], [entry(), entry()]]) for _ in range(4)])
+
+
+def test_two_by_two_sum_and_inverse_are_canonical_closed_forms():
+    cases = _closed_form_cases()
+    dets = [a * e - b * c for a, b, c, e in (x._num for x in cases)]
+    assert dets[0] < 0 and gcd(dets[0], cases[0]._den) > 1
+    assert gcd(dets[1], *cases[1]._num) > 1 and gcd(dets[1], cases[1]._den) == 1
+    assert dets[2] < 0 and gcd(dets[2], *cases[2]._num) > 1
+    assert gcd(dets[2] // gcd(dets[2], *cases[2]._num), cases[2]._den) > 1
+    assert max(x.max_entry_bits() for x in cases) > 550
+    for x in cases:
+        for y in cases:
+            total = x + y
+            assert total.rows == tuple(tuple(v + w for v, w in zip(r, s))
+                                       for r, s in zip(x.rows, y.rows)), (x, y)
+            assert _is_canonical(total) and total == RationalMatrix(total.rows)
+        zero = x + RationalMatrix([[-v for v in row] for row in x.rows])
+        assert zero._num == (0, 0, 0, 0) and zero._den == 1 and _is_canonical(zero)
+        with pytest.raises(NotInvertible):
+            zero.inverse()
+        inv = x.inverse()
+        assert inv == RationalMatrix(_ref_inverse(x)) and _is_canonical(inv), x
+        assert inv.inverse() is x and (x @ inv).rows == RationalMatrix.identity(2).rows
+    # equal denominators 6 whose numerator sums (2, 6, 0, 6) share the factor 2 with 6
+    cancelled = cases[3] + cases[4]
+    assert (cancelled._num, cancelled._den) == ((1, 3, 0, 3), 3)
+
+
 def _matrices_from_every_source():
     """A matrix from each place one is made: the constructor, both products, a sum,
     an inverse, identity and a ring's one."""
@@ -550,6 +594,24 @@ def test_rational_and_tropical_kernels_match_stdlib_arithmetic():
             rational.invert(zero)
         assert err.value.context == "rational zero"
     assert rational.one() is rational.one() == 1 and tropical.one() is tropical.one() == 0
+
+
+def test_kernels_match_stdlib_arithmetic_on_plain_int_and_bool_operands():
+    # Operands without Fraction's slots take the public numerator and denominator.
+    rational, tropical = RationalField(), TropicalSemiring()
+    values = [False, True, 0, 1, -1, 6, -35, 2**300 + 1, F(-6, 35), F(2**200, 3)]
+    for x in values:
+        for y in values:
+            _assert_matches(rational.add(x, y), F(x) + y, x, y)
+            _assert_matches(rational.mul(x, y), F(x) * y, x, y)
+            _assert_matches(tropical.mul(x, y), F(x) + y, x, y)
+            assert tropical.add(x, y) is max(x, y), (x, y)
+        _assert_matches(tropical.invert(x), -F(x), x)
+        if x:
+            _assert_matches(rational.invert(x), 1 / F(x), x)
+        else:
+            with pytest.raises(NotInvertible):
+                rational.invert(x)
 
 
 def test_kernel_results_copy_and_pickle_as_fractions():

@@ -95,6 +95,14 @@ VERIFY_ALL_BACKEND_DIGESTS = {
 }
 VERIFY_ALL_CAP_DIGEST = "4d3680c08bfaf48dcb0fd347eff5778a0461967ef23fe7e232084effa4b314c7"
 
+# The three bridge checks on matrix:2, on an ungraded random poset and a 3x3 grid,
+# whose down-sets run deeper than those of the default six-element posets.  CI pins
+# it too.
+VERIFY_BRIDGE_ARGV = ("--theorem", "t-star", "--theorem", "tau-star", "--theorem", "gyration",
+                      "--poset", "random 9 4", "--poset", "chain 3x3", "--backend", "matrix:2",
+                      "--points", "20")
+VERIFY_BRIDGE_DIGEST = "66f25112984a5c4d84731b42e077fa6d6d7b000c8adf47899bdefb1b345671d0"
+
 
 def unseeded_report_digest(tmp_path, *argv):
     out = tmp_path / "report.json"
@@ -146,6 +154,10 @@ def test_verify_all_backend_report_digest(tmp_path, backend):
 def test_verify_all_report_digest_at_the_sample_cap(tmp_path):
     digest = report_digest(tmp_path, "verify", "--all", "--points", "1000")
     assert digest == VERIFY_ALL_CAP_DIGEST
+
+
+def test_verify_bridge_checks_report_digest(tmp_path):
+    assert report_digest(tmp_path, "verify", *VERIFY_BRIDGE_ARGV) == VERIFY_BRIDGE_DIGEST
 
 
 # Combinatorial orbits reject --seed and homomesy has no such flag: neither draws one.
