@@ -11,6 +11,7 @@ import argparse
 import json
 import operator
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -33,9 +34,10 @@ def _default_seed():
         raise ValueError(f"ROWMOTION_SEED must be an integer, got {env!r}") from None
 
 
-def _add_common(sp, formats=("text", "json", "csv")):
-    sp.add_argument("--poset", required=True,
-                    help="poset spec: 'chain AxB', 'rootA M', 'random N SEED', or a file path")
+_POSET_HELP = "poset spec: 'chain AxB', 'rootA M', 'random N SEED', or a file path"
+
+
+def _add_output(sp, formats=("text", "json", "csv")):
     sp.add_argument("--format", choices=formats, default="text")
     sp.add_argument("--out", help="write the report here instead of stdout")
 
@@ -47,12 +49,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("poset", help="build, inspect, and serialize posets")
-    _add_common(sp, formats=("text", "json"))
+    sp.add_argument("--poset", required=True, help=_POSET_HELP)
+    _add_output(sp, formats=("text", "json"))
     sp.add_argument("--serialize", metavar="PATH",
                     help="write the poset text format ('-' for stdout)")
 
     sp = sub.add_parser("orbit", help="orbit structure of a rowmotion map")
-    _add_common(sp)
+    sp.add_argument("--poset", required=True, help=_POSET_HELP)
+    _add_output(sp)
     sp.add_argument("--realm", choices=["comb", "pl", "birational", "nc", "tropical"],
                     default="comb")
     sp.add_argument("--map", dest="map_id",
@@ -77,8 +81,7 @@ def build_parser():
     sp.add_argument("--points", type=int, default=harness.DEFAULT_POINTS,
                     help=f"sample points per check, at most {harness.MAX_SAMPLES}")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    sp.add_argument("--out")
+    _add_output(sp)
     sp.add_argument("-v", "--verbose", action="store_true",
                     help="progress lines on stderr while checks run")
 
@@ -91,11 +94,11 @@ def build_parser():
                     help=f"number of seeds per poset, at most {harness.MAX_SAMPLES}")
     sp.add_argument("--seed", type=int, default=None, help="base seed")
     sp.add_argument("--max-iter", type=int, default=harness.DEFAULT_MAX_ITER)
-    sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    sp.add_argument("--out")
+    _add_output(sp)
 
     sp = sub.add_parser("homomesy", help="orbit statistic averages, combinatorial realm")
-    _add_common(sp)
+    sp.add_argument("--poset", required=True, help=_POSET_HELP)
+    _add_output(sp)
     sp.add_argument("--map", dest="map_id", choices=["rowA", "rowJ", "rowF"],
                     default="rowA")
     return parser
@@ -109,8 +112,8 @@ def _at_least_one(flag, value, at_most=None):
     return value
 
 
-def _emit(rows, fmt, out):
-    data = emit_report(rows, format=fmt)
+def _write(data, out):
+    """The bytes ``data`` into the file ``out``, or as text to stdout when it is None."""
     if out:
         with open(out, "wb") as fh:
             fh.write(data)
@@ -138,12 +141,8 @@ def _comb_orbit_rows(p, map_id):
 def cmd_poset(args):
     p = build_poset(args.poset)
     if args.serialize:
-        text = p.serialize()
-        if args.serialize == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.serialize, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        _write(p.serialize().encode(), None if args.serialize == "-" else args.serialize)
+        if args.serialize != "-":
             print(f"wrote {args.serialize}")
         return 0
     # Chains from the bottom to each element: the inverse down transfer of all-ones labels.
@@ -162,11 +161,7 @@ def cmd_poset(args):
         out = json.dumps(info, indent=2, sort_keys=True) + "\n"
     else:
         out = "\n".join(f"{k}: {v}" for k, v in info.items()) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write(out.encode(), args.out)
     return 0
 
 
@@ -182,20 +177,31 @@ def _parse_backend(spec, const_c_text):
     otherwise the error names the flag (a malformed value, or C = 0 outside the
     tropical backend)."""
     try:
-        return parse_backend(spec, const_c=const_c_text)
+        const_c = None if const_c_text is None else _fraction(const_c_text)
+        return parse_backend(spec, const_c=const_c)
     except (ValueError, ZeroDivisionError) as exc:
         parse_backend(spec)
         reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
         raise ValueError(f"--const-c {const_c_text!r}: {reason}") from None
 
 
+def _fraction(text):
+    """``Fraction(text)``, refused first when a decimal exponent exceeds Python's
+    integer digit limit: ``Fraction('1e-10000000')`` spends seconds on 10**10000000."""
+    exponent = re.search(r"[eE][-+]?(\d[\d_]*)", text)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()  # 4300 before 3.10.7
+    if exponent and limit and int(exponent[1]) > limit:
+        raise ValueError(f"a decimal exponent must be at most {limit}, got {exponent[1]}")
+    return Fraction(text)
+
+
 def _parse_labeling(p, text):
     """A JSON array of numbers or 'p/q' strings; decimals are read exactly."""
     try:
-        values = json.loads(text, parse_float=Fraction)
+        values = json.loads(text, parse_float=_fraction, parse_constant=_fraction)
         if not isinstance(values, list):
             raise ValueError("not a JSON array")
-        return polytopes.as_labeling(p, values)
+        return polytopes.as_labeling(p, [_fraction(v) if isinstance(v, str) else v for v in values])
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"--labeling {text!r}: {exc}") from None
 
@@ -229,7 +235,7 @@ def cmd_orbit(args):
         for row, orb in zip(rows, orbits):
             row["states"] = " ".join(
                 "{" + ",".join(p.element_names[v] for v in sorted(s.members)) + "}" for s in orb)
-        _emit(rows, args.format, args.out)
+        _write(emit_report(rows, format=args.format), args.out)
         # A json or csv report on stdout stays parseable: the order goes beside it.
         print(f"order {subsets.map_order(orbits)}",
               file=sys.stderr if args.format != "text" and not args.out else sys.stdout)
@@ -246,7 +252,7 @@ def cmd_orbit(args):
                   "order": order if order is not None else "exceeded"}
         if args.labeling:  # a given labeling draws no seed
             del report["seed"]
-        _emit([report], args.format, args.out)
+        _write(emit_report([report], format=args.format), args.out)
         return 0
     backend = _parse_backend(args.backend or REALM_BACKENDS[realm], args.const_c)
     if backend.describe().split(":")[0] != REALM_BACKENDS[realm].split(":")[0]:
@@ -256,7 +262,7 @@ def cmd_orbit(args):
         raise ValueError("--map for algebraic realms must be 'bar' or 'bor'")
     rep = harness.labeling_orbit_report(p, backend, map_id, seed,
                                         poset_name=args.poset, max_iter=max_iter)
-    _emit([rep.to_dict()], args.format, args.out)
+    _write(emit_report([rep.to_dict()], format=args.format), args.out)
     return 0
 
 
@@ -283,7 +289,7 @@ def cmd_verify(args):
         reports.append(harness.run_check(s, poset=posets[s.poset_spec],
                                          backend=backends[s.backend_spec]))
     reports.sort(key=lambda r: (r["theorem"], r["poset"], r["backend"], r["seed"]))
-    _emit(reports, args.format, args.out)
+    _write(emit_report(reports, format=args.format), args.out)
     failed = sum(r["failures"] for r in reports)
     return 1 if failed else 0
 
@@ -302,7 +308,7 @@ def cmd_scan(args):
     rows = harness.scan_conjecture(a_max, b_max, args.backend, seeds=seeds, map_id=args.map_id,
                                    max_iter=_at_least_one("--max-iter", args.max_iter,
                                                           harness.MAX_ITER_LIMIT))
-    _emit(rows, args.format, args.out)
+    _write(emit_report(rows, format=args.format), args.out)
     return 0
 
 
@@ -312,7 +318,7 @@ def cmd_homomesy(args):
     averages = {r["cardinality_average"] for r in rows}
     rows.append({"map": args.map_id, "orbit": "ALL", "size": sum(r["size"] for r in rows),
                  "cardinality_average": "homomesic" if len(averages) == 1 else "NOT homomesic"})
-    _emit(rows, args.format, args.out)
+    _write(emit_report(rows, format=args.format), args.out)
     return 0
 
 

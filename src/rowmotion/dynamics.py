@@ -26,7 +26,6 @@ own inverted label, where a product with the boundary value would stand.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .backends import label_bits, parallel_sum, random_labeling
@@ -54,13 +53,13 @@ def inverse_word(word):
 
 
 class Dynamics:
-    """Toggle and transfer dynamics for one poset over one backend."""
+    """Toggle and transfer dynamics for one poset over one backend.  It keeps no
+    state: what its sweeps derive from the poset alone is kept on the poset."""
 
     def __init__(self, poset, backend):
         self.poset = poset
         self.backend = backend
         self.extension = poset.default_linear_extension
-        self._plans = {}  # antichain sweep plans by (toggled, extension, elggot)
 
     # -- labelings ---------------------------------------------------------
     #
@@ -244,14 +243,14 @@ class Dynamics:
         the dual poset with every product reversed, so v's own label comes first.
         So a sweep is the single toggles of ``toggled`` in extension order,
         with the same inversions in the same order.  Its set-up reads no label
-        and is kept per Dynamics, keyed by all three arguments.
+        and is kept on the poset, keyed by all three arguments.
         """
         b = self.backend
         add, invert, c = b.add, b.invert, b.constant_c()
-        key = (toggled, extension, elggot)
-        plan = self._plans.get(key)
+        plans, key = self.poset._plans, (toggled, extension, elggot)
+        plan = plans.get(key)
         if plan is None:
-            plan = self._plans[key] = self._antichain_plan(toggled, extension, elggot)
+            plan = plans[key] = self._antichain_plan(toggled, extension, elggot)
         up_order, steps = plan
         mul = (lambda x, y: b.mul(y, x)) if elggot else b.mul
         up = self._inv_transfer(g, up_order, down=elggot)
@@ -294,15 +293,25 @@ class Dynamics:
 
     def order_rowmotion(self, f, extension=None):
         """Order toggles along a linear extension, applied top-down."""
-        ext = self.extension if extension is None else extension
+        ext = self.extension if extension is None else self._linear_extension(extension)
         return self._order_sweep(f, ext[::-1], elggot=False)
 
     def antichain_rowmotion(self, g, extension=None):
         """Antichain toggles along a linear extension, applied bottom-up, as
         one sweep: O(n + covers) backend operations, where toggling element
         by element reruns both inverse transfer recurrences for each one."""
-        ext = self.extension if extension is None else tuple(extension)
+        ext = self.extension if extension is None else self._linear_extension(extension)
         return self._antichain_sweep(g, self.poset.elements, ext, elggot=False)
+
+    def _linear_extension(self, extension):
+        """``extension`` as a tuple; ValueError unless it lists each element once,
+        after its lower covers.  O(n + covers)."""
+        ext = tuple(extension)
+        place = {x: k for k, x in enumerate(ext)}
+        if len(ext) != self.poset.n or place.keys() != self.poset.elements or \
+                any(place[u] > place[v] for u, v in self.poset.covers):
+            raise ValueError("extension is not a linear extension of the poset")
+        return ext
 
     def order_rowmotion_via_transfers(self, f):
         return self.theta(self.inv_up_transfer(self.down_transfer(f)))
@@ -341,7 +350,8 @@ class Dynamics:
             return kind, (i,), None
         if kind in ("tau", "eps"):
             self._require_element(kind, i)
-            return kind, (i,), self._position[i] if kind == "tau" else -self._position[i]
+            place = self.poset._position[i]
+            return kind, (i,), place if kind == "tau" else -place
         if kind in ("rank_T", "rank_tau"):
             self._require_graded()
             if not 0 <= i <= self.poset.top_rank:
@@ -358,18 +368,8 @@ class Dynamics:
             return f
         if sweep in ("T", "E"):
             return self._order_sweep(f, run, elggot=sweep == "E")
-        extension = self._by_rank if sweep == "rank_tau" else self.extension
+        extension = self.poset._by_rank if sweep == "rank_tau" else self.extension
         return self._antichain_sweep(f, frozenset(run), extension, elggot=sweep == "eps")
-
-    @cached_property
-    def _position(self):
-        """Each element's place in the extension."""
-        return {x: k for k, x in enumerate(self.extension)}
-
-    @cached_property
-    def _by_rank(self):
-        """The linear extension of rank atoms: by rank, then by index."""
-        return tuple(sorted(range(self.poset.n), key=self.poset.rank.__getitem__))
 
     def eta_word(self, elements):
         """Order toggles clearing the strict lower set of ``elements``, top-down."""

@@ -12,7 +12,6 @@ being clamped.
 from __future__ import annotations
 
 import random
-import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -24,17 +23,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 POINT_DENOMINATOR_BOUND = 64
 _TROPICAL = TropicalSemiring(const_c=ONE)
-# One max-plus Dynamics per poset, so its sweep plans outlive a single step.  It
-# holds the poset by a weak proxy: a strong reference from a value would keep
-# its own key alive, and the entry goes with its poset.
-_DYNAMICS = weakref.WeakKeyDictionary()
-
-
-def _dynamics(p):
-    dyn = _DYNAMICS.get(p)
-    if dyn is None:
-        dyn = _DYNAMICS[p] = Dynamics(weakref.proxy(p), _TROPICAL)
-    return dyn
 
 
 def as_labeling(p, values):
@@ -50,7 +38,7 @@ def indicator(p, members):
 
 def _max_chain_sum(p, f):
     """The largest maximal-chain sum: one max-plus inverse down transfer."""
-    dyn = _dynamics(p)
+    dyn = Dynamics(p, _TROPICAL)
     best = dyn.inv_down_transfer(dyn.labeling(f))
     return max((best[m] for m in p.maximal_elements()), default=ZERO)
 
@@ -115,7 +103,7 @@ def pl_apply(p, step, f):
     single antichain toggles in extension order.  f must have one value per
     element, which is checked before any membership test.
     """
-    dyn = _dynamics(p)
+    dyn = Dynamics(p, _TROPICAL)
     f = dyn.labeling(f)
     if isinstance(step, str):
         if step not in _DOMAIN or not hasattr(dyn, step):

@@ -3,8 +3,9 @@
 Elements are dense integer indices ``0..n-1`` with a display-name table.
 Relations supplied to the constructor may be any strict order relations;
 one topological sweep checks them for cycles and reduces them to the cover
-relation.  At most ``MAX_ELEMENTS`` elements are accepted.  Instances are
-immutable after construction and safe to share between concurrent tasks.
+relation.  At most ``MAX_ELEMENTS`` elements are accepted.  The order never
+changes after construction, and ``dynamics.py`` fills a label-free plan store
+on first use, so instances are safe to share: a race computes a plan twice.
 Maximal chains are enumerated afresh on each call; they are a reference
 enumeration that the toggle calculus itself never reads.
 """
@@ -23,7 +24,7 @@ GRADED_MAX_WIDTH = 3
 
 
 class Poset:
-    """An immutable finite poset.
+    """A finite poset.
 
     Attributes:
         n: element count.
@@ -90,6 +91,10 @@ class Poset:
         self.down_adjacency = tuple(down)
         self.default_linear_extension = tuple(order)
         self.rank = self._compute_rank()
+        self._position = {x: k for k, x in enumerate(order)}  # place in the extension
+        # The linear extension of rank atoms: by rank, then by index.
+        self._by_rank = self.rank and tuple(sorted(range(n), key=self.rank.__getitem__))
+        self._plans = {}  # dynamics.py's antichain sweep plans, by (toggled, extension, elggot)
 
     # -- order queries ------------------------------------------------
 

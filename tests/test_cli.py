@@ -48,6 +48,18 @@ def test_poset_serialize_roundtrip(capsys, tmp_path):
     assert code == 0 and "elements: 6" in out
 
 
+def test_poset_output_is_the_same_in_a_file_and_on_stdout(capsys, tmp_path):
+    path, base = tmp_path / "out", ("poset", "--poset", "rootA 3")
+    for fmt in ("text", "json"):
+        code, out, _ = run(capsys, *base, "--format", fmt)
+        assert code == 0 and run(capsys, *base, "--format", fmt, "--out", str(path))[:2] == (0, "")
+        assert path.read_bytes() == out.encode()
+    code, out, _ = run(capsys, *base, "--serialize", "-")
+    assert code == 0 and out == build_poset("rootA 3").serialize()
+    assert run(capsys, *base, "--serialize", str(path))[:2] == (0, f"wrote {path}\n")
+    assert path.read_bytes() == out.encode()
+
+
 def test_orbit_comb_prints_order_five(capsys):
     code, out, _ = run(capsys, "orbit", "--realm", "comb",
                        "--poset", "chain 2x3", "--map", "rowA")
@@ -498,6 +510,18 @@ def test_output_deterministic_across_runs(capsys):
     (("scan", "--seeds", str(MAX_SAMPLES + 1)), f"--seeds must be at most {MAX_SAMPLES}"),
     (("scan", "--backend", "garbage", "--seeds", "100000"),
      f"--seeds must be at most {MAX_SAMPLES}"),  # refused before the backend is built
+    # JSON's non-numbers, and decimal exponents past Python's integer digit limit,
+    # which Fraction would spend seconds on, are refused before any Fraction is built.
+    (("orbit", "--realm", "pl", "--poset", "chain 1x2", "--labeling", "[Infinity, 0]"),
+     "--labeling"),
+    (("orbit", "--realm", "pl", "--poset", "chain 1x2", "--labeling", "[-Infinity, 0]"),
+     "--labeling"),
+    (("orbit", "--realm", "pl", "--poset", "chain 1x2", "--labeling", '["0", 1e-10000000]'),
+     "a decimal exponent must be at most"),
+    (("orbit", "--realm", "pl", "--poset", "chain 1x2", "--labeling", '["1e-10000000", 0]'),
+     "a decimal exponent must be at most"),
+    (("orbit", "--realm", "birational", "--poset", "chain 1x2", "--const-c", "1e-10000000"),
+     "--const-c '1e-10000000': a decimal exponent must be at most"),
 ])
 def test_bad_values_exit_2_naming_the_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)

@@ -427,6 +427,20 @@ def test_extension_independence(p23, a3, linear_extensions):
                 assert dyn.order_rowmotion(g, ext) == bor
 
 
+def test_rowmotion_refuses_a_sequence_that_is_no_linear_extension(p23, monkeypatch):
+    # Reversed, it is no rowmotion; two elements short, the backend would fail
+    # inside; with 5 twice, the order sweep would toggle 5 twice.
+    dyn = Dynamics(p23, RationalField())
+    g = dyn.random_labeling(3)
+    for bad in ((5, 4, 3, 2, 1, 0), (0, 1), (0, 1, 2, 3, 4, 5, 5)):
+        for rowmotion in (dyn.order_rowmotion, dyn.antichain_rowmotion):
+            with pytest.raises(ValueError, match="not a linear extension"):
+                rowmotion(g, bad)
+    expected = dyn.order_rowmotion(g), dyn.antichain_rowmotion(g)
+    monkeypatch.setattr(Dynamics, "_linear_extension", None)  # the default is not checked
+    assert (dyn.order_rowmotion(g), dyn.antichain_rowmotion(g)) == expected
+
+
 def test_matrix_d1_agrees_with_rational_bitwise(p23):
     c = F(7, 4)
     rat = Dynamics(p23, RationalField(const_c=c))
@@ -1393,10 +1407,16 @@ def test_a_bad_atom_raises_after_the_run_before_it(backend_spec):
 
 
 def test_antichain_sweep_plans_are_kept_apart(linear_extensions):
-    # One Dynamics serves single toggles, fused runs, rank atoms and rowmotion
-    # along two extensions, interleaved: each call must give what the same call
-    # gives on a fresh Dynamics, labeling or failing stage alike.
-    from rowmotion.poset import random_poset, root_poset_a
+    # One poset's plan store serves single toggles, fused runs, rank atoms and
+    # rowmotion along two extensions, interleaved: each call must give what the
+    # same call gives on a rebuilt copy of the poset, whose store is empty,
+    # labeling or failing stage alike.
+    from rowmotion.poset import Poset, random_poset, root_poset_a
+
+    def rebuilt(p):
+        copy = Poset(p.n, p.covers, p.element_names)
+        assert copy.covers == p.covers and not copy._plans
+        return copy
     apart = 0
     for p in (_rank_order_poset(), chain_product(2, 3), root_poset_a(3), random_poset(7, 5)):
         one, two = linear_extensions(p, limit=2)
@@ -1423,7 +1443,7 @@ def test_antichain_sweep_plans_are_kept_apart(linear_extensions):
                 rng.shuffle(calls)
                 for call in calls:
                     assert _outcome(lambda: call(dyn, g)) == \
-                        _outcome(lambda: call(Dynamics(p, b), g))
+                        _outcome(lambda: call(Dynamics(rebuilt(p), b), g))
                 apart += (_outcome(lambda: dyn.antichain_rowmotion(g, one))
                           != _outcome(lambda: dyn.antichain_rowmotion(g, two)))
     assert apart > 0  # some labeling fails at a different stage along each extension
