@@ -201,6 +201,8 @@ def _parse_labeling(p, text):
         values = json.loads(text, parse_float=_fraction, parse_constant=_fraction)
         if not isinstance(values, list):
             raise ValueError("not a JSON array")
+        if any(isinstance(v, bool) for v in values):  # Fraction(True) is 1
+            raise ValueError("true and false are not numbers")
         return polytopes.as_labeling(p, [_fraction(v) if isinstance(v, str) else v for v in values])
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"--labeling {text!r}: {exc}") from None

@@ -78,44 +78,15 @@ class Dynamics:
 
     def theta(self, f):
         """Complement: pointwise C times the inverse."""
-        return tuple(self._theta(f, range(len(f)), [None] * len(f)))
-
-    def _theta(self, f, elements, out):
-        """``out`` with the complement of f written at ``elements``, in turn."""
         b = self.backend
         mul, invert, c = b.mul, b.invert, b.constant_c()
-        for v in elements:
+        out = []
+        for v, x in enumerate(f):
             try:
-                out[v] = mul(c, invert(f[v]))
+                out.append(mul(c, invert(x)))
             except NotInvertible as exc:
                 raise NotInvertible(context=f"complement at {self._name(v)}") from exc
-        return out
-
-    def _theta_inv_up(self, f, near=None):
-        """The inverse up transfer of f as a list, and theta of it as a tuple.
-
-        ``near`` is (g, up, side), the same two for another labeling g.  Then
-        only the elements at or below one whose label in f is not g's own
-        object are recomputed, and every other element keeps g's values: an
-        inverse up transfer value reads only the labels at or above its
-        element.  Sweeps copy a labeling and replace only the labels they
-        toggle, so after a toggle word on g these are the changed elements.
-        """
-        if near is None:
-            up = self._inv_transfer(f, reversed(self.extension), down=False)
-            return up, self.theta(up)
-        n = self.poset.n
-        g, up, side = near
-        below = self.poset._below
-        region = 0  # bit x: x is at or below a changed element
-        for x in range(n):
-            if f[x] is not g[x]:
-                region |= below[x] | 1 << x
-        if not region:
-            return up, side
-        up = self._inv_transfer(f, [x for x in reversed(self.extension) if region >> x & 1],
-                                down=False, start=up)
-        return up, tuple(self._theta(up, [x for x in range(n) if region >> x & 1], list(side)))
+        return tuple(out)
 
     def down_transfer(self, f):
         """f(x) times the inverted sum of lower-cover values."""
@@ -153,17 +124,15 @@ class Dynamics:
         """Sum over saturated chains towards the top, highest label first."""
         return tuple(self._inv_transfer(f, reversed(self.extension), down=False))
 
-    def _inv_transfer(self, f, elements, down, start=None):
-        """The inverse transfer recurrence on ``elements``; elsewhere a copy of
-        ``start``, or None.
+    def _inv_transfer(self, f, elements, down):
+        """The inverse transfer recurrence on ``elements``, None elsewhere.
 
         ``elements`` must contain, before each element, all of its lower
-        covers (``down``) or all of its upper covers (otherwise) that ``start``
-        does not already hold.
+        covers (``down``) or all of its upper covers (otherwise).
         """
         add, mul = self.backend.add, self.backend.mul
         covers = self.poset.down_adjacency if down else self.poset.up_adjacency
-        out = [None] * self.poset.n if start is None else list(start)
+        out = [None] * self.poset.n
         for x in elements:
             acc = None
             for y in covers[x]:

@@ -18,7 +18,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backends import derive_seed, parallel_sum, parse_backend
+from .backends import AlgebraBackend, derive_seed, parallel_sum, parse_backend
 from .dynamics import Atom, Dynamics, detect_order
 from .errors import GenericityFailure, LabelsTooLarge, NotInvertible
 from .poset import Poset, chain_product, parse_poset, random_poset, root_poset_a
@@ -29,7 +29,7 @@ DEFAULT_MAX_ITER = 64
 MAX_ITER_LIMIT = 4096  # 4096 tropical or PL steps on a 10-element poset take about 1 s
 ORBIT_WORK_BUDGET = 100_000  # steps x (elements + covers); a tropical orbit at it takes about 1 s
 SCAN_ELEMENT_BUDGET = 12
-MAX_SAMPLES = 1000  # verify --points and scan --seeds; verify --all at it takes about 18-20 s
+MAX_SAMPLES = 1000  # verify --points and scan --seeds; verify --all at it takes about 11 s
 DEFAULT_VERIFY_POSETS = ("chain 2x3", "rootA 3")
 MODEL_NOTE = "generic-matrix evaluation (randomized identity testing, not symbolic)"
 
@@ -186,32 +186,35 @@ def _check_nor_transfer(dyn, g, aux):
     return dyn.order_rowmotion(g) == dyn.order_rowmotion_via_transfers(g)
 
 
-def _check_across_bridge(dyn, g, pairs):
-    """theta o inv-up carries each antichain-side word to its order-side partner.
-
-    Each antichain side recomputes theta o inv-up only below what its word changed.
-    """
-    up, side = dyn._theta_inv_up(g)
-    near = (g, up, side)
-    return all(dyn._theta_inv_up(dyn.apply_word(anti, g), near)[1] == dyn.apply_word(order, side)
-               for anti, order in pairs)
+def _bridge_pairs(dyn, g, words):
+    """theta o inv-up carries each antichain-side word to its order-side partner:
+    per (antichain word, order word), the bridge after the first and the second
+    after the bridge."""
+    side = dyn.theta(dyn.inv_up_transfer(g))
+    for anti, order in words:
+        yield dyn.theta(dyn.inv_up_transfer(dyn.apply_word(anti, g))), dyn.apply_word(order, side)
 
 
-def _check_t_star(dyn, g, aux):
-    return _check_across_bridge(dyn, g, ((dyn.star_word((Atom(k, v),)), (Atom(k, v),))
-                                         for v in range(dyn.poset.n) for k in ("T", "E")))
+def _t_star_pairs(dyn, g):
+    return _bridge_pairs(dyn, g, ((dyn.star_word((Atom(k, v),)), (Atom(k, v),))
+                                  for v in range(dyn.poset.n) for k in ("T", "E")))
 
 
-def _check_tau_star(dyn, g, aux):
-    return _check_across_bridge(dyn, g, (((Atom(k, v),), dyn.star_word((Atom(k, v),)))
-                                         for v in range(dyn.poset.n) for k in ("tau", "eps")))
+def _tau_star_pairs(dyn, g):
+    return _bridge_pairs(dyn, g, (((Atom(k, v),), dyn.star_word((Atom(k, v),)))
+                                  for v in range(dyn.poset.n) for k in ("tau", "eps")))
 
 
-def _check_gyration(dyn, g, aux):
+def _gyration_pairs(dyn, g):
     order = dyn.order_gyration_word()
     # the rank word closes the diagram only over a commutative backend
     anti = dyn.antichain_gyration_word() if dyn.backend.is_commutative else dyn.star_word(order)
-    return _check_across_bridge(dyn, g, [(anti, order)])
+    return _bridge_pairs(dyn, g, [(anti, order)])
+
+
+def _check_pairs(pairs):
+    """The direct check of a theorem given by its pairs: each pair equal, in turn."""
+    return lambda dyn, g, aux: all(lhs == rhs for lhs, rhs in pairs(dyn, g))
 
 
 def _random_central_scalars(dyn, aux):
@@ -248,10 +251,14 @@ def _check_rescale_bar(dyn, g, aux):
 
 @dataclass(frozen=True)
 class TheoremCheck:
+    """``pairs(dyn, g)``, when set, yields the labelings that ``check`` compares,
+    in its order; ``run_check`` then records them once and replays them per point."""
+
     check: callable
     needs_graded: bool
     default_backends: tuple
     description: str
+    pairs: callable = None
 
 
 THEOREMS = {
@@ -279,16 +286,16 @@ THEOREMS = {
         _check_nor_transfer, False, ("rational", "matrix:2"),
         "order rowmotion = complement o inverse-up-transfer o down-transfer"),
     "t-star": TheoremCheck(
-        _check_t_star, False, ("rational", "matrix:2"),
+        _check_pairs(_t_star_pairs), False, ("rational", "matrix:2"),
         "starred antichain words mimic order toggles across the transfer bridge, "
-        "birational and noncommutative"),
+        "birational and noncommutative", _t_star_pairs),
     "tau-star": TheoremCheck(
-        _check_tau_star, False, ("rational", "matrix:2"),
+        _check_pairs(_tau_star_pairs), False, ("rational", "matrix:2"),
         "conjugated order words mimic antichain toggles across the transfer bridge, "
-        "birational and noncommutative"),
+        "birational and noncommutative", _tau_star_pairs),
     "gyration": TheoremCheck(
-        _check_gyration, True, ("rational", "matrix:2"),
-        "gyration commutes with rowmotion's transfer bridge"),
+        _check_pairs(_gyration_pairs), True, ("rational", "matrix:2"),
+        "gyration commutes with rowmotion's transfer bridge", _gyration_pairs),
     "rescale-rank": TheoremCheck(
         _check_rescale_rank, True, ("rational", "matrix:2"),
         "rank toggles turn graded rescalings into graded rescalings"),
@@ -308,10 +315,13 @@ def run_check(spec: CheckSpec, poset=None, backend=None):
         status = "skipped (ungraded)"
     else:
         dyn = Dynamics(p, b)
+        replay = None if thm.pairs is None else _record(thm.pairs, p, b)
         points = spec.points
         for i in range(points):
             def attempt(k):
                 g = _point(dyn, derive_seed(spec.seed, i, k))
+                if replay is not None:  # stops at the first unequal pair, as the check does
+                    return all(replay(g))
                 # the point's own generator, built only by the checks that draw
                 return thm.check(dyn, g, lambda: random.Random(derive_seed("aux", spec.seed, i, k)))
             ok, degenerate = _redraw(
@@ -331,6 +341,111 @@ def run_check(spec: CheckSpec, poset=None, backend=None):
     if model_note:
         report["model"] = model_note
     return report
+
+
+# -- recorded checks ---------------------------------------------------------------
+
+
+class _Node:
+    """A label while a check is recorded: the register that holds it on replay.
+    It has no value to compare or hash, so a branch on a label raises TypeError."""
+
+    __slots__ = ("reg",)
+
+    def __init__(self, reg):
+        self.reg = reg
+
+    def __eq__(self, other):
+        raise TypeError("a recorded check compared a label before its pairs")
+
+    __ne__ = __eq__
+
+    def __hash__(self):
+        raise TypeError("a recorded check hashed a label")
+
+
+class _Recorder(AlgebraBackend):
+    """A backend that writes a check down as a straight-line program.
+
+    Register k < n holds label k, and each later register one step: an op,
+    (name, operand register, second operand register or None), or a constant,
+    (backend method, *arguments), which a replay fills from the real backend
+    once.  Each distinct step is taken once, in the order it is first asked
+    for, and commutative operands are never swapped.
+    """
+
+    def __init__(self, backend, n):
+        self.is_commutative = backend.is_commutative
+        self.labels = tuple(_Node(k) for k in range(n))
+        self.steps = []
+        self._seen = {}  # step: its node
+
+    def _step(self, *step):
+        node = self._seen.get(step)
+        if node is None:
+            node = self._seen[step] = _Node(len(self.labels) + len(self.steps))
+            self.steps.append(step)
+        return node
+
+    def add(self, x, y):
+        return self._step("add", x.reg, y.reg)
+
+    def mul(self, x, y):
+        return self._step("mul", x.reg, y.reg)
+
+    def invert(self, x):
+        return self._step("invert", x.reg, None)
+
+    def one(self):
+        return self._step("one")
+
+    def constant_c(self):
+        return self._step("constant_c")
+
+    def central_from_rational(self, q):
+        return self._step("central_from_rational", q)
+
+    def is_central(self, x):
+        raise TypeError("a recorded check asked whether a label is central")
+
+    def sample_generic(self, seed):
+        raise TypeError("a recorded check cannot draw a label")
+
+    def equals(self, x, y):
+        raise TypeError("a recorded check compared a label before its pairs")
+
+
+def _record(pairs, poset, backend):
+    """``pairs`` on ``poset``, recorded once on the current ``Dynamics``, as a
+    replay on ``backend``: given a labeling, it yields whether each pair is
+    equal, in turn, running only the ops that pair adds.
+
+    So a replay raises the NotInvertible that the direct check would raise
+    first, and a caller that stops at an unequal pair runs no later op.
+    """
+    rec = _Recorder(backend, poset.n)
+    compared = [(len(rec.steps), [x.reg for x in lhs], [x.reg for x in rhs])
+                for lhs, rhs in pairs(Dynamics(poset, rec), rec.labels)]
+    constants, segments, done = [], [], 0  # registers n, n + 1, ...: the constants filled
+    for end, lhs, rhs in compared:
+        ops = []
+        for reg, (name, *args) in enumerate(rec.steps[done:end], start=poset.n + done):
+            method = getattr(backend, name)
+            if name in ("add", "mul", "invert"):
+                ops.append((reg, method, *args))
+                constants.append(None)
+            else:
+                constants.append(method(*args))
+        segments.append((ops, lhs, rhs))
+        done = end
+
+    def replay(g):
+        v = [*g, *constants]
+        for ops, lhs, rhs in segments:
+            for k, f, i, j in ops:
+                v[k] = f(v[i]) if j is None else f(v[i], v[j])
+            yield [v[x] for x in lhs] == [v[x] for x in rhs]
+    return replay
 
 
 # Registry points drawn so far, per backend object: {backend: {(n, seed): labeling}}.

@@ -522,6 +522,8 @@ def test_output_deterministic_across_runs(capsys):
      "a decimal exponent must be at most"),
     (("orbit", "--realm", "birational", "--poset", "chain 1x2", "--const-c", "1e-10000000"),
      "--const-c '1e-10000000': a decimal exponent must be at most"),
+    (("orbit", "--realm", "pl", "--poset", "chain 1x2", "--map", "order",
+      "--labeling", "[false, true]"), "--labeling '[false, true]': true and false are not numbers"),
 ])
 def test_bad_values_exit_2_naming_the_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)

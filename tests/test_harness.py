@@ -1,7 +1,9 @@
+import dataclasses
 import gc
 import itertools
 import json
 import operator
+import random
 import weakref
 from collections import Counter
 from types import SimpleNamespace
@@ -9,7 +11,13 @@ from types import SimpleNamespace
 import pytest
 
 from rowmotion import backends, cli, harness
-from rowmotion.backends import MatrixRing, RationalField, parse_backend
+from rowmotion.backends import (
+    MatrixRing,
+    RationalField,
+    derive_seed,
+    parse_backend,
+    random_labeling,
+)
 from rowmotion.dynamics import Dynamics, detect_order
 from rowmotion.errors import GenericityFailure, LabelsTooLarge, NotInvertible
 from rowmotion.harness import (
@@ -507,3 +515,156 @@ def test_a_backend_that_cannot_be_weakly_keyed_draws_afresh():
             return isinstance(other, RationalField)
     spec = CheckSpec("tau-star", "rootA 3", "rational", points=5, seed=9)
     assert run_check(spec, backend=ValueEqual()) == run_check(spec)
+
+
+# -- bridge checks recorded once and replayed, against the direct checks ------------
+
+BRIDGE_THEOREMS = ("t-star", "tau-star", "gyration")
+
+
+def _first_difference(equalities):
+    """How a check's pairs end: ("unequal", k) at the first unequal pair k,
+    ("degenerate", k) when pair k raises NotInvertible, else ("equal", pairs)."""
+    it, k = iter(equalities), 0
+    while True:
+        try:
+            equal = next(it)
+        except StopIteration:
+            return "equal", k
+        except NotInvertible:
+            return "degenerate", k
+        if not equal:
+            return "unequal", k
+        k += 1
+
+
+class ReversedInverseTransfer(Dynamics):
+    """Mutant: the inverse transfer recurrence multiplies its sum on the other side."""
+
+    def _inv_transfer(self, f, elements, down):
+        add, mul = self.backend.add, self.backend.mul
+        covers = self.poset.down_adjacency if down else self.poset.up_adjacency
+        out = [None] * self.poset.n
+        for x in elements:
+            acc = None
+            for y in covers[x]:
+                acc = out[y] if acc is None else add(acc, out[y])
+            out[x] = f[x] if acc is None else (mul(acc, f[x]) if down else mul(f[x], acc))
+        return out
+
+
+class BottomUpEta(Dynamics):
+    """Mutant: eta_word toggles the strict lower set bottom-up."""
+
+    def eta_word(self, elements):
+        return tuple(reversed(super().eta_word(elements)))
+
+
+def _bridge_posets():
+    return ([build_poset("chain 2x3"), build_poset("rootA 3")]
+            + [random_graded_poset(derive_seed("recorded-bridge", s)) for s in range(3)])
+
+
+@pytest.mark.parametrize("backend_spec", ["rational", "matrix:2", "matrix:3"])
+def test_recorded_bridge_checks_end_like_the_direct_ones(monkeypatch, backend_spec):
+    # Generic labelings, then central labels in ±1, whose sums often vanish, so
+    # pairs degenerate at every stage; the mutants make pairs unequal.
+    b = parse_backend(backend_spec)
+    seen = Counter()
+    # On matrix:3 the reversed products' gyration labels grow for about 10 s a labeling.
+    mutants = (BottomUpEta,) if backend_spec == "matrix:3" else (ReversedInverseTransfer, BottomUpEta)
+    for dynamics in (Dynamics, *mutants):
+        monkeypatch.setattr(harness, "Dynamics", dynamics)
+        for p in _bridge_posets():
+            rng = random.Random(derive_seed("recorded-bridge", p.serialize()))
+            labelings = [random_labeling(b, p, derive_seed("recorded-bridge", k)) for k in range(2)]
+            labelings += [tuple(b.central_from_rational(rng.choice((-1, 1))) for _ in range(p.n))
+                          for _ in range(4)]
+            for theorem in BRIDGE_THEOREMS:
+                pairs = THEOREMS[theorem].pairs
+                if THEOREMS[theorem].needs_graded and not p.is_graded:
+                    continue
+                replay = harness._record(pairs, p, b)
+                for g in labelings:
+                    direct = _first_difference(
+                        lhs == rhs for lhs, rhs in pairs(dynamics(p, b), g))
+                    assert _first_difference(replay(g)) == direct, (theorem, p.serialize(), g)
+                    seen[direct[0]] += 1
+    assert seen["equal"] and seen["degenerate"] and seen["unequal"]
+
+
+@pytest.mark.parametrize("rhs, outcome", [
+    (lambda b, g: (*g[:-1], b.mul(g[-1], b.constant_c())), ("unequal", 1)),  # the last label only
+    (lambda b, g: g[:-1], ("unequal", 1)),  # one label short
+    (lambda b, g: (b.mul(b.one(), g[0]), *g[1:]), ("equal", 2)),
+])
+def test_a_replayed_pair_compares_every_label(rhs, outcome):
+    p, b = chain_product(2, 3), RationalField()
+    replay = harness._record(lambda dyn, g: iter([(g, g), (g, rhs(dyn.backend, g))]), p, b)
+    assert _first_difference(replay(random_labeling(b, p, 1))) == outcome
+
+
+def _bridge_rows(monkeypatch, recorded, points=harness.DEFAULT_POINTS):
+    """The bridge rows of `verify --all` on the current ``harness.Dynamics``, or the
+    GenericityFailure each raised: recorded or, with every ``pairs`` unset, direct."""
+    rows = []
+    with monkeypatch.context() as m:
+        if not recorded:
+            for theorem in BRIDGE_THEOREMS:
+                m.setitem(THEOREMS, theorem, dataclasses.replace(THEOREMS[theorem], pairs=None))
+        for s in default_check_specs(points=points, theorems=BRIDGE_THEOREMS):
+            try:
+                rows.append(run_check(s))
+            except GenericityFailure as exc:
+                rows.append(f"GenericityFailure: {exc}")
+    return rows
+
+
+def test_recorded_bridge_rows_equal_direct_rows_at_sample_range_1_3(monkeypatch):
+    # (1, 3) makes points degenerate often, so both paths must redraw the same points.
+    monkeypatch.setattr(backends, "DEFAULT_SAMPLE_RANGE", (1, 3))
+    recorded = _bridge_rows(monkeypatch, recorded=True)
+    assert recorded == _bridge_rows(monkeypatch, recorded=False)
+    raised = [r for r in recorded if isinstance(r, str)]
+    assert sum(r["retries"] for r in recorded if not isinstance(r, str)) == 52
+    assert len(raised) == 2 and all("rootA 3/matrix:2: point 2 stayed" in r for r in raised)
+
+
+class ComparingDynamics(Dynamics):
+    """A Dynamics that branches on whether two labels are equal."""
+
+    def theta(self, f):
+        if f and f[0] == f[-1]:
+            return super().theta(f[::-1])
+        return super().theta(f)
+
+
+def test_a_check_that_compares_labels_while_it_runs_raises_when_recorded(monkeypatch):
+    monkeypatch.setattr(harness, "Dynamics", ComparingDynamics)
+    with pytest.raises(TypeError, match="compared a label"):
+        run_check(CheckSpec("t-star", "chain 2x3", "rational", points=2))
+
+
+def test_bridge_checks_record_their_words_once_per_run_check(monkeypatch):
+    calls = []
+
+    class Counting(Dynamics):
+        def apply_word(self, word, f):
+            calls.append(word)
+            return super().apply_word(word, f)
+    monkeypatch.setattr(harness, "Dynamics", Counting)
+    for theorem in BRIDGE_THEOREMS:
+        counts = []
+        for points in (1, 20):
+            calls.clear()
+            run_check(CheckSpec(theorem, "chain 2x3", "matrix:2", points=points))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0, theorem
+
+
+@pytest.mark.parametrize("mutant", [ReversedInverseTransfer, BottomUpEta])
+def test_mutants_fail_the_same_bridge_rows_recorded_and_direct(monkeypatch, mutant):
+    monkeypatch.setattr(harness, "Dynamics", mutant)
+    recorded = _bridge_rows(monkeypatch, recorded=True, points=3)
+    assert recorded == _bridge_rows(monkeypatch, recorded=False, points=3)
+    assert any(r["status"] == "fail" for r in recorded)

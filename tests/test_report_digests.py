@@ -103,6 +103,14 @@ VERIFY_BRIDGE_ARGV = ("--theorem", "t-star", "--theorem", "tau-star", "--theorem
                       "--points", "20")
 VERIFY_BRIDGE_DIGEST = "66f25112984a5c4d84731b42e077fa6d6d7b000c8adf47899bdefb1b345671d0"
 
+# The three bridge checks on the default posets over a degree-3 backend, where
+# no polynomial identity of degree below 6 holds, so a replayed program that
+# differs from the direct checks cannot hide behind s4.  CI pins it too.
+VERIFY_BRIDGE_MATRIX3_ARGV = ("--theorem", "t-star", "--theorem", "tau-star",
+                              "--theorem", "gyration", "--poset", "rootA 3", "--poset", "chain 2x3",
+                              "--backend", "matrix:3", "--points", "20")
+VERIFY_BRIDGE_MATRIX3_DIGEST = "d2a71a175442b2b201b786de63dd87f87fc394385f42d698a88e9852a405f4aa"
+
 
 def unseeded_report_digest(tmp_path, *argv):
     out = tmp_path / "report.json"
@@ -158,6 +166,11 @@ def test_verify_all_report_digest_at_the_sample_cap(tmp_path):
 
 def test_verify_bridge_checks_report_digest(tmp_path):
     assert report_digest(tmp_path, "verify", *VERIFY_BRIDGE_ARGV) == VERIFY_BRIDGE_DIGEST
+
+
+def test_verify_bridge_checks_matrix3_report_digest(tmp_path):
+    assert report_digest(tmp_path, "verify", *VERIFY_BRIDGE_MATRIX3_ARGV) == \
+        VERIFY_BRIDGE_MATRIX3_DIGEST
 
 
 # Combinatorial orbits reject --seed and homomesy has no such flag: neither draws one.
