@@ -2,8 +2,11 @@
 
 Every identity is evaluated pointwise-exactly on random labelings; exact
 arithmetic makes this a sound randomized equality test, so no symbolic
-normal forms are needed.  Degenerate sample points (singular matrices,
-vanishing sums) are resampled with derived seeds up to a retry budget.
+normal forms are needed.  Each check yields the labelings its identity
+equates; one that draws nothing is recorded once per run as a program of
+backend ops and replayed at every point.  Degenerate sample points
+(singular matrices, vanishing sums) are resampled with derived seeds up to
+a retry budget.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ DEFAULT_MAX_ITER = 64
 MAX_ITER_LIMIT = 4096  # 4096 tropical or PL steps on a 10-element poset take about 1 s
 ORBIT_WORK_BUDGET = 100_000  # steps x (elements + covers); a tropical orbit at it takes about 1 s
 SCAN_ELEMENT_BUDGET = 12
-MAX_SAMPLES = 1000  # verify --points and scan --seeds; verify --all at it takes about 11 s
+MAX_SAMPLES = 1000  # verify --points and scan --seeds; verify --all at it takes about 9 s
 DEFAULT_VERIFY_POSETS = ("chain 2x3", "rootA 3")
 MODEL_NOTE = "generic-matrix evaluation (randomized identity testing, not symbolic)"
 
@@ -106,7 +109,7 @@ def build_poset(spec):
 # -- theorem registry -----------------------------------------------------------
 
 
-def _check_involution(dyn, g, aux):
+def _involution_pairs(dyn, g, aux):
     if dyn.backend.is_commutative:
         pairs = [(dyn.order_toggle, dyn.order_toggle),
                  (dyn.antichain_toggle, dyn.antichain_toggle)]
@@ -114,53 +117,46 @@ def _check_involution(dyn, g, aux):
         pairs = [(dyn.order_toggle, dyn.order_elggot), (dyn.order_elggot, dyn.order_toggle),
                  (dyn.antichain_toggle, dyn.antichain_elggot),
                  (dyn.antichain_elggot, dyn.antichain_toggle)]
-    return all(undo(v, do(v, g)) == g
-               for v in range(dyn.poset.n) for do, undo in pairs)
+    for v in range(dyn.poset.n):
+        for do, undo in pairs:
+            yield undo(v, do(v, g)), g
 
 
-def _check_commutation(dyn, g, aux):
+def _commutation_pairs(dyn, g, aux):
     p = dyn.poset
     order, anti = dyn.order_toggle, dyn.antichain_toggle
-    memo = {}  # toggle(v, g) from its first use: the same toggles run and raise in turn
-
-    def once(toggle, v):
-        if (toggle, v) not in memo:
-            memo[toggle, v] = toggle(v, g)
-        return memo[toggle, v]
     for u in range(p.n):
         for v in range(u + 1, p.n):
-            covering = (u, v) in p.covers or (v, u) in p.covers
-            if not covering and order(u, once(order, v)) != order(v, once(order, u)):
-                return False
-            if p.incomparable(u, v) and anti(u, once(anti, v)) != anti(v, once(anti, u)):
-                return False
-    return True
+            if (u, v) not in p.covers and (v, u) not in p.covers:
+                yield order(u, order(v, g)), order(v, order(u, g))
+            if p.incomparable(u, v):
+                yield anti(u, anti(v, g)), anti(v, anti(u, g))
 
 
-def _check_extension_independence(dyn, g, aux):
+def _extension_independence_pairs(dyn, g, aux):
     p = dyn.poset
     # The dual poset's first linear extension, reversed, places the smallest maximal
     # element last; it equals the default extension only when p is a chain.
     one = p.default_linear_extension
     two = tuple(reversed(Poset(p.n, [(v, u) for u, v in p.covers]).default_linear_extension))
-    if one == two:
-        return True
-    return (dyn.antichain_rowmotion(g, one) == dyn.antichain_rowmotion(g, two)
-            and dyn.order_rowmotion(g, one) == dyn.order_rowmotion(g, two))
+    if one != two:
+        yield dyn.antichain_rowmotion(g, one), dyn.antichain_rowmotion(g, two)
+        yield dyn.order_rowmotion(g, one), dyn.order_rowmotion(g, two)
 
 
-def _check_reciprocity(dyn, g, aux):
+def _reciprocity_pairs(dyn, g, aux):
     if not g:  # the empty poset has no labels to sum
-        return True
+        return
     b = dyn.backend
     k = aux().randint(2, max(2, min(5, len(g))))
     xs = list(g[:k])
     par = parallel_sum(b, xs)
     inv_sum = b.sum([b.invert(x) for x in xs])
-    return b.mul(par, inv_sum) == b.one() and b.mul(inv_sum, par) == b.one()
+    yield (b.mul(par, inv_sum),), (b.one(),)
+    yield (b.mul(inv_sum, par),), (b.one(),)
 
 
-def _check_meteor_gorge(dyn, g, aux):
+def _meteor_gorge_pairs(dyn, g, aux):
     b = dyn.backend
     nd = dyn.inv_down_transfer(g)
     du = dyn.inv_up_transfer(g)
@@ -168,22 +164,17 @@ def _check_meteor_gorge(dyn, g, aux):
     for v in range(dyn.poset.n):
         both = b.invert(b.mul(nd[v], du[v]))
         tog = dyn.antichain_toggle(v, g)[v]
-        if tog != b.mul(b.mul(c, both), g[v]):
-            return False
-        if tog != b.product([c, b.invert(du[v]), b.invert(nd[v]), g[v]]):
-            return False
-        elg = dyn.antichain_elggot(v, g)[v]
-        if elg != b.product([c, g[v], both]):
-            return False
-    return True
+        yield (tog,), (b.mul(b.mul(c, both), g[v]),)
+        yield (tog,), (b.product([c, b.invert(du[v]), b.invert(nd[v]), g[v]]),)
+        yield (dyn.antichain_elggot(v, g)[v],), (b.product([c, g[v], both]),)
 
 
-def _check_bar_transfer(dyn, g, aux):
-    return dyn.antichain_rowmotion(g) == dyn.antichain_rowmotion_via_transfers(g)
+def _bar_transfer_pairs(dyn, g, aux):
+    yield dyn.antichain_rowmotion(g), dyn.antichain_rowmotion_via_transfers(g)
 
 
-def _check_nor_transfer(dyn, g, aux):
-    return dyn.order_rowmotion(g) == dyn.order_rowmotion_via_transfers(g)
+def _nor_transfer_pairs(dyn, g, aux):
+    yield dyn.order_rowmotion(g), dyn.order_rowmotion_via_transfers(g)
 
 
 def _bridge_pairs(dyn, g, words):
@@ -195,26 +186,21 @@ def _bridge_pairs(dyn, g, words):
         yield dyn.theta(dyn.inv_up_transfer(dyn.apply_word(anti, g))), dyn.apply_word(order, side)
 
 
-def _t_star_pairs(dyn, g):
+def _t_star_pairs(dyn, g, aux):
     return _bridge_pairs(dyn, g, ((dyn.star_word((Atom(k, v),)), (Atom(k, v),))
                                   for v in range(dyn.poset.n) for k in ("T", "E")))
 
 
-def _tau_star_pairs(dyn, g):
+def _tau_star_pairs(dyn, g, aux):
     return _bridge_pairs(dyn, g, (((Atom(k, v),), dyn.star_word((Atom(k, v),)))
                                   for v in range(dyn.poset.n) for k in ("tau", "eps")))
 
 
-def _gyration_pairs(dyn, g):
+def _gyration_pairs(dyn, g, aux):
     order = dyn.order_gyration_word()
     # the rank word closes the diagram only over a commutative backend
     anti = dyn.antichain_gyration_word() if dyn.backend.is_commutative else dyn.star_word(order)
     return _bridge_pairs(dyn, g, [(anti, order)])
-
-
-def _check_pairs(pairs):
-    """The direct check of a theorem given by its pairs: each pair equal, in turn."""
-    return lambda dyn, g, aux: all(lhs == rhs for lhs, rhs in pairs(dyn, g))
 
 
 def _random_central_scalars(dyn, aux):
@@ -224,7 +210,7 @@ def _random_central_scalars(dyn, aux):
             for _ in range(r + 1)]
 
 
-def _check_rescale_rank(dyn, g, aux):
+def _rescale_rank_pairs(dyn, g, aux):
     b = dyn.backend
     scalars = _random_central_scalars(dyn, aux)
     inv_total = b.invert(b.product(scalars))
@@ -233,74 +219,69 @@ def _check_rescale_rank(dyn, g, aux):
         lhs = dyn.apply_word((Atom("rank_tau", i),), scaled)
         swapped = list(scalars)
         swapped[i] = inv_total
-        rhs = dyn.graded_rescale(swapped, dyn.apply_word((Atom("rank_tau", i),), g))
-        if lhs != rhs:
-            return False
-    return True
+        yield lhs, dyn.graded_rescale(swapped, dyn.apply_word((Atom("rank_tau", i),), g))
 
 
-def _check_rescale_bar(dyn, g, aux):
+def _rescale_bar_pairs(dyn, g, aux):
     b = dyn.backend
     scalars = _random_central_scalars(dyn, aux)
     inv_total = b.invert(b.product(scalars))
     lhs = dyn.antichain_rowmotion(dyn.graded_rescale(scalars, g))
     rotated = [inv_total] + scalars[:-1]
-    rhs = dyn.graded_rescale(rotated, dyn.antichain_rowmotion(g))
-    return lhs == rhs
+    yield lhs, dyn.graded_rescale(rotated, dyn.antichain_rowmotion(g))
 
 
 @dataclass(frozen=True)
 class TheoremCheck:
-    """``pairs(dyn, g)``, when set, yields the labelings that ``check`` compares,
-    in its order; ``run_check`` then records them once and replays them per point."""
+    """``pairs(dyn, g, aux)`` yields the labelings the theorem equates, in turn;
+    ``aux()`` is the point's own generator, for a check that draws."""
 
-    check: callable
+    pairs: callable
     needs_graded: bool
     default_backends: tuple
     description: str
-    pairs: callable = None
 
 
 THEOREMS = {
     "involution": TheoremCheck(
-        _check_involution, False, ("rational", "tropical"),
+        _involution_pairs, False, ("rational", "tropical"),
         "order and antichain toggles square to the identity "
         "(inverse pairs on noncommutative backends)"),
     "commutation": TheoremCheck(
-        _check_commutation, False, ("rational", "matrix:2"),
+        _commutation_pairs, False, ("rational", "matrix:2"),
         "toggles at non-covering / incomparable pairs commute"),
     "extension-independence": TheoremCheck(
-        _check_extension_independence, False, ("rational", "matrix:2"),
+        _extension_independence_pairs, False, ("rational", "matrix:2"),
         "rowmotion agrees along different linear extensions"),
     "reciprocity": TheoremCheck(
-        _check_reciprocity, False, ("rational", "matrix:2", "tropical"),
+        _reciprocity_pairs, False, ("rational", "matrix:2", "tropical"),
         "parallel sum times the sum of inverses is the identity, both ways"),
     "meteor-gorge": TheoremCheck(
-        _check_meteor_gorge, False, ("rational", "matrix:2"),
+        _meteor_gorge_pairs, False, ("rational", "matrix:2"),
         "antichain toggles factor through the inverse transfer values"),
     "bar-transfer": TheoremCheck(
-        _check_bar_transfer, False, ("rational", "tropical", "matrix:2"),
+        _bar_transfer_pairs, False, ("rational", "tropical", "matrix:2"),
         "antichain rowmotion = down-transfer o complement o inverse-up-transfer, "
         "birational (BAR) and noncommutative (NAR)"),
     "nor-transfer": TheoremCheck(
-        _check_nor_transfer, False, ("rational", "matrix:2"),
+        _nor_transfer_pairs, False, ("rational", "matrix:2"),
         "order rowmotion = complement o inverse-up-transfer o down-transfer"),
     "t-star": TheoremCheck(
-        _check_pairs(_t_star_pairs), False, ("rational", "matrix:2"),
+        _t_star_pairs, False, ("rational", "matrix:2"),
         "starred antichain words mimic order toggles across the transfer bridge, "
-        "birational and noncommutative", _t_star_pairs),
+        "birational and noncommutative"),
     "tau-star": TheoremCheck(
-        _check_pairs(_tau_star_pairs), False, ("rational", "matrix:2"),
+        _tau_star_pairs, False, ("rational", "matrix:2"),
         "conjugated order words mimic antichain toggles across the transfer bridge, "
-        "birational and noncommutative", _tau_star_pairs),
+        "birational and noncommutative"),
     "gyration": TheoremCheck(
-        _check_pairs(_gyration_pairs), True, ("rational", "matrix:2"),
-        "gyration commutes with rowmotion's transfer bridge", _gyration_pairs),
+        _gyration_pairs, True, ("rational", "matrix:2"),
+        "gyration commutes with rowmotion's transfer bridge"),
     "rescale-rank": TheoremCheck(
-        _check_rescale_rank, True, ("rational", "matrix:2"),
+        _rescale_rank_pairs, True, ("rational", "matrix:2"),
         "rank toggles turn graded rescalings into graded rescalings"),
     "rescale-bar": TheoremCheck(
-        _check_rescale_bar, True, ("rational", "matrix:2"),
+        _rescale_bar_pairs, True, ("rational", "matrix:2"),
         "antichain rowmotion rotates graded rescaling vectors"),
 }
 
@@ -315,15 +296,19 @@ def run_check(spec: CheckSpec, poset=None, backend=None):
         status = "skipped (ungraded)"
     else:
         dyn = Dynamics(p, b)
-        replay = None if thm.pairs is None else _record(thm.pairs, p, b)
+        try:
+            replay = _record(thm.pairs, p, b)
+        except _Draws:  # a check that draws runs afresh at each point
+            replay = None
         points = spec.points
         for i in range(points):
             def attempt(k):
                 g = _point(dyn, derive_seed(spec.seed, i, k))
-                if replay is not None:  # stops at the first unequal pair, as the check does
+                if replay is not None:  # stops at the first unequal pair, as all() does below
                     return all(replay(g))
                 # the point's own generator, built only by the checks that draw
-                return thm.check(dyn, g, lambda: random.Random(derive_seed("aux", spec.seed, i, k)))
+                pairs = thm.pairs(dyn, g, lambda: random.Random(derive_seed("aux", spec.seed, i, k)))
+                return all(lhs == rhs for lhs, rhs in pairs)
             ok, degenerate = _redraw(
                 attempt, f"{spec.theorem} on {spec.poset_spec}/{b.describe()}: point {i}")
             retries += degenerate
@@ -415,17 +400,26 @@ class _Recorder(AlgebraBackend):
         raise TypeError("a recorded check compared a label before its pairs")
 
 
+class _Draws(Exception):
+    """Raised by a recording's ``aux``: the check draws per point, so it is not recorded."""
+
+
+def _draws():
+    raise _Draws
+
+
 def _record(pairs, poset, backend):
     """``pairs`` on ``poset``, recorded once on the current ``Dynamics``, as a
     replay on ``backend``: given a labeling, it yields whether each pair is
-    equal, in turn, running only the ops that pair adds.
+    equal, in turn, running only the ops that pair adds.  A check that calls
+    ``aux`` raises _Draws instead.
 
     So a replay raises the NotInvertible that the direct check would raise
     first, and a caller that stops at an unequal pair runs no later op.
     """
     rec = _Recorder(backend, poset.n)
     compared = [(len(rec.steps), [x.reg for x in lhs], [x.reg for x in rhs])
-                for lhs, rhs in pairs(Dynamics(poset, rec), rec.labels)]
+                for lhs, rhs in pairs(Dynamics(poset, rec), rec.labels, _draws)]
     constants, segments, done = [], [], 0  # registers n, n + 1, ...: the constants filled
     for end, lhs, rhs in compared:
         ops = []

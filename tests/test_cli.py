@@ -262,7 +262,7 @@ def test_verify_unknown_theorem_exit_2(capsys, monkeypatch):
 
 def test_verify_failure_exit_1(capsys, monkeypatch):
     monkeypatch.setitem(THEOREMS, "always-false",
-                        TheoremCheck(lambda dyn, g, rng: False, False,
+                        TheoremCheck(lambda dyn, g, aux: iter([(g, g[:-1])]), False,
                                      ("rational",), "fixture"))
     code, out, _ = run(capsys, "verify", "--theorem", "always-false",
                        "--poset", "chain 1x1", "--points", "2")
@@ -306,7 +306,7 @@ def test_verify_builds_each_backend_spec_once(capsys, monkeypatch):
 def test_verify_bad_default_backend_exits_2_before_any_check_runs(capsys, monkeypatch):
     # sorted last, so every other theorem's checks would run first
     monkeypatch.setitem(THEOREMS, "zz-bad-backend",
-                        TheoremCheck(lambda dyn, g, rng: True, False, ("garbage",), "fixture"))
+                        TheoremCheck(lambda dyn, g, aux: iter(()), False, ("garbage",), "fixture"))
     checked = []
     monkeypatch.setattr("rowmotion.harness.run_check", lambda *a, **k: checked.append(a))
     code, out, err = run(capsys, "verify", "--all", "--poset", "chain 1x1", "--points", "1")
@@ -341,8 +341,10 @@ def test_verify_repeated_theorem_and_poset_run_once(capsys):
 
 
 def test_verify_genericity_failure_exit_3(capsys, monkeypatch):
-    def always_degenerate(dyn, g, rng):
+    def always_degenerate(dyn, g, aux):
+        aux()  # draws, so it runs at each point
         raise NotInvertible(context="forced")
+        yield
     monkeypatch.setitem(THEOREMS, "always-degenerate",
                         TheoremCheck(always_degenerate, False, ("rational",), "fixture"))
     code, _, err = run(capsys, "verify", "--theorem", "always-degenerate",
@@ -548,7 +550,7 @@ def test_verify_const_c_zero_exits_before_any_check_runs(capsys, monkeypatch, th
     # C = 0 is valid for the tropical backend only; the first other backend
     # must be refused before any check runs, even when tropical checks come first.
     monkeypatch.setitem(THEOREMS, "tropical-only",
-                        TheoremCheck(lambda dyn, g, rng: True, False, ("tropical",), "fixture"))
+                        TheoremCheck(lambda dyn, g, aux: iter(()), False, ("tropical",), "fixture"))
     checked = []
     monkeypatch.setattr("rowmotion.harness.run_check", lambda *a, **k: checked.append(a))
     code, out, err = run(capsys, "verify", *theorems, "--poset", "chain 1x1",

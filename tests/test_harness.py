@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import json
@@ -47,7 +46,7 @@ def test_registry_contents():
 
 def test_each_identity_is_one_registry_entry():
     # An identity's realms are its default backends, not a second id for its check.
-    checks = Counter(t.check for t in THEOREMS.values())
+    checks = Counter(t.pairs for t in THEOREMS.values())
     assert max(checks.values()) == 1
 
 
@@ -166,9 +165,11 @@ def test_run_check_deterministic():
 def test_run_check_genericity_failure(monkeypatch):
     points = []
 
-    def always_degenerate(dyn, g, rng):
+    def always_degenerate(dyn, g, aux):
+        aux()  # draws, so it runs at each point
         points.append(g)
         raise NotInvertible(context="forced")
+        yield
     monkeypatch.setitem(THEOREMS, "always-degenerate",
                         TheoremCheck(always_degenerate, False, ("rational",), "fixture"))
     monkeypatch.setattr(harness, "DEFAULT_MAX_RETRIES", 2)
@@ -180,11 +181,12 @@ def test_run_check_genericity_failure(monkeypatch):
 def test_run_check_retries_then_passes(monkeypatch):
     calls = {"n": 0}
 
-    def degenerate_once(dyn, g, rng):
+    def degenerate_once(dyn, g, aux):
+        aux()  # draws, so it runs at each point
         calls["n"] += 1
         if calls["n"] == 1:
             raise NotInvertible(context="first attempt only")
-        return True
+        yield g, g
 
     monkeypatch.setitem(THEOREMS, "degenerate-once",
                         TheoremCheck(degenerate_once, False, ("rational",), "fixture"))
@@ -194,9 +196,12 @@ def test_run_check_retries_then_passes(monkeypatch):
 
 def test_run_check_counts_failures(monkeypatch):
     flips = iter([True, False, True, False])
+
+    def coin_flip(dyn, g, aux):
+        aux()  # draws, so it runs at each point
+        yield g, (g if next(flips) else g[:-1])
     monkeypatch.setitem(THEOREMS, "coin-flip",
-                        TheoremCheck(lambda dyn, g, rng: next(flips), False,
-                                     ("rational",), "fixture"))
+                        TheoremCheck(coin_flip, False, ("rational",), "fixture"))
     rep = run_check(CheckSpec("coin-flip", "chain 1x1", "rational", points=4))
     assert rep["passes"] == 2 and rep["failures"] == 2 and rep["status"] == "fail"
 
@@ -209,9 +214,8 @@ def second_extension(p):
     def rowmotion(g, extension):
         seen.append(extension)
         return g
-    spy = SimpleNamespace(poset=p, antichain_rowmotion=rowmotion, order_rowmotion=rowmotion,
-                          equal=lambda x, y: True)
-    assert harness._check_extension_independence(spy, (), None)
+    spy = SimpleNamespace(poset=p, antichain_rowmotion=rowmotion, order_rowmotion=rowmotion)
+    assert all(lhs == rhs for lhs, rhs in harness._extension_independence_pairs(spy, (), None))
     if not seen:
         return p.default_linear_extension
     assert seen[0] == seen[2] == p.default_linear_extension and seen[1] == seen[3]
@@ -517,9 +521,17 @@ def test_a_backend_that_cannot_be_weakly_keyed_draws_afresh():
     assert run_check(spec, backend=ValueEqual()) == run_check(spec)
 
 
-# -- bridge checks recorded once and replayed, against the direct checks ------------
+# -- checks recorded once and replayed, against the direct checks ------------------
 
-BRIDGE_THEOREMS = ("t-star", "tau-star", "gyration")
+# The checks that draw nothing are recorded once per run_check; the three that
+# call aux draw afresh at each point.
+RECORDED_THEOREMS = ("bar-transfer", "commutation", "extension-independence", "gyration",
+                     "involution", "meteor-gorge", "nor-transfer", "t-star", "tau-star")
+DRAWING_THEOREMS = ("reciprocity", "rescale-bar", "rescale-rank")
+
+
+def test_recorded_and_drawing_checks_partition_the_registry():
+    assert sorted(RECORDED_THEOREMS + DRAWING_THEOREMS) == sorted(THEOREMS)
 
 
 def _first_difference(equalities):
@@ -565,8 +577,9 @@ def _bridge_posets():
             + [random_graded_poset(derive_seed("recorded-bridge", s)) for s in range(3)])
 
 
-@pytest.mark.parametrize("backend_spec", ["rational", "matrix:2", "matrix:3"])
+@pytest.mark.parametrize("backend_spec", ["rational", "tropical", "matrix:2", "matrix:3"])
 def test_recorded_bridge_checks_end_like_the_direct_ones(monkeypatch, backend_spec):
+    # Every check that draws nothing, replayed against its pairs evaluated directly.
     # Generic labelings, then central labels in ±1, whose sums often vanish, so
     # pairs degenerate at every stage; the mutants make pairs unequal.
     b = parse_backend(backend_spec)
@@ -580,17 +593,18 @@ def test_recorded_bridge_checks_end_like_the_direct_ones(monkeypatch, backend_sp
             labelings = [random_labeling(b, p, derive_seed("recorded-bridge", k)) for k in range(2)]
             labelings += [tuple(b.central_from_rational(rng.choice((-1, 1))) for _ in range(p.n))
                           for _ in range(4)]
-            for theorem in BRIDGE_THEOREMS:
+            for theorem in RECORDED_THEOREMS:
                 pairs = THEOREMS[theorem].pairs
                 if THEOREMS[theorem].needs_graded and not p.is_graded:
                     continue
                 replay = harness._record(pairs, p, b)
                 for g in labelings:
                     direct = _first_difference(
-                        lhs == rhs for lhs, rhs in pairs(dynamics(p, b), g))
+                        lhs == rhs for lhs, rhs in pairs(dynamics(p, b), g, None))
                     assert _first_difference(replay(g)) == direct, (theorem, p.serialize(), g)
                     seen[direct[0]] += 1
-    assert seen["equal"] and seen["degenerate"] and seen["unequal"]
+    # tropical inversion is total, so nothing degenerates there
+    assert seen["equal"] and seen["unequal"] and (seen["degenerate"] or b.is_tropical)
 
 
 @pytest.mark.parametrize("rhs, outcome", [
@@ -600,19 +614,23 @@ def test_recorded_bridge_checks_end_like_the_direct_ones(monkeypatch, backend_sp
 ])
 def test_a_replayed_pair_compares_every_label(rhs, outcome):
     p, b = chain_product(2, 3), RationalField()
-    replay = harness._record(lambda dyn, g: iter([(g, g), (g, rhs(dyn.backend, g))]), p, b)
+    replay = harness._record(lambda dyn, g, aux: iter([(g, g), (g, rhs(dyn.backend, g))]), p, b)
     assert _first_difference(replay(random_labeling(b, p, 1))) == outcome
 
 
-def _bridge_rows(monkeypatch, recorded, points=harness.DEFAULT_POINTS):
-    """The bridge rows of `verify --all` on the current ``harness.Dynamics``, or the
-    GenericityFailure each raised: recorded or, with every ``pairs`` unset, direct."""
+def _unrecorded(pairs, poset, backend):
+    raise harness._Draws
+
+
+def _registry_rows(monkeypatch, recorded, points=harness.DEFAULT_POINTS):
+    """The rows of `verify --all` on the current ``harness.Dynamics``, or the
+    GenericityFailure each raised: as run, or with every check evaluated directly
+    at each point, as the checks that draw are."""
     rows = []
     with monkeypatch.context() as m:
         if not recorded:
-            for theorem in BRIDGE_THEOREMS:
-                m.setitem(THEOREMS, theorem, dataclasses.replace(THEOREMS[theorem], pairs=None))
-        for s in default_check_specs(points=points, theorems=BRIDGE_THEOREMS):
+            m.setattr(harness, "_record", _unrecorded)
+        for s in default_check_specs(points=points):
             try:
                 rows.append(run_check(s))
             except GenericityFailure as exc:
@@ -623,11 +641,11 @@ def _bridge_rows(monkeypatch, recorded, points=harness.DEFAULT_POINTS):
 def test_recorded_bridge_rows_equal_direct_rows_at_sample_range_1_3(monkeypatch):
     # (1, 3) makes points degenerate often, so both paths must redraw the same points.
     monkeypatch.setattr(backends, "DEFAULT_SAMPLE_RANGE", (1, 3))
-    recorded = _bridge_rows(monkeypatch, recorded=True)
-    assert recorded == _bridge_rows(monkeypatch, recorded=False)
+    recorded = _registry_rows(monkeypatch, recorded=True)
+    assert recorded == _registry_rows(monkeypatch, recorded=False)
     raised = [r for r in recorded if isinstance(r, str)]
-    assert sum(r["retries"] for r in recorded if not isinstance(r, str)) == 52
-    assert len(raised) == 2 and all("rootA 3/matrix:2: point 2 stayed" in r for r in raised)
+    assert sum(r["retries"] for r in recorded if not isinstance(r, str)) == 228
+    assert len(raised) == 4 and all("rootA 3/matrix:2: point 2 stayed" in r for r in raised)
 
 
 class ComparingDynamics(Dynamics):
@@ -646,25 +664,55 @@ def test_a_check_that_compares_labels_while_it_runs_raises_when_recorded(monkeyp
 
 
 def test_bridge_checks_record_their_words_once_per_run_check(monkeypatch):
+    # A recorded check calls Dynamics only while it is recorded: as often at 1 point as at 20.
     calls = []
 
     class Counting(Dynamics):
-        def apply_word(self, word, f):
-            calls.append(word)
-            return super().apply_word(word, f)
+        def __getattribute__(self, name):
+            attr = super().__getattribute__(name)
+            if name.startswith("_") or name == "random_labeling" or not callable(attr):
+                return attr
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return attr(*args, **kwargs)
+            return counted
     monkeypatch.setattr(harness, "Dynamics", Counting)
-    for theorem in BRIDGE_THEOREMS:
+    for theorem in RECORDED_THEOREMS:
         counts = []
         for points in (1, 20):
             calls.clear()
             run_check(CheckSpec(theorem, "chain 2x3", "matrix:2", points=points))
-            counts.append(len(calls))
-        assert counts[0] == counts[1] > 0, theorem
+            counts.append(Counter(calls))
+        assert counts[0] == counts[1] and counts[0], theorem
+
+
+@pytest.mark.parametrize("theorem", DRAWING_THEOREMS)
+def test_checks_that_draw_build_one_generator_per_attempt(monkeypatch, theorem):
+    # Recorded once, these would test one subset size or one scalar vector at every point.
+    draws = []
+
+    class Drawing(random.Random):
+        def __init__(self, seed):
+            draws.append([])
+            super().__init__(seed)
+
+        def randint(self, a, b):
+            draws[-1].append(super().randint(a, b))
+            return draws[-1][-1]
+    p, b = build_poset("chain 2x3"), parse_backend("matrix:2")
+    with pytest.raises(harness._Draws):
+        harness._record(THEOREMS[theorem].pairs, p, b)
+    monkeypatch.setattr(harness, "random", SimpleNamespace(Random=Drawing))
+    monkeypatch.setattr(backends, "DEFAULT_SAMPLE_RANGE", (1, 3))  # so some points redraw
+    rep = run_check(CheckSpec(theorem, "chain 2x3", "matrix:2", points=20), poset=p, backend=b)
+    assert rep["retries"] > 0 and len(draws) == rep["points"] + rep["retries"]
+    assert len({tuple(d) for d in draws}) > 1
 
 
 @pytest.mark.parametrize("mutant", [ReversedInverseTransfer, BottomUpEta])
 def test_mutants_fail_the_same_bridge_rows_recorded_and_direct(monkeypatch, mutant):
     monkeypatch.setattr(harness, "Dynamics", mutant)
-    recorded = _bridge_rows(monkeypatch, recorded=True, points=3)
-    assert recorded == _bridge_rows(monkeypatch, recorded=False, points=3)
+    recorded = _registry_rows(monkeypatch, recorded=True, points=3)
+    assert recorded == _registry_rows(monkeypatch, recorded=False, points=3)
     assert any(r["status"] == "fail" for r in recorded)

@@ -111,6 +111,19 @@ VERIFY_BRIDGE_MATRIX3_ARGV = ("--theorem", "t-star", "--theorem", "tau-star",
                               "--backend", "matrix:3", "--points", "20")
 VERIFY_BRIDGE_MATRIX3_DIGEST = "d2a71a175442b2b201b786de63dd87f87fc394385f42d698a88e9852a405f4aa"
 
+# The six checks beside the bridge that draw nothing, recorded once per row and
+# replayed: on the two pairs of posets and matrix backends above.  CI pins both.
+VERIFY_RECORDED_THEOREMS = ("--theorem", "involution", "--theorem", "commutation",
+                            "--theorem", "extension-independence", "--theorem", "meteor-gorge",
+                            "--theorem", "bar-transfer", "--theorem", "nor-transfer",
+                            "--points", "20")
+VERIFY_RECORDED_DIGESTS = {
+    ("random 9 4", "chain 3x3", "matrix:2"):
+        "114bc412d9e3967a48e51f0ccc8663e08ad0517a155a0560ab8bd897e61492a2",
+    ("rootA 3", "chain 2x3", "matrix:3"):
+        "2a023a7a8fdb9f889a9a5ffe49ddfaf68657852fe709fa9adc26ee7f3a699ba7",
+}
+
 
 def unseeded_report_digest(tmp_path, *argv):
     out = tmp_path / "report.json"
@@ -171,6 +184,13 @@ def test_verify_bridge_checks_report_digest(tmp_path):
 def test_verify_bridge_checks_matrix3_report_digest(tmp_path):
     assert report_digest(tmp_path, "verify", *VERIFY_BRIDGE_MATRIX3_ARGV) == \
         VERIFY_BRIDGE_MATRIX3_DIGEST
+
+
+@pytest.mark.parametrize("one,two,backend", sorted(VERIFY_RECORDED_DIGESTS))
+def test_verify_recorded_checks_report_digest(tmp_path, one, two, backend):
+    digest = report_digest(tmp_path, "verify", *VERIFY_RECORDED_THEOREMS, "--poset", one,
+                           "--poset", two, "--backend", backend)
+    assert digest == VERIFY_RECORDED_DIGESTS[one, two, backend]
 
 
 # Combinatorial orbits reject --seed and homomesy has no such flag: neither draws one.
