@@ -3,10 +3,10 @@
 Every identity is evaluated pointwise-exactly on random labelings; exact
 arithmetic makes this a sound randomized equality test, so no symbolic
 normal forms are needed.  Each check yields the labelings its identity
-equates; one that draws nothing is recorded once per run as a program of
-backend ops and replayed at every point.  Degenerate sample points
-(singular matrices, vanishing sums) are resampled with derived seeds up to
-a retry budget.
+equates, and is recorded once per run as a program of backend ops, whose
+drawn central scalars are inputs beside the labels, and replayed at every
+point.  Degenerate sample points (singular matrices, vanishing sums) are
+resampled with derived seeds up to a retry budget.
 """
 
 from __future__ import annotations
@@ -148,12 +148,12 @@ def _reciprocity_pairs(dyn, g, aux):
     if not g:  # the empty poset has no labels to sum
         return
     b = dyn.backend
-    k = aux().randint(2, max(2, min(5, len(g))))
-    xs = list(g[:k])
-    par = parallel_sum(b, xs)
-    inv_sum = b.sum([b.invert(x) for x in xs])
-    yield (b.mul(par, inv_sum),), (b.one(),)
-    yield (b.mul(inv_sum, par),), (b.one(),)
+    for k in range(2, max(2, min(5, len(g))) + 1):  # every operand count, on a prefix of g
+        xs = list(g[:k])
+        par = parallel_sum(b, xs)
+        inv_sum = b.sum([b.invert(x) for x in xs])
+        yield (b.mul(par, inv_sum),), (b.one(),)
+        yield (b.mul(inv_sum, par),), (b.one(),)
 
 
 def _meteor_gorge_pairs(dyn, g, aux):
@@ -203,16 +203,9 @@ def _gyration_pairs(dyn, g, aux):
     return _bridge_pairs(dyn, g, [(anti, order)])
 
 
-def _random_central_scalars(dyn, aux):
-    b, rng = dyn.backend, aux()
-    r = dyn.poset.top_rank
-    return [b.central_from_rational(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
-            for _ in range(r + 1)]
-
-
 def _rescale_rank_pairs(dyn, g, aux):
     b = dyn.backend
-    scalars = _random_central_scalars(dyn, aux)
+    scalars = aux(dyn.poset.top_rank + 1)
     inv_total = b.invert(b.product(scalars))
     scaled = dyn.graded_rescale(scalars, g)
     for i in range(dyn.poset.top_rank + 1):
@@ -224,7 +217,7 @@ def _rescale_rank_pairs(dyn, g, aux):
 
 def _rescale_bar_pairs(dyn, g, aux):
     b = dyn.backend
-    scalars = _random_central_scalars(dyn, aux)
+    scalars = aux(dyn.poset.top_rank + 1)
     inv_total = b.invert(b.product(scalars))
     lhs = dyn.antichain_rowmotion(dyn.graded_rescale(scalars, g))
     rotated = [inv_total] + scalars[:-1]
@@ -234,7 +227,7 @@ def _rescale_bar_pairs(dyn, g, aux):
 @dataclass(frozen=True)
 class TheoremCheck:
     """``pairs(dyn, g, aux)`` yields the labelings the theorem equates, in turn;
-    ``aux()`` is the point's own generator, for a check that draws."""
+    ``aux(m)`` gives m central scalars drawn for the point, for a check that draws."""
 
     pairs: callable
     needs_graded: bool
@@ -296,19 +289,13 @@ def run_check(spec: CheckSpec, poset=None, backend=None):
         status = "skipped (ungraded)"
     else:
         dyn = Dynamics(p, b)
-        try:
-            replay = _record(thm.pairs, p, b)
-        except _Draws:  # a check that draws runs afresh at each point
-            replay = None
+        replay = _record(thm.pairs, p, b)
         points = spec.points
         for i in range(points):
             def attempt(k):
                 g = _point(dyn, derive_seed(spec.seed, i, k))
-                if replay is not None:  # stops at the first unequal pair, as all() does below
-                    return all(replay(g))
-                # the point's own generator, built only by the checks that draw
-                pairs = thm.pairs(dyn, g, lambda: random.Random(derive_seed("aux", spec.seed, i, k)))
-                return all(lhs == rhs for lhs, rhs in pairs)
+                # stops at the first unequal pair
+                return all(replay(g, _aux(b, spec.seed, i, k)))
             ok, degenerate = _redraw(
                 attempt, f"{spec.theorem} on {spec.poset_spec}/{b.describe()}: point {i}")
             retries += degenerate
@@ -332,13 +319,15 @@ def run_check(spec: CheckSpec, poset=None, backend=None):
 
 
 class _Node:
-    """A label while a check is recorded: the register that holds it on replay.
-    It has no value to compare or hash, so a branch on a label raises TypeError."""
+    """A label while a check is recorded: the register that holds it on replay,
+    and whether its value is known to be central.  It has no value to compare
+    or hash, so a branch on a label raises TypeError."""
 
-    __slots__ = ("reg",)
+    __slots__ = ("reg", "central")
 
-    def __init__(self, reg):
+    def __init__(self, reg, central=False):
         self.reg = reg
+        self.central = central
 
     def __eq__(self, other):
         raise TypeError("a recorded check compared a label before its pairs")
@@ -353,44 +342,55 @@ class _Recorder(AlgebraBackend):
     """A backend that writes a check down as a straight-line program.
 
     Register k < n holds label k, and each later register one step: an op,
-    (name, operand register, second operand register or None), or a constant,
+    (name, operand register, second operand register or None), a constant,
     (backend method, *arguments), which a replay fills from the real backend
-    once.  Each distinct step is taken once, in the order it is first asked
-    for, and commutative operands are never swapped.
+    once, or a draw, ("draw", its register), which a replay fills from the
+    point's ``aux``.  Each distinct step is taken once, in the order it is
+    first asked for, and commutative operands are never swapped.  One, C,
+    rationals, draws and the ops on central registers alone are central.
     """
 
     def __init__(self, backend, n):
         self.is_commutative = backend.is_commutative
         self.labels = tuple(_Node(k) for k in range(n))
         self.steps = []
+        self.draws = []  # per call of aux, the registers it drew
         self._seen = {}  # step: its node
 
-    def _step(self, *step):
+    def _step(self, central, *step):
         node = self._seen.get(step)
         if node is None:
-            node = self._seen[step] = _Node(len(self.labels) + len(self.steps))
+            node = self._seen[step] = _Node(len(self.labels) + len(self.steps), central)
             self.steps.append(step)
         return node
 
     def add(self, x, y):
-        return self._step("add", x.reg, y.reg)
+        return self._step(x.central and y.central, "add", x.reg, y.reg)
 
     def mul(self, x, y):
-        return self._step("mul", x.reg, y.reg)
+        return self._step(x.central and y.central, "mul", x.reg, y.reg)
 
     def invert(self, x):
-        return self._step("invert", x.reg, None)
+        return self._step(x.central, "invert", x.reg, None)
 
     def one(self):
-        return self._step("one")
+        return self._step(True, "one")
 
     def constant_c(self):
-        return self._step("constant_c")
+        return self._step(True, "constant_c")
 
     def central_from_rational(self, q):
-        return self._step("central_from_rational", q)
+        return self._step(True, "central_from_rational", q)
+
+    def draw(self, m):
+        """The recorded check's ``aux(m)``: m new central registers."""
+        drawn = [self._step(True, "draw", len(self.labels) + len(self.steps)) for _ in range(m)]
+        self.draws.append([x.reg for x in drawn])
+        return drawn
 
     def is_central(self, x):
+        if x.central:
+            return True
         raise TypeError("a recorded check asked whether a label is central")
 
     def sample_generic(self, seed):
@@ -400,46 +400,53 @@ class _Recorder(AlgebraBackend):
         raise TypeError("a recorded check compared a label before its pairs")
 
 
-class _Draws(Exception):
-    """Raised by a recording's ``aux``: the check draws per point, so it is not recorded."""
-
-
-def _draws():
-    raise _Draws
-
-
 def _record(pairs, poset, backend):
     """``pairs`` on ``poset``, recorded once on the current ``Dynamics``, as a
-    replay on ``backend``: given a labeling, it yields whether each pair is
-    equal, in turn, running only the ops that pair adds.  A check that calls
-    ``aux`` raises _Draws instead.
+    replay on ``backend``: given a labeling and the point's ``aux``, it yields
+    whether each pair is equal, in turn, running only the ops that pair adds.
 
     So a replay raises the NotInvertible that the direct check would raise
-    first, and a caller that stops at an unequal pair runs no later op.
+    first, and a caller that stops at an unequal pair runs no later op.  A
+    replay calls ``aux`` once per call the check made, before its first op:
+    never, for a check that draws nothing.
     """
     rec = _Recorder(backend, poset.n)
     compared = [(len(rec.steps), [x.reg for x in lhs], [x.reg for x in rhs])
-                for lhs, rhs in pairs(Dynamics(poset, rec), rec.labels, _draws)]
+                for lhs, rhs in pairs(Dynamics(poset, rec), rec.labels, rec.draw)]
     constants, segments, done = [], [], 0  # registers n, n + 1, ...: the constants filled
     for end, lhs, rhs in compared:
         ops = []
         for reg, (name, *args) in enumerate(rec.steps[done:end], start=poset.n + done):
-            method = getattr(backend, name)
             if name in ("add", "mul", "invert"):
-                ops.append((reg, method, *args))
+                ops.append((reg, getattr(backend, name), *args))
                 constants.append(None)
-            else:
-                constants.append(method(*args))
+            else:  # a draw is filled at each point
+                constants.append(None if name == "draw" else getattr(backend, name)(*args))
         segments.append((ops, lhs, rhs))
         done = end
+    constants += [None] * (len(rec.steps) - done)  # steps after the last pair, draws among them
+    draws = rec.draws
 
-    def replay(g):
+    def replay(g, aux):
         v = [*g, *constants]
+        for regs in draws:
+            for reg, x in zip(regs, aux(len(regs))):
+                v[reg] = x
         for ops, lhs, rhs in segments:
             for k, f, i, j in ops:
                 v[k] = f(v[i]) if j is None else f(v[i], v[j])
             yield [v[x] for x in lhs] == [v[x] for x in rhs]
     return replay
+
+
+def _aux(backend, *seed):
+    """The ``aux`` of a sample point: ``aux(m)`` is m central rationals a/b,
+    1 <= a, b <= 9, from a generator seeded by ``derive_seed("aux", *seed)``."""
+    def aux(m):
+        rng = random.Random(derive_seed("aux", *seed))
+        return [backend.central_from_rational(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                for _ in range(m)]
+    return aux
 
 
 # Registry points drawn so far, per backend object: {backend: {(n, seed): labeling}}.

@@ -12,7 +12,6 @@ import pytest
 
 from rowmotion import cli as cli_module
 from rowmotion.cli import main
-from rowmotion.errors import NotInvertible
 from rowmotion.harness import (DEFAULT_MAX_ITER, MAX_ITER_LIMIT, MAX_SAMPLES, ORBIT_WORK_BUDGET,
                                SCAN_ELEMENT_BUDGET, THEOREMS, TheoremCheck, build_poset)
 from rowmotion.poset import MAX_ELEMENTS
@@ -342,9 +341,8 @@ def test_verify_repeated_theorem_and_poset_run_once(capsys):
 
 def test_verify_genericity_failure_exit_3(capsys, monkeypatch):
     def always_degenerate(dyn, g, aux):
-        aux()  # draws, so it runs at each point
-        raise NotInvertible(context="forced")
-        yield
+        b = dyn.backend  # inverts g[0] - g[0], zero at every point
+        yield (b.invert(b.add(g[0], b.mul(b.central_from_rational(-1), g[0]))),), (g[0],)
     monkeypatch.setitem(THEOREMS, "always-degenerate",
                         TheoremCheck(always_degenerate, False, ("rational",), "fixture"))
     code, _, err = run(capsys, "verify", "--theorem", "always-degenerate",

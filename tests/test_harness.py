@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import itertools
 import json
+import math
 import operator
 import random
 import weakref
@@ -14,6 +16,7 @@ from rowmotion.backends import (
     MatrixRing,
     RationalField,
     derive_seed,
+    parallel_sum,
     parse_backend,
     random_labeling,
 )
@@ -162,47 +165,62 @@ def test_run_check_deterministic():
     assert run_check(spec) == run_check(spec)
 
 
-def test_run_check_genericity_failure(monkeypatch):
-    points = []
+class SingularRational(RationalField):
+    """Rationals whose first ``times`` inversions raise; it keeps every operand it inverts."""
 
-    def always_degenerate(dyn, g, aux):
-        aux()  # draws, so it runs at each point
-        points.append(g)
-        raise NotInvertible(context="forced")
-        yield
+    def __init__(self, times):
+        super().__init__()
+        self.times, self.inverted = times, []
+
+    def invert(self, x):
+        self.inverted.append(x)
+        if len(self.inverted) <= self.times:
+            raise NotInvertible(context="forced")
+        return super().invert(x)
+
+
+class CoinFlipRational(RationalField):
+    """Rationals whose products are off by one whenever the next flip is False."""
+
+    def __init__(self, flips):
+        super().__init__()
+        self.flips = iter(flips)
+
+    def mul(self, x, y):
+        out = super().mul(x, y)
+        return out if next(self.flips) else self.add(out, self.one())
+
+
+def _inverted_twice(dyn, g, aux):
+    b = dyn.backend
+    yield (b.invert(b.invert(g[0])),), (g[0],)
+
+
+def test_run_check_genericity_failure(monkeypatch):
     monkeypatch.setitem(THEOREMS, "always-degenerate",
-                        TheoremCheck(always_degenerate, False, ("rational",), "fixture"))
+                        TheoremCheck(_inverted_twice, False, ("rational",), "fixture"))
     monkeypatch.setattr(harness, "DEFAULT_MAX_RETRIES", 2)
+    b = SingularRational(times=math.inf)
     with pytest.raises(GenericityFailure, match="point 0 stayed degenerate through 2 retries"):
-        run_check(CheckSpec("always-degenerate", "chain 1x1", "rational", points=1))
-    assert len(set(points)) == len(points) == 3
+        run_check(CheckSpec("always-degenerate", "chain 1x1", "rational", points=1), backend=b)
+    assert len(set(b.inverted)) == len(b.inverted) == 3
 
 
 def test_run_check_retries_then_passes(monkeypatch):
-    calls = {"n": 0}
-
-    def degenerate_once(dyn, g, aux):
-        aux()  # draws, so it runs at each point
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise NotInvertible(context="first attempt only")
-        yield g, g
-
     monkeypatch.setitem(THEOREMS, "degenerate-once",
-                        TheoremCheck(degenerate_once, False, ("rational",), "fixture"))
-    rep = run_check(CheckSpec("degenerate-once", "chain 1x1", "rational", points=1))
+                        TheoremCheck(_inverted_twice, False, ("rational",), "fixture"))
+    rep = run_check(CheckSpec("degenerate-once", "chain 1x1", "rational", points=1),
+                    backend=SingularRational(times=1))
     assert rep["passes"] == 1 and rep["retries"] == 1 and rep["status"] == "pass"
 
 
 def test_run_check_counts_failures(monkeypatch):
-    flips = iter([True, False, True, False])
-
     def coin_flip(dyn, g, aux):
-        aux()  # draws, so it runs at each point
-        yield g, (g if next(flips) else g[:-1])
+        yield g, (dyn.backend.mul(g[0], dyn.backend.one()),)
     monkeypatch.setitem(THEOREMS, "coin-flip",
                         TheoremCheck(coin_flip, False, ("rational",), "fixture"))
-    rep = run_check(CheckSpec("coin-flip", "chain 1x1", "rational", points=4))
+    rep = run_check(CheckSpec("coin-flip", "chain 1x1", "rational", points=4),
+                    backend=CoinFlipRational([True, False, True, False]))
     assert rep["passes"] == 2 and rep["failures"] == 2 and rep["status"] == "fail"
 
 
@@ -458,7 +476,7 @@ def _verify_all_rows(shared):
 
 @pytest.mark.parametrize("sample_range", [backends.DEFAULT_SAMPLE_RANGE, (1, 3)])
 def test_shared_registry_points_give_the_rows_of_fresh_draws(monkeypatch, sample_range):
-    # (1, 3) makes matrix:2 points degenerate often: 228 redraws, and four checks
+    # (1, 3) makes matrix:2 points degenerate often: 232 redraws, and four checks
     # that stay degenerate through every retry, with the same rows either way.
     monkeypatch.setattr(backends, "DEFAULT_SAMPLE_RANGE", sample_range)
     shared = _verify_all_rows(shared=True)
@@ -466,7 +484,7 @@ def test_shared_registry_points_give_the_rows_of_fresh_draws(monkeypatch, sample
     raised = [r for r in shared if isinstance(r, str)]
     retries = sum(r["retries"] for r in shared if not isinstance(r, str))
     if sample_range == (1, 3):
-        assert retries == 228 and len(raised) == 4
+        assert retries == 232 and len(raised) == 4
         assert all("rootA 3/matrix:2: point 2 stayed degenerate" in r for r in raised)
     else:
         assert retries == 0 and not raised
@@ -523,16 +541,6 @@ def test_a_backend_that_cannot_be_weakly_keyed_draws_afresh():
 
 # -- checks recorded once and replayed, against the direct checks ------------------
 
-# The checks that draw nothing are recorded once per run_check; the three that
-# call aux draw afresh at each point.
-RECORDED_THEOREMS = ("bar-transfer", "commutation", "extension-independence", "gyration",
-                     "involution", "meteor-gorge", "nor-transfer", "t-star", "tau-star")
-DRAWING_THEOREMS = ("reciprocity", "rescale-bar", "rescale-rank")
-
-
-def test_recorded_and_drawing_checks_partition_the_registry():
-    assert sorted(RECORDED_THEOREMS + DRAWING_THEOREMS) == sorted(THEOREMS)
-
 
 def _first_difference(equalities):
     """How a check's pairs end: ("unequal", k) at the first unequal pair k,
@@ -579,9 +587,10 @@ def _bridge_posets():
 
 @pytest.mark.parametrize("backend_spec", ["rational", "tropical", "matrix:2", "matrix:3"])
 def test_recorded_bridge_checks_end_like_the_direct_ones(monkeypatch, backend_spec):
-    # Every check that draws nothing, replayed against its pairs evaluated directly.
-    # Generic labelings, then central labels in ±1, whose sums often vanish, so
-    # pairs degenerate at every stage; the mutants make pairs unequal.
+    # Every check, replayed against its pairs evaluated directly, both sides
+    # given one seeded aux.  Generic labelings, then central labels in ±1, whose
+    # sums often vanish, so pairs degenerate at every stage; the mutants make
+    # pairs unequal.
     b = parse_backend(backend_spec)
     seen = Counter()
     # On matrix:3 the reversed products' gyration labels grow for about 10 s a labeling.
@@ -593,15 +602,15 @@ def test_recorded_bridge_checks_end_like_the_direct_ones(monkeypatch, backend_sp
             labelings = [random_labeling(b, p, derive_seed("recorded-bridge", k)) for k in range(2)]
             labelings += [tuple(b.central_from_rational(rng.choice((-1, 1))) for _ in range(p.n))
                           for _ in range(4)]
-            for theorem in RECORDED_THEOREMS:
-                pairs = THEOREMS[theorem].pairs
-                if THEOREMS[theorem].needs_graded and not p.is_graded:
+            for theorem, thm in THEOREMS.items():
+                if thm.needs_graded and not p.is_graded:
                     continue
-                replay = harness._record(pairs, p, b)
-                for g in labelings:
+                replay = harness._record(thm.pairs, p, b)
+                for k, g in enumerate(labelings):
+                    aux = harness._aux(b, "recorded-bridge", k)
                     direct = _first_difference(
-                        lhs == rhs for lhs, rhs in pairs(dynamics(p, b), g, None))
-                    assert _first_difference(replay(g)) == direct, (theorem, p.serialize(), g)
+                        lhs == rhs for lhs, rhs in thm.pairs(dynamics(p, b), g, aux))
+                    assert _first_difference(replay(g, aux)) == direct, (theorem, p.serialize(), g)
                     seen[direct[0]] += 1
     # tropical inversion is total, so nothing degenerates there
     assert seen["equal"] and seen["unequal"] and (seen["degenerate"] or b.is_tropical)
@@ -615,21 +624,24 @@ def test_recorded_bridge_checks_end_like_the_direct_ones(monkeypatch, backend_sp
 def test_a_replayed_pair_compares_every_label(rhs, outcome):
     p, b = chain_product(2, 3), RationalField()
     replay = harness._record(lambda dyn, g, aux: iter([(g, g), (g, rhs(dyn.backend, g))]), p, b)
-    assert _first_difference(replay(random_labeling(b, p, 1))) == outcome
+    assert _first_difference(replay(random_labeling(b, p, 1), harness._aux(b, 1))) == outcome
 
 
-def _unrecorded(pairs, poset, backend):
-    raise harness._Draws
+def _direct(pairs, poset, backend):
+    """The oracle put in place of ``harness._record``: ``pairs`` evaluated afresh
+    at each point, on the current ``harness.Dynamics``."""
+    dyn = harness.Dynamics(poset, backend)
+    return lambda g, aux: (lhs == rhs for lhs, rhs in pairs(dyn, g, aux))
 
 
 def _registry_rows(monkeypatch, recorded, points=harness.DEFAULT_POINTS):
     """The rows of `verify --all` on the current ``harness.Dynamics``, or the
     GenericityFailure each raised: as run, or with every check evaluated directly
-    at each point, as the checks that draw are."""
+    at each point."""
     rows = []
     with monkeypatch.context() as m:
         if not recorded:
-            m.setattr(harness, "_record", _unrecorded)
+            m.setattr(harness, "_record", _direct)
         for s in default_check_specs(points=points):
             try:
                 rows.append(run_check(s))
@@ -644,7 +656,7 @@ def test_recorded_bridge_rows_equal_direct_rows_at_sample_range_1_3(monkeypatch)
     recorded = _registry_rows(monkeypatch, recorded=True)
     assert recorded == _registry_rows(monkeypatch, recorded=False)
     raised = [r for r in recorded if isinstance(r, str)]
-    assert sum(r["retries"] for r in recorded if not isinstance(r, str)) == 228
+    assert sum(r["retries"] for r in recorded if not isinstance(r, str)) == 232
     assert len(raised) == 4 and all("rootA 3/matrix:2: point 2 stayed" in r for r in raised)
 
 
@@ -664,7 +676,7 @@ def test_a_check_that_compares_labels_while_it_runs_raises_when_recorded(monkeyp
 
 
 def test_bridge_checks_record_their_words_once_per_run_check(monkeypatch):
-    # A recorded check calls Dynamics only while it is recorded: as often at 1 point as at 20.
+    # A check calls Dynamics only while it is recorded: as often at 1 point as at 20.
     calls = []
 
     class Counting(Dynamics):
@@ -678,18 +690,31 @@ def test_bridge_checks_record_their_words_once_per_run_check(monkeypatch):
                 return attr(*args, **kwargs)
             return counted
     monkeypatch.setattr(harness, "Dynamics", Counting)
-    for theorem in RECORDED_THEOREMS:
+    for theorem in THEOREMS:
         counts = []
         for points in (1, 20):
             calls.clear()
             run_check(CheckSpec(theorem, "chain 2x3", "matrix:2", points=points))
             counts.append(Counter(calls))
-        assert counts[0] == counts[1] and counts[0], theorem
+        # reciprocity calls only the backend
+        assert counts[0] == counts[1] and (counts[0] or theorem == "reciprocity"), theorem
 
 
-@pytest.mark.parametrize("theorem", DRAWING_THEOREMS)
+def test_each_check_runs_its_pairs_once_per_run_check(monkeypatch):
+    for theorem, thm in THEOREMS.items():
+        calls = []
+
+        def counted(dyn, g, aux, pairs=thm.pairs):
+            calls.append(theorem)
+            return pairs(dyn, g, aux)
+        monkeypatch.setitem(THEOREMS, theorem, dataclasses.replace(thm, pairs=counted))
+        rep = run_check(CheckSpec(theorem, "chain 2x3", "matrix:2", points=20))
+        assert rep["passes"] == 20 and calls == [theorem]
+
+
+@pytest.mark.parametrize("theorem", ["rescale-bar", "rescale-rank"])
 def test_checks_that_draw_build_one_generator_per_attempt(monkeypatch, theorem):
-    # Recorded once, these would test one subset size or one scalar vector at every point.
+    # Recorded once, the drawn scalars are replay inputs: one vector per point, not per run.
     draws = []
 
     class Drawing(random.Random):
@@ -701,13 +726,48 @@ def test_checks_that_draw_build_one_generator_per_attempt(monkeypatch, theorem):
             draws[-1].append(super().randint(a, b))
             return draws[-1][-1]
     p, b = build_poset("chain 2x3"), parse_backend("matrix:2")
-    with pytest.raises(harness._Draws):
-        harness._record(THEOREMS[theorem].pairs, p, b)
     monkeypatch.setattr(harness, "random", SimpleNamespace(Random=Drawing))
     monkeypatch.setattr(backends, "DEFAULT_SAMPLE_RANGE", (1, 3))  # so some points redraw
     rep = run_check(CheckSpec(theorem, "chain 2x3", "matrix:2", points=20), poset=p, backend=b)
     assert rep["retries"] > 0 and len(draws) == rep["points"] + rep["retries"]
     assert len({tuple(d) for d in draws}) > 1
+    draws.clear()  # a check that draws nothing builds no generator
+    run_check(CheckSpec("bar-transfer", "chain 2x3", "matrix:2", points=20), poset=p, backend=b)
+    assert draws == []
+
+
+def test_a_recorded_check_knows_which_registers_are_central():
+    seen = []
+
+    def pairs(dyn, g, aux):
+        b = dyn.backend
+        x, y = aux(2)
+        seen.extend(b.is_central(v) for v in (x, b.mul(x, y), b.invert(b.add(x, b.one())),
+                                              b.product([b.constant_c(), y, x])))
+        with pytest.raises(TypeError, match="central"):
+            b.is_central(b.mul(x, g[0]))
+        b.is_central(g[0])
+        yield g, g
+    with pytest.raises(TypeError, match="asked whether a label is central"):
+        harness._record(pairs, chain_product(2, 3), MatrixRing(2))
+    assert seen == [True] * 4
+    # so graded_rescale's guard stops a label used as a scalar while it is recorded
+    with pytest.raises(TypeError, match="central"):
+        harness._record(lambda dyn, g, aux: iter([(dyn.graded_rescale(g[:4], g), g)]),
+                        chain_product(2, 3), MatrixRing(2))
+
+
+@pytest.mark.parametrize("backend", ["rational", "matrix:2"])
+def test_reciprocity_checks_every_operand_count(monkeypatch, backend):
+    # A parallel sum that squares its fourth of exactly four operands fails at every point.
+    def squares_a_fourth_operand(b, values):
+        values = list(values)
+        if len(values) == 4:
+            values[3] = b.mul(values[3], values[3])
+        return parallel_sum(b, values)
+    monkeypatch.setattr(harness, "parallel_sum", squares_a_fourth_operand)
+    rep = run_check(CheckSpec("reciprocity", "chain 2x3", backend))
+    assert rep["failures"] == rep["points"] == 20
 
 
 @pytest.mark.parametrize("mutant", [ReversedInverseTransfer, BottomUpEta])

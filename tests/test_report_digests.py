@@ -124,6 +124,18 @@ VERIFY_RECORDED_DIGESTS = {
         "2a023a7a8fdb9f889a9a5ffe49ddfaf68657852fe709fa9adc26ee7f3a699ba7",
 }
 
+# The three checks that draw central scalars, recorded with the draws as replay
+# inputs: on a type-A root poset and a grid deeper than the defaults over matrix:2,
+# and on the default posets over matrix:3.  CI pins both.
+VERIFY_DRAWING_THEOREMS = ("--theorem", "reciprocity", "--theorem", "rescale-rank",
+                           "--theorem", "rescale-bar", "--points", "20")
+VERIFY_DRAWING_DIGESTS = {
+    ("rootA 4", "chain 3x3", "matrix:2"):
+        "a91b5a348f204732b250e788d1e99be8993e2d782f66a71a0dc91e482d8e36df",
+    ("rootA 3", "chain 2x3", "matrix:3"):
+        "9067dde220bf933a72cab654e36747172aa757d989772d395934ebe1e29678fd",
+}
+
 
 def unseeded_report_digest(tmp_path, *argv):
     out = tmp_path / "report.json"
@@ -191,6 +203,13 @@ def test_verify_recorded_checks_report_digest(tmp_path, one, two, backend):
     digest = report_digest(tmp_path, "verify", *VERIFY_RECORDED_THEOREMS, "--poset", one,
                            "--poset", two, "--backend", backend)
     assert digest == VERIFY_RECORDED_DIGESTS[one, two, backend]
+
+
+@pytest.mark.parametrize("one,two,backend", sorted(VERIFY_DRAWING_DIGESTS))
+def test_verify_drawing_checks_report_digest(tmp_path, one, two, backend):
+    digest = report_digest(tmp_path, "verify", *VERIFY_DRAWING_THEOREMS, "--poset", one,
+                           "--poset", two, "--backend", backend)
+    assert digest == VERIFY_DRAWING_DIGESTS[one, two, backend]
 
 
 # Combinatorial orbits reject --seed and homomesy has no such flag: neither draws one.
