@@ -291,54 +291,32 @@ class Dynamics:
     # -- toggle words -----------------------------------------------------------
 
     def apply_word(self, word, f):
-        """Apply the atoms of ``word`` in turn, each maximal run that one sweep
-        applies exactly as that sweep: T (with rank_T) or E atoms in any order,
-        tau atoms at increasing and eps atoms at decreasing positions of the
-        extension, rank_tau atoms at increasing ranks.  A bad atom raises once
-        the run before it is applied, so a degenerate run raises NotInvertible."""
-        sweep, run, last = None, [], None
+        """Apply the atoms of ``word`` in turn, each by its single-toggle method,
+        a rank atom as its rank's toggles in index order; a bad atom raises once
+        the atoms before it are applied.  A recorded check computes the work that
+        neighbouring toggles share once per point, by value numbering."""
+        single = {"T": self.order_toggle, "E": self.order_elggot,
+                  "tau": self.antichain_toggle, "eps": self.antichain_elggot}
         for atom in word:
-            try:
-                kind, elements, place = self._read_atom(atom)
-            except (ValueError, NotGraded):
-                self._apply_run(sweep, run, f)
-                raise
-            if kind != sweep or (place is not None and place <= last):
-                f = self._apply_run(sweep, run, f)
-                sweep, run = kind, []
-            run += elements
-            last = place
-        return self._apply_run(sweep, run, f)
+            kind, elements = self._atom_toggles(atom)
+            for v in elements:
+                f = single[kind](v, f)
+        return f
 
-    def _read_atom(self, atom):
-        """The sweep an atom joins, its elements, and its place, which must
-        increase along an antichain run (None: any order)."""
+    def _atom_toggles(self, atom):
+        """The single-toggle kind of an atom and the elements it toggles, in turn:
+        ValueError for an unknown kind, a missing element or a missing rank, and
+        NotGraded for a rank atom on an ungraded poset."""
         kind, i = atom
-        if kind in ("T", "E"):
+        if kind in ("T", "E", "tau", "eps"):
             self._require_element(kind, i)
-            return kind, (i,), None
-        if kind in ("tau", "eps"):
-            self._require_element(kind, i)
-            place = self.poset._position[i]
-            return kind, (i,), place if kind == "tau" else -place
+            return kind, (i,)
         if kind in ("rank_T", "rank_tau"):
             self._require_graded()
             if not 0 <= i <= self.poset.top_rank:
                 raise ValueError(f"atom {atom} references a missing rank")
-            # A rank atom is its rank's toggles in index order.  The antichain sweep
-            # along _by_rank takes them so, so a degenerate value is reported where
-            # single toggles report it.
-            elements = self.poset.rank_elements(i)
-            return ("T", elements, None) if kind == "rank_T" else (kind, elements, i)
+            return kind[len("rank_"):], self.poset.rank_elements(i)
         raise ValueError(f"unknown toggle-word atom {atom}")
-
-    def _apply_run(self, sweep, run, f):
-        if not run:
-            return f
-        if sweep in ("T", "E"):
-            return self._order_sweep(f, run, elggot=sweep == "E")
-        extension = self.poset._by_rank if sweep == "rank_tau" else self.extension
-        return self._antichain_sweep(f, frozenset(run), extension, elggot=sweep == "eps")
 
     def eta_word(self, elements):
         """Order toggles clearing the strict lower set of ``elements``, top-down."""
@@ -348,26 +326,24 @@ class Dynamics:
     def star_word(self, word):
         """Image of ``word`` under the toggle-group isomorphism: T_v becomes
         tau_v conjugated by the antichain toggles at v's lower covers, tau_v
-        becomes T_v conjugated by eta_v, and so on for elggots and ranks.
+        becomes T_v conjugated by eta_v, and so on for elggots; a rank atom
+        maps as its rank's single toggles in index order.  Atoms are read as
+        ``apply_word`` reads them, so a bad atom raises the same error.
         Over a noncommutative backend the image of order gyration is not
         antichain gyration; it is the word that makes the gyration diagram
         commute."""
         out = []
-        for kind, v in word:
-            if kind in ("T", "E"):
-                cov = self.poset.down_adjacency[v]
-                out += [Atom("tau", u) for u in cov]
-                out.append(Atom(_STAR_KIND[kind], v))
-                out += [Atom("eps", u) for u in reversed(cov)]
-            elif kind in ("tau", "eps"):
-                eta = self.eta_word((v,))
-                out += inverse_word(eta) + (Atom(_STAR_KIND[kind], v),) + eta
-            elif kind in ("rank_T", "rank_tau"):
-                self._require_graded()
-                single = "T" if kind == "rank_T" else "tau"
-                out += self.star_word(Atom(single, u) for u in self.poset.rank_elements(v))
-            else:
-                raise ValueError(f"unknown toggle-word atom {Atom(kind, v)}")
+        for atom in word:
+            kind, elements = self._atom_toggles(atom)
+            for v in elements:
+                if kind in ("T", "E"):
+                    cov = self.poset.down_adjacency[v]
+                    out += [Atom("tau", u) for u in cov]
+                    out.append(Atom(_STAR_KIND[kind], v))
+                    out += [Atom("eps", u) for u in reversed(cov)]
+                else:
+                    eta = self.eta_word((v,))
+                    out += inverse_word(eta) + (Atom(_STAR_KIND[kind], v),) + eta
         return tuple(out)
 
     # -- graded machinery -----------------------------------------------------

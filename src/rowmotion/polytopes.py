@@ -99,8 +99,8 @@ def pl_apply(p, step, f):
     tuple of Atoms.  f is checked once against the polytope the step reads:
     each toggle maps its polytope to itself, so the check covers a whole word,
     and a word mixing order and antichain atoms has no domain.  A rowmotion
-    name runs the one-sweep Dynamics method, and so does the word of its
-    single antichain toggles in extension order.  f must have one value per
+    name runs the one-sweep Dynamics method; the word of its single toggles
+    gives the same labeling, one atom at a time.  f must have one value per
     element, which is checked before any membership test.
     """
     dyn = Dynamics(p, _TROPICAL)

@@ -91,9 +91,6 @@ class Poset:
         self.down_adjacency = tuple(down)
         self.default_linear_extension = tuple(order)
         self.rank = self._compute_rank()
-        self._position = {x: k for k, x in enumerate(order)}  # place in the extension
-        # The linear extension of rank atoms: by rank, then by index.
-        self._by_rank = self.rank and tuple(sorted(range(n), key=self.rank.__getitem__))
         self._plans = {}  # dynamics.py's antichain sweep plans, by (toggled, extension, elggot)
 
     # -- order queries ------------------------------------------------

@@ -695,6 +695,20 @@ def test_toggle_word_atoms_validated(p22):
         dyn.star_word((Atom("spin", 0),))
 
 
+@pytest.mark.parametrize("atom", [Atom("rank_T", 7), Atom("rank_tau", -1), Atom("T", -1),
+                                  Atom("E", 6), Atom("tau", 6), Atom("eps", -1), Atom("spin", 0)],
+                         ids=str)
+def test_star_word_refuses_the_atoms_that_apply_word_refuses(p23, atom):
+    # A missing rank must not map to the empty word, a negative index must not
+    # wrap around, and one past the end must not be an IndexError.
+    dyn = rational_dyn(p23)
+    with pytest.raises(ValueError) as applied:
+        dyn.apply_word((Atom("T", 0), atom), dyn.random_labeling(0))
+    with pytest.raises(ValueError) as starred:
+        dyn.star_word((Atom("T", 0), atom))
+    assert str(starred.value) == str(applied.value)
+
+
 @pytest.mark.parametrize("method", ["order_toggle", "order_elggot",
                                     "antichain_toggle", "antichain_elggot"])
 def test_single_toggles_refuse_a_missing_element(p22, method):
@@ -1295,107 +1309,32 @@ def test_sweeps_never_multiply_by_the_identity(backend_name):
     assert runs > 4 * 30
 
 
-# -- fused toggle words against atom-by-atom application ---------------------------
-
-
-def atom_by_atom(dyn, word, f):
-    """A toggle word one atom at a time through the single-toggle methods, a rank
-    atom as its rank's single toggles in index order: no two atoms share a sweep."""
-    single = {"T": dyn.order_toggle, "E": dyn.order_elggot,
-              "tau": dyn.antichain_toggle, "eps": dyn.antichain_elggot,
-              "rank_T": dyn.order_toggle, "rank_tau": dyn.antichain_toggle}
-    for kind, i in word:
-        for v in dyn.poset.rank_elements(i) if kind.startswith("rank_") else (i,):
-            f = single[kind](v, f)
-    return f
-
-
-def _fusable_word(rng, p, chunks):
-    """Chunks of atoms that a fused word must fuse or split: order runs with
-    repeats, antichain runs in and against sweep order, the latter on comparable
-    elements, repeated antichain atoms, random atoms, and rank atoms."""
-    n, position = p.n, p.default_linear_extension.index
-    comparable = [(u, v) for u in range(n) for v in range(n) if p.less(u, v)]
-    word = []
-    for _ in range(chunks):
-        choice = rng.randrange(6 if p.is_graded else 5)
-        if choice == 0:
-            word += [Atom(rng.choice("TE"), rng.randrange(n)) for _ in range(rng.randint(2, 4))]
-        elif choice == 1:
-            run = sorted(rng.sample(range(n), rng.randint(1, min(4, n))), key=position)
-            word += ([Atom("tau", v) for v in run] if rng.random() < 0.5
-                     else [Atom("eps", v) for v in reversed(run)])
-        elif choice == 2 and comparable:
-            u, v = rng.choice(comparable)
-            word += rng.choice(([Atom("tau", v), Atom("tau", u)], [Atom("eps", u), Atom("eps", v)]))
-        elif choice == 3:
-            word += [Atom(rng.choice(("tau", "eps")), rng.randrange(n))] * 2
-        elif choice == 4:
-            word += _random_word(rng, n, 3)
-        else:
-            ranks = rng.sample(range(p.top_rank + 1), rng.randint(1, p.top_rank + 1))
-            if rng.random() < 0.5:
-                ranks.sort()
-            word += [Atom(rng.choice(("rank_T", "rank_tau")), i) for i in ranks]
-    return tuple(word)
+# -- toggle words, atom by atom ------------------------------------------------------
 
 
 def _rank_order_poset():
     # Rank 1 is {1, 2}, but the default extension 0, 2, 3, 1 visits 2 first:
-    # the rank atom and the tau run over {1, 2} toggle them in opposite orders.
+    # the rank atom toggles them in index order, rowmotion in extension order.
     from rowmotion.poset import parse_poset
     return parse_poset("4\n0<2\n3<1\n")
 
 
-@pytest.mark.parametrize("backend_spec", ["rational", "tropical", "matrix:2", "matrix:3"])
-def test_fused_toggle_words_match_atom_by_atom(backend_spec):
-    # Generic labelings, then central labels in ±1, ±2, whose sums cancel often:
-    # a fused word must give the same labeling, or fail at the same stage.
-    from rowmotion.poset import random_graded_poset, random_poset
-    posets = ([_rank_order_poset()]
-              + [random_poset(n, derive_seed("fusion", n)) for n in (3, 6, 8)]
-              + [random_graded_poset(derive_seed("fusion-graded", s)) for s in range(3)])
-    cases, degenerate = 0, set()
-    for p in posets:
-        dyn = Dynamics(p, parse_backend(backend_spec))
-        ref = Dynamics(p, parse_backend(backend_spec))
-        b = dyn.backend
-        rng = random.Random(derive_seed("fusion-words", p.serialize()))
-        words = [_fusable_word(rng, p, 4) for _ in range(8)]
-        labelings = [dyn.random_labeling(derive_seed("fusion", p.serialize(), k)) for k in range(2)]
-        labelings += [tuple(b.central_from_rational(rng.choice((-2, -1, 1, 2))) for _ in range(p.n))
-                      for _ in range(3)]
-        if p.n == 4:  # both rank-1 toggles singular; one Dynamics serves both orders
-            words = [(Atom("rank_tau", 1),), (Atom("tau", 2), Atom("tau", 1))] + words
-            labelings.append(tuple(b.central_from_rational(x) for x in (1, 0, 0, 1)))
-        for word in words:
-            for g in labelings:
-                want = _outcome(lambda: atom_by_atom(ref, word, g))
-                assert _outcome(lambda: dyn.apply_word(word, g)) == want, (p.serialize(), word)
-                cases += 1
-                if isinstance(want, str):
-                    degenerate.add(want.rsplit(" at ", 1)[0])
-    assert cases >= 7 * 8 * 5
-    if backend_spec != "tropical":  # max-plus inversion is total
-        assert {"antichain toggle", "antichain elggot", "order toggle"} <= degenerate
-
-
 @pytest.mark.parametrize("backend_spec", ["rational", "matrix:2"])
-def test_a_bad_atom_raises_after_the_run_before_it(backend_spec):
-    # The run before a bad atom is applied first, so a run that degenerates
-    # raises NotInvertible, as atom-by-atom application does.
+def test_a_bad_atom_raises_after_the_atoms_before_it(backend_spec):
+    # The atoms before a bad atom are applied first, so atoms that degenerate
+    # before it raise NotInvertible.
     from rowmotion.poset import random_poset
     p = _rank_order_poset()
     dyn = Dynamics(p, parse_backend(backend_spec))
     b = dyn.backend
     singular = tuple(b.central_from_rational(x) for x in (1, 0, 0, 1))
     for bad in (Atom("T", 9), Atom("eps", -1), Atom("rank_tau", 7), Atom("spin", 0)):
-        for run in ((Atom("tau", 2), Atom("tau", 1)), (Atom("T", 3), Atom("T", 1)),
-                    (Atom("rank_tau", 1),)):
+        for before in ((Atom("tau", 2), Atom("tau", 1)), (Atom("T", 3), Atom("T", 1)),
+                       (Atom("rank_tau", 1),)):
             with pytest.raises(NotInvertible):
-                dyn.apply_word(run + (bad,), singular)
+                dyn.apply_word(before + (bad,), singular)
             with pytest.raises(ValueError):
-                dyn.apply_word(run + (bad,), dyn.random_labeling(1))
+                dyn.apply_word(before + (bad,), dyn.random_labeling(1))
     ungraded = random_poset(7, 0)
     assert not ungraded.is_graded
     flat = Dynamics(ungraded, parse_backend(backend_spec))
@@ -1407,7 +1346,7 @@ def test_a_bad_atom_raises_after_the_run_before_it(backend_spec):
 
 
 def test_antichain_sweep_plans_are_kept_apart(linear_extensions):
-    # One poset's plan store serves single toggles, fused runs, rank atoms and
+    # One poset's plan store serves single toggles, toggle words, rank atoms and
     # rowmotion along two extensions, interleaved: each call must give what the
     # same call gives on a rebuilt copy of the poset, whose store is empty,
     # labeling or failing stage alike.

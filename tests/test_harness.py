@@ -757,6 +757,32 @@ def test_a_recorded_check_knows_which_registers_are_central():
                         chain_product(2, 3), MatrixRing(2))
 
 
+# The add/mul/invert steps of each default row's recorded program, on chain 2x3 and
+# rootA 3, taken while toggle words still fused each run of atoms into one sweep:
+# value numbering records the same ops when the atoms are applied one at a time.
+RECORDED_OPS = {
+    "bar-transfer": (51, 39), "commutation": (45, 41), "extension-independence": (60, 52),
+    "gyration": (91, 83), "involution": (94, 82), "meteor-gorge": (111, 103),
+    "nor-transfer": (56, 50), "reciprocity": (21, 21), "rescale-bar": (76, 67),
+    "rescale-rank": (76, 67), "t-star": (277, 220), "tau-star": (307, 231),
+}
+RECORDED_NC_GYRATION_OPS = (144, 116)  # the starred order word, not the rank word
+
+
+def test_each_default_row_records_a_pinned_number_of_ops():
+    specs = default_check_specs()
+    for spec in specs:
+        p, b = build_poset(spec.poset_spec), parse_backend(spec.backend_spec)
+        rec = harness._Recorder(b, p.n)
+        for _ in THEOREMS[spec.theorem].pairs(Dynamics(p, rec), rec.labels, rec.draw):
+            pass
+        ops = sum(name in ("add", "mul", "invert") for name, *_ in rec.steps)
+        pinned = (RECORDED_NC_GYRATION_OPS if spec.theorem == "gyration" and not b.is_commutative
+                  else RECORDED_OPS[spec.theorem])
+        assert ops == pinned[harness.DEFAULT_VERIFY_POSETS.index(spec.poset_spec)], spec
+    assert len(specs) == 52
+
+
 @pytest.mark.parametrize("backend", ["rational", "matrix:2"])
 def test_reciprocity_checks_every_operand_count(monkeypatch, backend):
     # A parallel sum that squares its fourth of exactly four operands fails at every point.

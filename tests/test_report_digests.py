@@ -136,6 +136,17 @@ VERIFY_DRAWING_DIGESTS = {
         "9067dde220bf933a72cab654e36747172aa757d989772d395934ebe1e29678fd",
 }
 
+# The checks that apply rank atoms, on a poset whose rank 1, {1, 2}, the default
+# extension 0, 2, 3, 1 visits out of index order, and on chain 2x3, over matrix:2.
+# Taken while rank atoms ran as one sweep along an extension by rank, then index.
+# The poset file is named by a relative path, which the report prints.  CI pins it too.
+RANK_ORDER_POSET = "4\n0<2\n3<1\n"
+VERIFY_RANK_ORDER_ARGV = ("--theorem", "gyration", "--theorem", "rescale-rank",
+                          "--theorem", "rescale-bar", "--theorem", "t-star", "--theorem", "tau-star",
+                          "--poset", "rank-order.poset", "--poset", "chain 2x3",
+                          "--backend", "matrix:2", "--points", "20")
+VERIFY_RANK_ORDER_DIGEST = "316757ecbd42d4fd21eefb125d114da2b249527ccc747a9c32c310440cff7ad4"
+
 
 def unseeded_report_digest(tmp_path, *argv):
     out = tmp_path / "report.json"
@@ -210,6 +221,13 @@ def test_verify_drawing_checks_report_digest(tmp_path, one, two, backend):
     digest = report_digest(tmp_path, "verify", *VERIFY_DRAWING_THEOREMS, "--poset", one,
                            "--poset", two, "--backend", backend)
     assert digest == VERIFY_DRAWING_DIGESTS[one, two, backend]
+
+
+def test_verify_rank_order_report_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rank-order.poset").write_text(RANK_ORDER_POSET, encoding="utf-8")
+    assert unseeded_report_digest(tmp_path, "verify", *VERIFY_RANK_ORDER_ARGV) == \
+        VERIFY_RANK_ORDER_DIGEST
 
 
 # Combinatorial orbits reject --seed and homomesy has no such flag: neither draws one.
