@@ -5,8 +5,8 @@ polytopes, birational labelings over the rationals, and a noncommutative
 realm evaluated on exact rational matrices.  The last three share one
 toggle calculus over different backends; the tropical backend ties the
 algebraic realms back to the piecewise-linear one.  The combinatorial
-realm is separate, faster set code, which the tests check against the
-piecewise-linear maps at 0/1 labelings
+realm is separate, faster code on integer bit masks, which the tests check
+against the piecewise-linear maps at 0/1 labelings
 (``test_comb_maps_are_pl_maps_at_vertices_of_random_posets``).
 """
 

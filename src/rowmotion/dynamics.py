@@ -4,10 +4,10 @@ Every formula is written in its noncommutative order; the commutative
 birational realm is obtained purely by backend choice (exact rationals),
 the skew-field evaluation model by square rational matrices, and the
 piecewise-linear realm by the tropical backend.  The combinatorial realm
-alone has its own code, ``subsets.py``: run here on 0/1 labelings it is
-about three times slower per antichain-rowmotion step.  The seeded test
-``test_comb_maps_are_pl_maps_at_vertices_of_random_posets`` checks that
-the two agree.
+alone has its own code on bit masks, ``subsets.py``: run here on 0/1
+labelings it is four to nine times slower per antichain-rowmotion step.
+The seeded test ``test_comb_maps_are_pl_maps_at_vertices_of_random_posets``
+checks that the two agree.
 
 Composition convention: toggle words are stored and applied in
 *application order* (first atom acts first).  The classical notation

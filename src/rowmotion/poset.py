@@ -65,7 +65,7 @@ class Poset:
         # and its lower covers are the declared predecessors below none of the others.
         indeg = [len(ps) for ps in preds]
         ready = [v for v in range(n) if not indeg[v]]
-        order, below, down = [], [0] * n, [()] * n
+        order, below, down, lower = [], [0] * n, [()] * n, [0] * n
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
@@ -73,7 +73,8 @@ class Poset:
             for u in preds[v]:
                 indirect |= below[u]
             down[v] = tuple(sorted({u for u in preds[v] if not indirect >> u & 1}))
-            below[v] = indirect | sum(1 << u for u in down[v])
+            lower[v] = sum(1 << u for u in down[v])
+            below[v] = indirect | lower[v]
             for w in succs[v]:
                 indeg[w] -= 1
                 if not indeg[w]:
@@ -82,11 +83,26 @@ class Poset:
             raise CycleDetected(f"elements {[v for v in range(n) if indeg[v]]} "
                                 "lie on or above a directed cycle")
 
-        self._below = tuple(below)  # bit u of _below[v]: u < v
         self.covers = frozenset((u, v) for v in range(n) for u in down[v])
         up = [[] for _ in range(n)]
         for (u, v) in sorted(self.covers):
             up[u].append(v)
+        # One sweep down the extension over the upper covers: an element's strict
+        # up-set is its upper covers and their strict up-sets.
+        upper, above = [0] * n, [0] * n
+        for v in reversed(order):
+            for w in up[v]:
+                upper[v] |= 1 << w
+                above[v] |= above[w]
+            above[v] |= upper[v]
+
+        # Label-free masks, bit u of entry v: u < v (_below), v < u (_above), u covered
+        # by v (_lower_covers), u covering v (_upper_covers); _full holds every element.
+        self._below = tuple(below)
+        self._above = tuple(above)
+        self._lower_covers = tuple(lower)
+        self._upper_covers = tuple(upper)
+        self._full = (1 << n) - 1
         self.up_adjacency = tuple(map(tuple, up))
         self.down_adjacency = tuple(down)
         self.default_linear_extension = tuple(order)

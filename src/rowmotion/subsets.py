@@ -1,8 +1,11 @@
-"""Rowmotion on order ideals, filters, and antichains as plain sets.
+"""Rowmotion on order ideals, filters, and antichains as integer bit masks.
 
-A :class:`SubsetState` is a frozen set of element indices tagged with a
-kind; kinds are enforced at operation boundaries because the complement
-map swaps them.  All operations are pure.
+A :class:`SubsetState` is a mask of element indices (bit v set when v is a
+member) tagged with a kind; kinds are enforced at operation boundaries
+because the complement map swaps them.  Every map is integer operations on
+the label-free masks that a :class:`~rowmotion.poset.Poset` builds once: the
+full set, the strict down-sets and up-sets, and the lower and upper covers.
+All operations are pure.
 """
 
 from __future__ import annotations
@@ -28,14 +31,27 @@ class Kind(str, Enum):
 
 @dataclass(frozen=True)
 class SubsetState:
-    members: frozenset
+    mask: int
     kind: Kind
 
+    @property
+    def members(self):
+        """The member indices, as a frozenset built on each read."""
+        return frozenset(_bits(self.mask))
+
     def __contains__(self, v):
-        return v in self.members
+        return isinstance(v, int) and v >= 0 and self.mask >> v & 1 == 1
 
     def __len__(self):
-        return len(self.members)
+        return self.mask.bit_count()
+
+
+def _bits(mask):
+    """The indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # Per kind, which of (tested, outside) is the member mask's complement: a mask is a
@@ -49,13 +65,12 @@ def make_state(p, members, kind):
     stray = members - p.elements
     if stray:
         raise KindMismatch(f"{sorted(stray)} are not elements of a poset of {p.n} elements")
+    mask = sum(1 << v for v in members)
     if kind in _COMPLEMENTED:
-        full = (1 << p.n) - 1
-        mask = sum(1 << v for v in members)
-        tested, outside = (mask ^ full * c for c in _COMPLEMENTED[kind])
+        tested, outside = (mask ^ p._full * c for c in _COMPLEMENTED[kind])
         if any(tested >> v & 1 and p._below[v] & outside for v in range(p.n)):
             raise KindMismatch(f"{sorted(members)} is not a valid {kind.value}")
-    return SubsetState(members, kind)
+    return SubsetState(mask, kind)
 
 
 def ideal(p, members):
@@ -75,19 +90,20 @@ def _require(s, kind):
         raise KindMismatch(f"expected a {kind.value}, got a {s.kind.value}")
 
 
+def _require_element(p, v):
+    if not 0 <= v < p.n:
+        raise ValueError(f"toggle at {v} references a missing element")
+
+
 # -- transfer maps ---------------------------------------------------------
+
+_COMPLEMENT_KIND = {Kind.IDEAL: Kind.FILTER, Kind.FILTER: Kind.IDEAL,
+                    Kind.ANTICHAIN: Kind.RAW, Kind.RAW: Kind.RAW}
 
 
 def complement(p, s):
     """Complement within P; swaps the ideal and filter kinds."""
-    members = p.elements - s.members
-    if s.kind == Kind.IDEAL:
-        kind = Kind.FILTER
-    elif s.kind == Kind.FILTER:
-        kind = Kind.IDEAL
-    else:
-        kind = Kind.RAW
-    return SubsetState(members, kind)
+    return SubsetState(p._full & ~s.mask, _COMPLEMENT_KIND[s.kind])
 
 
 def up_transfer(p, s):
@@ -102,10 +118,19 @@ def down_transfer(p, s):
 
 def _transfer(p, s, down):
     _require(s, Kind.FILTER if down else Kind.IDEAL)
-    covers = p.down_adjacency if down else p.up_adjacency
-    members = frozenset(v for v in s.members
-                        if not any(w in s.members for w in covers[v]))
-    return SubsetState(members, Kind.ANTICHAIN)
+    return SubsetState(_extremes(p, s.mask, down), Kind.ANTICHAIN)
+
+
+def _extremes(p, m, down):
+    """The members of ``m`` with no lower cover (``down``) or no upper cover in ``m``:
+    those that are no upper (or lower) cover of a member."""
+    covers = p._upper_covers if down else p._lower_covers
+    covered, rest = 0, m
+    while rest:  # _bits(m) inlined: rowmotion runs two of these loops per step
+        low = rest & -rest
+        covered |= covers[low.bit_length() - 1]
+        rest ^= low
+    return m & ~covered
 
 
 def inverse_up_transfer(p, s):
@@ -120,11 +145,18 @@ def inverse_down_transfer(p, s):
 
 def _inv_transfer(p, s, down):
     _require(s, Kind.ANTICHAIN)
-    # x joins when it lies below a member (an ideal) or, ``down``, above one (a filter)
-    reaches = (lambda x, y: p.leq(y, x)) if down else p.leq
-    members = frozenset(x for x in range(p.n)
-                        if any(reaches(x, y) for y in s.members))
-    return SubsetState(members, Kind.FILTER if down else Kind.IDEAL)
+    return SubsetState(_saturated(p, s.mask, down), Kind.FILTER if down else Kind.IDEAL)
+
+
+def _saturated(p, m, down):
+    """``m`` with every element above (``down``, a filter) or below a member (an ideal)."""
+    reach = p._above if down else p._below
+    out, rest = m, m
+    while rest:
+        low = rest & -rest
+        out |= reach[low.bit_length() - 1]
+        rest ^= low
+    return out
 
 
 # -- toggles ---------------------------------------------------------------
@@ -133,31 +165,36 @@ def _inv_transfer(p, s, down):
 def toggle_ideal(p, v, s):
     """Add or remove v when the result is still an ideal, else fix."""
     _require(s, Kind.IDEAL)
-    m = s.members
-    if v not in m:
-        if all(u in m for u in p.down_adjacency[v]):
-            return SubsetState(m | {v}, Kind.IDEAL)
-    else:
-        if not any(w in m for w in p.up_adjacency[v]):
-            return SubsetState(m - {v}, Kind.IDEAL)
-    return s
+    _require_element(p, v)
+    return SubsetState(_toggled_ideal(p, v, s.mask), Kind.IDEAL)
 
 
 def toggle_filter(p, v, s):
     """The ideal toggle conjugated by the complement."""
     _require(s, Kind.FILTER)
-    return complement(p, toggle_ideal(p, v, complement(p, s)))
+    _require_element(p, v)
+    return SubsetState(p._full & ~_toggled_ideal(p, v, p._full & ~s.mask), Kind.FILTER)
 
 
 def toggle_antichain(p, v, s):
     """Remove v if present; add it when it stays an antichain; else fix."""
     _require(s, Kind.ANTICHAIN)
-    m = s.members
-    if v in m:
-        return SubsetState(m - {v}, Kind.ANTICHAIN)
-    if all(p.incomparable(v, u) for u in m):
-        return SubsetState(m | {v}, Kind.ANTICHAIN)
-    return s
+    _require_element(p, v)
+    return SubsetState(_toggled_antichain(p, v, s.mask), Kind.ANTICHAIN)
+
+
+def _toggled_ideal(p, v, m):
+    bit = 1 << v
+    if m & bit:
+        return m if p._upper_covers[v] & m else m ^ bit
+    return m if p._lower_covers[v] & ~m else m | bit
+
+
+def _toggled_antichain(p, v, m):
+    bit = 1 << v
+    if m & bit:
+        return m ^ bit
+    return m if (p._below[v] | p._above[v]) & m else m | bit
 
 
 # -- rowmotion -------------------------------------------------------------
@@ -172,23 +209,38 @@ def rowmotion(p, kind, s):
     """
     kind = Kind(kind)
     _require(s, kind)
-    if kind == Kind.FILTER:
-        return complement(p, rowmotion(p, Kind.IDEAL, complement(p, s)))
     if kind == Kind.IDEAL:
-        via_transfer = inverse_up_transfer(p, down_transfer(p, complement(p, s)))
-        toggle, order = toggle_ideal, reversed(p.default_linear_extension)
+        mask = _ideal_rowmotion(p, s.mask)
+    elif kind == Kind.FILTER:
+        mask = p._full & ~_ideal_rowmotion(p, p._full & ~s.mask)
     elif kind == Kind.ANTICHAIN:
-        via_transfer = down_transfer(p, complement(p, inverse_up_transfer(p, s)))
-        toggle, order = toggle_antichain, p.default_linear_extension
+        mask = _antichain_rowmotion(p, s.mask)
     else:
         raise KindMismatch("rowmotion is defined on ideals, antichains, and filters")
-    via_toggles = s
-    for v in order:
-        via_toggles = toggle(p, v, via_toggles)
+    return SubsetState(mask, kind)
+
+
+def _ideal_rowmotion(p, m):
+    via_transfer = _saturated(p, _extremes(p, p._full & ~m, down=True), down=False)
+    via_toggles = m
+    for v in reversed(p.default_linear_extension):
+        via_toggles = _toggled_ideal(p, v, via_toggles)
+    return _agreed(via_toggles, via_transfer)
+
+
+def _antichain_rowmotion(p, m):
+    via_transfer = _extremes(p, p._full & ~_saturated(p, m, down=False), down=True)
+    via_toggles = m
+    for v in p.default_linear_extension:
+        via_toggles = _toggled_antichain(p, v, via_toggles)
+    return _agreed(via_toggles, via_transfer)
+
+
+def _agreed(via_toggles, via_transfer):
     if via_transfer != via_toggles:
         raise CompositionMismatch(
-            f"toggle product {sorted(via_toggles.members)} != "
-            f"transfer composition {sorted(via_transfer.members)}")
+            f"toggle product {list(_bits(via_toggles))} != "
+            f"transfer composition {list(_bits(via_transfer))}")
     return via_transfer
 
 
@@ -219,8 +271,7 @@ def _all_states(p, kind):
         raise OrbitBudgetExceeded(
             f"state-space enumeration of {p.n} elements is beyond desk scale "
             f"(at most {MAX_ENUMERATED_ELEMENTS})")
-    n, below = p.n, p._below
-    full = (1 << n) - 1
+    n, below, full = p.n, p._below, p._full
     flip_tested, flip_outside = (full * c for c in _COMPLEMENTED[kind])
     out = []
     for mask in range(full + 1):
@@ -229,7 +280,7 @@ def _all_states(p, kind):
             if tested >> v & 1 and below[v] & outside:
                 break
         else:
-            out.append(SubsetState(frozenset(v for v in range(n) if mask >> v & 1), kind))
+            out.append(SubsetState(mask, kind))
     return out
 
 

@@ -113,6 +113,13 @@ def assert_matches_reference(p, relations):
     for v in range(p.n):
         assert p.strict_down_set(v) == frozenset(u for u in range(p.n) if lt[u][v])
         assert p.down_set(v) == frozenset(u for u in range(p.n) if u == v or lt[u][v])
+    # the label-free masks of subsets.py
+    mask = lambda members: sum(1 << u for u in members)
+    assert p._full == mask(range(p.n))
+    assert p._below == tuple(mask(u for u in range(p.n) if lt[u][v]) for v in range(p.n))
+    assert p._above == tuple(mask(u for u in range(p.n) if lt[v][u]) for v in range(p.n))
+    assert p._lower_covers == tuple(map(mask, down))
+    assert p._upper_covers == tuple(map(mask, up))
 
 
 def test_sweep_matches_reference_on_seeded_random_posets(recorded):

@@ -260,6 +260,37 @@ def test_poset_report_digest(tmp_path):
     assert digest == POSET_DIGEST
 
 
+# Combinatorial reports on two poset files whose index order is not a linear extension
+# (3 < 1 in the first; 10 of the 13 covers of the second run from a higher index to a
+# lower one), taken while every state was still a frozenset.  CI pins them too.
+SHUFFLED_POSET = "10\n0<1\n1<2\n3<1\n4<1\n5<2\n6<9\n7<5\n8<0\n8<3\n8<4\n8<7\n9<4\n9<5\n"
+COMB_FILE_POSETS = {"rank-order.poset": RANK_ORDER_POSET, "shuffled.poset": SHUFFLED_POSET}
+COMB_FILE_DIGESTS = {
+    ("orbit", "rank-order.poset", "rowA"): "da8b8a37a0ee5bde645cb28076828abaa34d3db52814c76ae1dc47924f047938",
+    ("orbit", "rank-order.poset", "rowJ"): "bbec985ecebf93a366cbadd13ae48fa36c2894429b8869f3fbdb45dfecb3c68e",
+    ("orbit", "rank-order.poset", "rowF"): "2d153d731bb0ae48097da3c1fb01c5587053ee6990cf8a5907edc6b2b97a010d",
+    ("orbit", "shuffled.poset", "rowA"): "70629696ab969fb4ff2734e5e676c04d590d5fb691c6597bc0b814e4588d9ba5",
+    ("orbit", "shuffled.poset", "rowJ"): "533adec9597a5245de21454894133c290694f880837e7948e01bcd4df87c9b99",
+    ("orbit", "shuffled.poset", "rowF"): "8d635ffd63e4f7532ace179a0350d957454e77b3190d2650bba4958930ff603b",
+    ("homomesy", "rank-order.poset", "rowA"): "7eedd099537d7508d477d06bae9048d844be95f169d52229320f6956523a086e",
+    ("homomesy", "rank-order.poset", "rowJ"): "22f897ba6cdbdd158c2283cc8c7d1b91cc9c1dd2a598150db5b34d75c40719a4",
+    ("homomesy", "rank-order.poset", "rowF"): "1b89eb0355494a43e5667c931c9cb52e3484dec2774a666b3586501d815a7f16",
+    ("homomesy", "shuffled.poset", "rowA"): "d8bbd55b40af6a0b25015a58dc3290420db28ede79ef4eda9fc1d9c2ec8e9bd3",
+    ("homomesy", "shuffled.poset", "rowJ"): "837c98afe543459488eef1dcdd22f84cc2155f283216690689927c346dca94b8",
+    ("homomesy", "shuffled.poset", "rowF"): "9be09a69fce5ff3ee8c0ebf7028ef1d72d29d44b71612a4a9ab9b18fa467e670",
+}
+
+
+@pytest.mark.parametrize("command,poset_file,map_id", sorted(COMB_FILE_DIGESTS))
+def test_comb_report_digest_on_a_poset_file_out_of_index_order(tmp_path, monkeypatch, command,
+                                                               poset_file, map_id):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / poset_file).write_text(COMB_FILE_POSETS[poset_file], encoding="utf-8")
+    argv = ["orbit", "--realm", "comb"] if command == "orbit" else ["homomesy"]
+    digest = unseeded_report_digest(tmp_path, *argv, "--poset", poset_file, "--map", map_id)
+    assert digest == COMB_FILE_DIGESTS[command, poset_file, map_id]
+
+
 # Combinatorial tables in the other two formats, on a poset that is not a grid.
 COMB_TABLE_DIGESTS = {
     ("orbit", "rowF", "csv"): "1d1d750d17c5d7d13b2ea1a43da1616d8e815bd4e61b00249560af42cfbdc8a1",

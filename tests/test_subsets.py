@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from rowmotion.errors import KindMismatch
+from rowmotion import subsets
+from rowmotion.errors import CompositionMismatch, KindMismatch
 from rowmotion.poset import Poset, chain_product, random_graded_poset, random_poset, root_poset_a
 from rowmotion.subsets import (
     Kind,
@@ -40,6 +41,11 @@ from rowmotion.subsets import (
 A, B, C, D, E, F = range(6)
 
 
+def state_of(members, kind):
+    """The state of ``kind`` whose mask has the bits of ``members``, unchecked."""
+    return SubsetState(sum(1 << v for v in members), kind)
+
+
 def test_complement_empty_ideal(p23):
     s = complement(p23, ideal(p23, []))
     assert s.kind == Kind.FILTER
@@ -58,7 +64,7 @@ def test_complement_is_an_involution_on_random_subsets():
     for trial in range(50):
         p = random_poset(rng.randint(1, 7), seed=rng.randint(0, 10**6))
         members = frozenset(v for v in range(p.n) if rng.random() < 0.5)
-        s = SubsetState(members, Kind.RAW)
+        s = state_of(members, Kind.RAW)
         assert complement(p, complement(p, s)).members == members
 
 
@@ -234,9 +240,9 @@ def reference_toggle_filter(p, v, s):
     m = s.members
     if v not in m:
         if all(w in m for w in p.up_adjacency[v]):
-            return SubsetState(m | {v}, Kind.FILTER)
+            return state_of(m | {v}, Kind.FILTER)
     elif not any(u in m for u in p.down_adjacency[v]):
-        return SubsetState(m - {v}, Kind.FILTER)
+        return state_of(m - {v}, Kind.FILTER)
     return s
 
 
@@ -286,7 +292,7 @@ def reference_all_states(p, validator, kind):
     for mask in range(1 << p.n):
         members = frozenset(v for v in range(p.n) if mask >> v & 1)
         if validator(p, members):
-            out.append(SubsetState(members, kind))
+            out.append(state_of(members, kind))
     return out
 
 
@@ -401,3 +407,186 @@ def test_orbit_budget_exceeded(p23, monkeypatch):
     monkeypatch.setattr(subsets, "DEFAULT_ORBIT_BUDGET", 2)
     with pytest.raises(OrbitBudgetExceeded):
         orbit(p23, rowmotion_antichain, antichain(p23, []))
+
+
+# -- frozenset references for the mask maps -----------------------------------
+# The set code that ran before states became integer masks, on member sets and
+# cover lists: a differential oracle for every map of subsets.py.
+
+
+def reference_complement(p, s):
+    kind = {Kind.IDEAL: Kind.FILTER, Kind.FILTER: Kind.IDEAL}.get(s.kind, Kind.RAW)
+    return state_of(p.elements - s.members, kind)
+
+
+def reference_transfer(p, s, down):
+    """Minimal (``down``) or maximal members: those with no lower or upper cover inside."""
+    covers = p.down_adjacency if down else p.up_adjacency
+    m = s.members
+    return state_of({v for v in m if not any(w in m for w in covers[v])}, Kind.ANTICHAIN)
+
+
+def reference_inverse_transfer(p, s, down):
+    """Every element above (``down``, a filter) or below (an ideal) some member."""
+    reaches = (lambda x, y: p.leq(y, x)) if down else p.leq
+    members = {x for x in range(p.n) if any(reaches(x, y) for y in s.members)}
+    return state_of(members, Kind.FILTER if down else Kind.IDEAL)
+
+
+def reference_toggle_ideal(p, v, s):
+    m = s.members
+    if v not in m:
+        if all(u in m for u in p.down_adjacency[v]):
+            return state_of(m | {v}, Kind.IDEAL)
+    elif not any(w in m for w in p.up_adjacency[v]):
+        return state_of(m - {v}, Kind.IDEAL)
+    return s
+
+
+def reference_toggle_antichain(p, v, s):
+    m = s.members
+    if v in m:
+        return state_of(m - {v}, Kind.ANTICHAIN)
+    if all(p.incomparable(v, u) for u in m):
+        return state_of(m | {v}, Kind.ANTICHAIN)
+    return s
+
+
+REFERENCE_TOGGLES = {Kind.IDEAL: reference_toggle_ideal, Kind.FILTER: reference_toggle_filter,
+                     Kind.ANTICHAIN: reference_toggle_antichain}
+TOGGLES = {Kind.IDEAL: toggle_ideal, Kind.FILTER: toggle_filter,
+           Kind.ANTICHAIN: toggle_antichain}
+
+
+def reference_rowmotion(p, s):
+    """The transfer composition on sets, checked against the reference toggle product
+    along the default extension (top-down for ideals and filters)."""
+    if s.kind == Kind.ANTICHAIN:
+        via_transfer = reference_transfer(
+            p, reference_complement(p, reference_inverse_transfer(p, s, down=False)), down=True)
+        order = p.default_linear_extension
+    else:
+        ideal_start = s if s.kind == Kind.IDEAL else reference_complement(p, s)
+        via_transfer = reference_inverse_transfer(
+            p, reference_transfer(p, reference_complement(p, ideal_start), down=True), down=False)
+        if s.kind == Kind.FILTER:
+            via_transfer = reference_complement(p, via_transfer)
+        order = reversed(p.default_linear_extension)
+    via_toggles = s
+    for v in order:
+        via_toggles = REFERENCE_TOGGLES[s.kind](p, v, via_toggles)
+    assert via_toggles == via_transfer
+    return via_transfer
+
+
+def mask_map_mismatches(p):
+    """Each (map, state) on which a mask map of subsets.py differs from its reference,
+    over every ideal, filter and antichain of ``p`` and one raw subset per antichain."""
+    bad = []
+
+    def check(name, s, got, want):
+        if got != want:
+            bad.append((name, sorted(s.members), s.kind.value))
+
+    for s in all_ideals(p) + all_filters(p) + all_antichains(p):
+        check("complement", s, complement(p, s), reference_complement(p, s))
+        raw = state_of(s.members, Kind.RAW)
+        check("complement", raw, complement(p, raw), reference_complement(p, raw))
+        if s.kind == Kind.IDEAL:
+            check("up_transfer", s, up_transfer(p, s), reference_transfer(p, s, down=False))
+        elif s.kind == Kind.FILTER:
+            check("down_transfer", s, down_transfer(p, s), reference_transfer(p, s, down=True))
+        else:
+            check("inverse_up_transfer", s, inverse_up_transfer(p, s),
+                  reference_inverse_transfer(p, s, down=False))
+            check("inverse_down_transfer", s, inverse_down_transfer(p, s),
+                  reference_inverse_transfer(p, s, down=True))
+        for v in range(p.n):
+            check(f"toggle {v}", s, TOGGLES[s.kind](p, v, s), REFERENCE_TOGGLES[s.kind](p, v, s))
+        check("rowmotion", s, rowmotion(p, s.kind, s), reference_rowmotion(p, s))
+    return bad
+
+
+def oracle_posets():
+    rng = random.Random(3507)
+    posets = [Poset(0, [])] + [random_poset(n, rng.randrange(10**6)) for n in range(1, 9)]
+    posets += [relabeled(random_poset(n, rng.randrange(10**6)), rng)
+               for n in range(1, 10) for _ in range(3)]
+    posets += [random_graded_poset(seed) for seed in (3, 4)]
+    return posets
+
+
+def test_oracle_posets_leave_index_order():
+    # relabeled posets put covers against the index order, so no mask map may rely on it
+    posets = oracle_posets()
+    assert sum(u > v for p in posets for (u, v) in p.covers) > 20
+    assert sum(p.default_linear_extension != tuple(range(p.n)) for p in posets) > 10
+
+
+@pytest.mark.parametrize("p", oracle_posets(), ids=repr)
+def test_mask_maps_match_frozenset_references(p):
+    assert mask_map_mismatches(p) == []
+
+
+def test_frozenset_oracle_catches_inverse_transfers_reading_cover_masks(monkeypatch):
+    # a mutant that saturates along the covers only: right for height-two posets, wrong above
+    def inverse_transfer_on_covers(p, s, down):
+        covers = p._upper_covers if down else p._lower_covers
+        out = s.mask
+        for v in s.members:
+            out |= covers[v]
+        return SubsetState(out, Kind.FILTER if down else Kind.IDEAL)
+
+    monkeypatch.setattr(subsets, "_inv_transfer", inverse_transfer_on_covers)
+    caught = {name for p in oracle_posets() for name, _, _ in mask_map_mismatches(p)}
+    assert caught == {"inverse_up_transfer", "inverse_down_transfer"}
+
+
+def test_broken_masked_toggle_trips_the_composition_check(p23, monkeypatch):
+    # an ideal toggle that never removes an element: the toggle product then
+    # disagrees with the transfer composition, and rowmotion refuses to answer
+    def never_removes(p, v, m):
+        return m | 1 << v if not p._lower_covers[v] & ~m else m
+
+    monkeypatch.setattr(subsets, "_toggled_ideal", never_removes)
+    with pytest.raises(CompositionMismatch, match=r"toggle product \[0, 1, 2, 3, 4, 5\] != "
+                                                  r"transfer composition \[\]$"):
+        rowmotion_ideal(p23, ideal(p23, range(6)))
+    with pytest.raises(CompositionMismatch):
+        rowmotion_filter(p23, filter_state(p23, []))
+
+
+@pytest.mark.parametrize("toggle,kind", [(toggle_ideal, Kind.IDEAL),
+                                         (toggle_filter, Kind.FILTER),
+                                         (toggle_antichain, Kind.ANTICHAIN)])
+@pytest.mark.parametrize("v", [-1, 6])
+def test_single_toggles_refuse_a_missing_element(p23, toggle, kind, v):
+    # -1 once read the covers of element 5, and 6 made the "antichain" {6}
+    s = make_state(p23, [], kind)
+    with pytest.raises(ValueError, match=f"toggle at {v} references a missing element"):
+        toggle(p23, v, s)
+
+
+def test_filter_rowmotion_is_one_rowmotion_call(p23, monkeypatch):
+    calls = []
+    inner = subsets.rowmotion
+
+    def counted(*args):
+        calls.append(args[1])
+        return inner(*args)
+
+    monkeypatch.setattr(subsets, "rowmotion", counted)
+    for s in all_filters(p23):
+        rowmotion_filter(p23, s)
+    assert calls == [Kind.FILTER] * len(all_filters(p23))
+
+
+def test_subset_state_reads_its_mask():
+    s = SubsetState(0b101001, Kind.RAW)
+    assert s.members == frozenset({0, 3, 5}) and len(s) == 3
+    assert [v in s for v in (-1, 0, 1, 3, 5, 6, "0")] == [False, True, False, True, True,
+                                                            False, False]
+    assert s == SubsetState(0b101001, Kind.RAW) != SubsetState(0b101001, Kind.ANTICHAIN)
+    assert hash(s) == hash(SubsetState(0b101001, Kind.RAW))
+    with pytest.raises(AttributeError):
+        s.mask = 0
