@@ -316,6 +316,20 @@ def label_bits(x):
     return x.numerator.bit_length() + x.denominator.bit_length()
 
 
+def _label_bits_bound(x):
+    """A bound on ``label_bits(x)`` from the integers x stores, with no gcd.
+
+    It is exact for a Fraction or an int.  For a matrix it is the largest
+    numerator's bits plus the common denominator's: an entry n/D in lowest
+    terms is n/g over D/g, neither longer than n or D.
+    """
+    if type(x) is Fraction:
+        return x._numerator.bit_length() + x._denominator.bit_length()
+    if isinstance(x, RationalMatrix):
+        return max(map(int.bit_length, x._num)) + x._den.bit_length()
+    return label_bits(x)
+
+
 def parallel_sum(backend, values):
     """Inverse of the sum of inverses: the harmonic combination."""
     values = list(values)

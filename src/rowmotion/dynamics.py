@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .backends import label_bits, parallel_sum, random_labeling
+from .backends import _label_bits_bound, label_bits, random_labeling
 from .errors import LabelsTooLarge, NotCentral, NotGraded, NotInvertible
 
 MAX_LABEL_BITS = 2**14  # orbits stop once a label needs more bits than this
@@ -161,19 +161,31 @@ class Dynamics:
         The toggle at v is L·f(v)⁻¹·R, the elggot R·f(v)⁻¹·L, with L the
         lower-cover sum and R the parallel sum of the upper covers (C at a
         maximal element); at a minimal element L is the identity and is left out.
+        Each label is inverted at most once per sweep: the inverse of the label
+        an element holds is kept until that label is rewritten, so the parallel
+        sums of an element's lower covers, and its own toggle, share one inversion.
         """
         b = self.backend
         add, mul, invert = b.add, b.mul, b.invert
         lower_covers, upper_covers = self.poset.down_adjacency, self.poset.up_adjacency
         out = list(f)
+        inverse = [None] * len(out)  # the inverse of each label in out, once computed
         for v in toggled:
             lower = None
             for u in lower_covers[v]:
                 lower = out[u] if lower is None else add(lower, out[u])
-            upper = upper_covers[v]
             try:
-                right = parallel_sum(b, [out[w] for w in upper]) if upper else b.constant_c()
-                inv = invert(out[v])
+                right = None
+                for w in upper_covers[v]:
+                    x = inverse[w]
+                    if x is None:
+                        x = inverse[w] = invert(out[w])
+                    right = x if right is None else add(right, x)
+                right = b.constant_c() if right is None else invert(right)
+                inv = inverse[v]
+                inverse[v] = None
+                if inv is None:
+                    inv = invert(out[v])
                 if elggot:
                     out[v] = mul(right, inv)
                     if lower is not None:
@@ -395,12 +407,16 @@ def detect_order(step: Callable, start, equal, max_iter=64):
     Minimality is inherent: the first return is reported, and no smaller
     exponent matched along the way.  Raises LabelsTooLarge as soon as a
     label outgrows ``MAX_LABEL_BITS``: labels of a non-periodic orbit grow
-    without bound, so the next steps would only get slower.
+    without bound, so the next steps would only get slower.  Each step first
+    bounds the labels by the bits of the integers they store, and measures
+    them exactly by ``label_bits``, one gcd per matrix entry, only when that
+    bound passes the limit; so it stops at the same step as the exact rule.
     """
     current = start
     for k in range(1, max_iter + 1):
         current = step(current)
-        if max(map(label_bits, current), default=0) > MAX_LABEL_BITS:
+        if max(map(_label_bits_bound, current), default=0) > MAX_LABEL_BITS and \
+                max(map(label_bits, current)) > MAX_LABEL_BITS:
             raise LabelsTooLarge(f"a label outgrew MAX_LABEL_BITS = {MAX_LABEL_BITS} bits "
                                  f"at step {k}", iterates=k)
         if equal(current, start):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
+from operator import le
 
 from .backends import TropicalSemiring, unit_interval_fraction
 from .dynamics import Atom, Dynamics
@@ -36,18 +37,34 @@ def indicator(p, members):
     return tuple(ONE if v in members else ZERO for v in range(p.n))
 
 
-def _max_chain_sum(p, f):
-    """The largest maximal-chain sum: one max-plus inverse down transfer."""
-    dyn = Dynamics(p, _TROPICAL)
-    best = dyn.inv_down_transfer(dyn.labeling(f))
-    return max((best[m] for m in p.maximal_elements()), default=ZERO)
+def _maximal_chain_sums(p, f):
+    """The largest chain sum ending at each maximal element: one max-plus inverse
+    down transfer."""
+    best = Dynamics(p, _TROPICAL).inv_down_transfer(f)
+    return [best[m] for m in p.maximal_elements()]
 
 
 # -- polytope membership -----------------------------------------------------
+#
+# The tests take rational values, Fractions or ints, and compare them as integers:
+# with positive denominators, x <= y is x.num * y.den <= y.num * x.den.
+
+
+def _terms(f):
+    """The numerators and the positive denominators of rational values."""
+    try:
+        return [x._numerator for x in f], [x._denominator for x in f]
+    except AttributeError:  # an int or bool value
+        return [x.numerator for x in f], [x.denominator for x in f]
+
+
+def _in_unit_interval(num, den):
+    return min(num, default=0) >= 0 and all(map(le, num, den))
 
 
 def in_unit_cube(f):
-    return all(ZERO <= x <= ONE for x in f)
+    """Whether every value of f, a rational (Fraction or int), lies in [0, 1]."""
+    return _in_unit_interval(*_terms(f))
 
 
 def _require_length(p, f):
@@ -55,26 +72,32 @@ def _require_length(p, f):
         raise ValueError(f"expected {p.n} values")
 
 
+def _order_preserving(p, num, den):
+    return all(num[u] * den[v] <= num[v] * den[u] for u, v in p.covers)
+
+
 def in_order_polytope(p, f):
-    """Order-preserving labelings into [0, 1]."""
+    """Order-preserving labelings into [0, 1], of rational values (Fraction or int)."""
     _require_length(p, f)
-    if not in_unit_cube(f):
-        return False
-    return all(f[u] <= f[v] for (u, v) in p.covers)
+    num, den = _terms(f)
+    return _in_unit_interval(num, den) and _order_preserving(p, num, den)
 
 
 def in_order_reversing(p, f):
-    """Order-reversing labelings into [0, 1]: those f with 1 - f order-preserving."""
+    """Order-reversing labelings into [0, 1], of rational values (Fraction or int):
+    those f with 1 - f order-preserving, that is with -f order-preserving."""
     _require_length(p, f)
-    return in_order_polytope(p, [ONE - x for x in f])
+    num, den = _terms(f)
+    return _in_unit_interval(num, den) and _order_preserving(p, [-n for n in num], den)
 
 
 def in_chain_polytope(p, f):
-    """Non-negative labelings whose every maximal-chain sum is at most 1."""
+    """Non-negative labelings, of rational values (Fraction or int), whose every
+    maximal-chain sum is at most 1."""
     _require_length(p, f)
-    if any(x < ZERO for x in f):
+    if min(_terms(f)[0], default=0) < 0:
         return False
-    return _max_chain_sum(p, f) <= ONE
+    return all(map(le, *_terms(_maximal_chain_sums(p, f))))
 
 
 # -- the applier ---------------------------------------------------------------
@@ -154,7 +177,7 @@ def random_chain_polytope_point(p, seed):
     """A generic rational point of the chain polytope (not uniform)."""
     rng = random.Random(seed)
     raw = _raw_point(p, rng)
-    worst = _max_chain_sum(p, raw)
+    worst = max(_maximal_chain_sums(p, raw), default=ZERO)
     if worst > ONE:
         bound = POINT_DENOMINATOR_BOUND
         scale = Fraction(rng.randint(1, bound), bound + 1) / worst

@@ -15,17 +15,20 @@ from fractions import Fraction
 
 import pytest
 
+from rowmotion import dynamics
 from rowmotion.backends import (
     AlgebraBackend,
     MatrixRing,
     RationalField,
     TropicalSemiring,
+    _label_bits_bound,
     derive_seed,
+    label_bits,
     parallel_sum,
     parse_backend,
 )
 from rowmotion.dynamics import Atom, Dynamics, detect_order, inverse_word
-from rowmotion.errors import NotGraded, NotInvertible
+from rowmotion.errors import LabelsTooLarge, NotGraded, NotInvertible
 from rowmotion.matrices import RationalMatrix
 from rowmotion.poset import chain_product, chain_product_index, root_poset_a_index
 
@@ -1172,6 +1175,164 @@ def test_order_sweep_matches_rebuilt_toggles(backend_name, linear_extensions):
                           else set())  # max-plus inversion is total
 
 
+# -- fresh-inverse oracle for the order sweep's one inversion per label --------------
+
+
+class FreshInverseDynamics(Dynamics):
+    """The order sweep as it was before it kept inverses: one list of labels, and
+    at every read of an upper cover a fresh inversion inside ``parallel_sum``."""
+
+    def _order_sweep(self, f, toggled, elggot):
+        b = self.backend
+        add, mul, invert = b.add, b.mul, b.invert
+        lower_covers, upper_covers = self.poset.down_adjacency, self.poset.up_adjacency
+        out = list(f)
+        for v in toggled:
+            lower = None
+            for u in lower_covers[v]:
+                lower = out[u] if lower is None else add(lower, out[u])
+            upper = upper_covers[v]
+            try:
+                right = parallel_sum(b, [out[w] for w in upper]) if upper else b.constant_c()
+                inv = invert(out[v])
+                if elggot:
+                    out[v] = mul(right, inv)
+                    if lower is not None:
+                        out[v] = mul(out[v], lower)
+                else:
+                    out[v] = mul(inv if lower is None else mul(lower, inv), right)
+            except NotInvertible as exc:
+                kind = "elggot" if elggot else "toggle"
+                raise NotInvertible(context=f"order {kind} at {self._name(v)}") from exc
+        return tuple(out)
+
+
+def fresh_inverse_posets():
+    from rowmotion.poset import random_poset
+    # random 12 3 has an element with four upper covers, whose parallel sum reads four
+    # inverses, and elements with two or more lower covers, whose inverses are shared.
+    return ([random_poset(n, seed) for n, seed in ((6, 3), (8, 5), (9, 44), (12, 3))]
+            + [chain_product(3, 4)])
+
+
+def _order_sweep_calls(p, rng):
+    """Rowmotion, every single toggle and elggot, a seeded word of T and E atoms, and
+    the sweeps u, v, u' for each two lower covers u, u' of v, as calls on a Dynamics
+    and a labeling.  Only such a sweep reads, at u', an inverse kept at u for a
+    label that v has since rewritten; no public map sweeps that way."""
+    word = tuple(Atom(rng.choice(("T", "E")), rng.randrange(p.n)) for _ in range(2 * p.n))
+    calls = [lambda d, g: d.order_rowmotion(g), lambda d, g: d.apply_word(word, g)]
+    for v, lower in enumerate(p.down_adjacency):
+        if len(lower) >= 2:
+            calls += [lambda d, g, s=(lower[0], v, lower[1]), e=e: d._order_sweep(g, s, e)
+                      for e in (False, True)]
+    calls += [lambda d, g, v=v: d.order_toggle(v, g) for v in range(p.n)]
+    calls += [lambda d, g, v=v: d.order_elggot(v, g) for v in range(p.n)]
+    return calls
+
+
+@pytest.mark.parametrize("backend_name", sorted(ORACLE_BACKENDS))
+def test_order_sweep_matches_fresh_inverse_reference(backend_name):
+    # Generic labelings, then central labels in ±1, ±2, whose parallel sums cancel
+    # often: the kept inverses must give the same labeling or the same failing stage.
+    posets = fresh_inverse_posets()
+    assert max(len(up) for p in posets for up in p.up_adjacency) >= 3
+    degenerate = set()
+    for p in posets:
+        backend = ORACLE_BACKENDS[backend_name]()
+        dyn, ref = Dynamics(p, backend), FreshInverseDynamics(p, backend)
+        rng = random.Random(derive_seed("fresh-inverse", p.serialize(), backend_name))
+        labelings = [dyn.random_labeling(derive_seed("fresh-inverse", p.serialize(), pt))
+                     for pt in range(2)]
+        labelings += [tuple(backend.central_from_rational(rng.choice((-2, -1, 1, 2)))
+                            for _ in range(p.n)) for _ in range(4)]
+        calls = _order_sweep_calls(p, rng)
+        for g in labelings:
+            for call in calls:
+                got, want = _outcome(lambda: call(dyn, g)), _outcome(lambda: call(ref, g))
+                assert got == want
+                if isinstance(want, str):
+                    degenerate.add(want.rsplit(" at ", 1)[0])
+    assert degenerate == ({"order toggle", "order elggot"} if backend_name != "tropical"
+                          else set())  # max-plus inversion is total
+
+
+def test_order_sweep_singular_upper_cover_label_matrix():
+    # A singular label at an upper cover w of v makes the parallel sum at v fail; in
+    # rowmotion, a singular lower-cover sum at w makes w's new label singular, and
+    # the parallel sum at w's next lower cover in the sweep reads its kept inverse.
+    from rowmotion.poset import random_poset
+    singular = RationalMatrix(((F(1), F(2)), (F(2), F(4))))
+    for p in (chain_product(2, 3), random_poset(12, 3)):
+        backend = MatrixRing(2)
+        dyn, ref = Dynamics(p, backend), FreshInverseDynamics(p, backend)
+        for w in range(p.n):
+            g = dyn.random_labeling(derive_seed("singular-upper", p.serialize(), w))
+            g = g[:w] + (singular,) + g[w + 1:]
+            for v in p.down_adjacency[w]:
+                for call in (dyn.order_toggle, dyn.order_elggot):
+                    kind = call.__name__.split("_")[1]
+                    with pytest.raises(NotInvertible) as exc:
+                        call(v, g)
+                    assert exc.value.context == f"order {kind} at {p.element_names[v]}"
+                    assert _outcome(lambda: getattr(ref, call.__name__)(v, g)) == \
+                        exc.value.context
+            lower = p.down_adjacency[w]
+            if len(lower) < 2:
+                continue
+            g = list(dyn.random_labeling(derive_seed("singular-sum", p.serialize(), w)))
+            g[lower[1]] = singular + RationalMatrix.scalar(2, -1) @ g[lower[0]]
+            for u in lower[2:]:
+                g[u] = RationalMatrix.scalar(2, 0)
+            g = tuple(g)
+            assert backend.sum(g[u] for u in lower) == singular
+            got = _outcome(lambda: dyn.order_rowmotion(g))
+            assert isinstance(got, str) and got == _outcome(lambda: ref.order_rowmotion(g))
+            # it fails below w: at w itself, only the sum of its lower covers is singular
+            assert got != f"order toggle at {p.element_names[w]}"
+
+
+class InversionCountingBackend:
+    """Delegates to ``inner`` and keeps every value passed to ``invert``, so that no
+    value is freed and its id reused while the count is read."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.inverted = []
+
+    def invert(self, x):
+        self.inverted.append(x)
+        return self.inner.invert(x)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+@pytest.mark.parametrize("backend_name", sorted(ORACLE_BACKENDS))
+def test_order_sweep_inverts_each_label_at_most_once(backend_name):
+    # The labels of one sweep are the starting labels and the new ones; every element
+    # with two lower covers has its new label read by both parallel sums.
+    reread = 0
+    for p in fresh_inverse_posets():
+        counting = InversionCountingBackend(ORACLE_BACKENDS[backend_name]())
+        dyn, ref = Dynamics(p, counting), FreshInverseDynamics(p, counting)
+        g = _generic_labeling(counting.inner, p, derive_seed("invert-once", p.serialize()))
+        ext = p.default_linear_extension
+        sweeps = [lambda d: d.order_rowmotion(g), lambda d: d._order_sweep(g, ext, False)]
+        sweeps += [lambda d, v=v: d.order_toggle(v, g) for v in range(p.n)]
+        sweeps += [lambda d, v=v: d.order_elggot(v, g) for v in range(p.n)]
+        for sweep in sweeps:
+            counts = {}
+            for d in (dyn, ref):
+                counting.inverted.clear()
+                out = sweep(d)
+                labels = {id(x) for x in g + out}
+                counts[d] = max(sum(id(x) == key for x in counting.inverted) for key in labels)
+            assert counts[dyn] <= 1
+            reread += counts[ref] > 1
+    assert reread > 0  # the reference does invert a label twice in some sweep
+
+
 # -- identity-free sweeps ----------------------------------------------------------
 
 
@@ -1387,3 +1548,87 @@ def test_antichain_sweep_plans_are_kept_apart(linear_extensions):
                           != _outcome(lambda: dyn.antichain_rowmotion(g, two)))
     assert apart > 0  # some labeling fails at a different stage along each extension
 
+
+
+# -- the label-size stop: a stored-integer bound first, label_bits past it ------------
+
+
+def reference_detect_order(step, start, limit, max_iter):
+    """``detect_order`` measuring every label by ``label_bits`` at every step: the
+    order, None, or ("stop", k) where a label first needs more than ``limit`` bits."""
+    current = start
+    for k in range(1, max_iter + 1):
+        current = step(current)
+        if max(map(label_bits, current), default=0) > limit:
+            return "stop", k
+        if current == start:
+            return k
+    return None
+
+
+def _detect_outcome(step, start, max_iter):
+    try:
+        return detect_order(step, start, operator.eq, max_iter=max_iter)
+    except LabelsTooLarge as exc:
+        return "stop", exc.iterates
+
+
+def _walk(labelings):
+    """A step that walks the labelings in turn, the last back to the first."""
+    after = {id(f): labelings[(k + 1) % len(labelings)] for k, f in enumerate(labelings)}
+    return lambda f: after[id(f)]
+
+
+def test_label_size_stop_at_the_limit_on_built_labels():
+    limit = dynamics.MAX_LABEL_BITS
+    small = F(3, 7)
+    at = F(2 ** (limit - 2))  # limit - 1 numerator bits and one denominator bit
+    over = F(1, 2 ** (limit - 1))  # one numerator bit and limit denominator bits
+    assert (label_bits(at), label_bits(over)) == (limit, limit + 1)
+    # n/D with a large gcd(n, D): the entry 1/3 is stored as (D/3)/D.
+    den = 3 * 2 ** (limit * 3 // 5)
+    shared = RationalMatrix(((F(1, den), F(1, 3)), (F(0), F(1))))
+    assert _label_bits_bound(shared) > limit >= label_bits(shared)
+    kinds = {
+        "rational": (small, at, over),
+        "tropical": (-small, -at, -over),
+        "matrix": tuple(RationalMatrix.scalar(2, x) for x in (small, at, over)),
+    }
+    for kind, (s, a, o) in kinds.items():
+        walks = [[(s, s), (a, s), (s, a)], [(s, s), (s, a), (o, s), (s, a)],
+                 [(s, s), (a, a), (a, s), (s, o)]]
+        if kind == "matrix":
+            walks += [[(s, s), (shared, s), (s, shared)], [(s, s), (shared, a), (shared, o)]]
+        outcomes = set()
+        for walk in walks:
+            want = reference_detect_order(_walk(walk), walk[0], limit, 10)
+            assert _detect_outcome(_walk(walk), walk[0], 10) == want, (kind, walk)
+            outcomes.add(want)
+        assert {3, ("stop", 2), ("stop", 3)} <= outcomes, kind
+
+
+@pytest.mark.parametrize("backend_spec", ["rational", "tropical", "matrix:2", "matrix:3"])
+def test_label_size_stop_matches_label_bits_on_orbits(backend_spec, monkeypatch):
+    # The labels of rowmotion orbits and of the non-periodic product of the two
+    # rowmotions, walked again under limits at and one bit below each step's largest
+    # label: the stop must come where label_bits first passes the limit, never before.
+    p = chain_product(2, 3)
+    dyn = Dynamics(p, parse_backend(backend_spec))
+    start = dyn.random_labeling(derive_seed("label-stop", backend_spec))
+    stops = set()
+    for step, steps in ((dyn.antichain_rowmotion, 5), (dyn.order_rowmotion, 5),
+                        (lambda f: dyn.order_rowmotion(dyn.antichain_rowmotion(f)), 2)):
+        orbit = [start]
+        while len(orbit) <= steps and (len(orbit) == 1 or orbit[-1] != start):
+            orbit.append(step(orbit[-1]))
+        if orbit[-1] == start:
+            orbit.pop()
+        walk = _walk(orbit)
+        sizes = [max(map(label_bits, f)) for f in orbit]
+        for limit in sorted({b - d for b in sizes for d in (0, 1)}):
+            monkeypatch.setattr(dynamics, "MAX_LABEL_BITS", limit)
+            want = reference_detect_order(walk, start, limit, 8)
+            assert _detect_outcome(walk, start, 8) == want, limit
+            stops.add(want)
+    assert 5 in stops and ("stop", 1) in stops
+    assert any(isinstance(s, tuple) and s[1] > 1 for s in stops)

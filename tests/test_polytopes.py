@@ -13,6 +13,7 @@ from rowmotion.polytopes import (
     in_chain_polytope,
     in_order_polytope,
     in_order_reversing,
+    in_unit_cube,
     indicator,
     pl_antichain_rowmotion,
     pl_antichain_toggle,
@@ -422,6 +423,87 @@ def test_order_reversing_membership_matches_cover_check(p):
             assert got == oracle_in_order_reversing(p, f)
             outcomes.add(got)
     assert outcomes == {True, False}
+
+
+# -- integer membership tests against Fraction comparisons --------------------------
+
+
+def fraction_in_unit_cube(f):
+    return all(F(0) <= x <= F(1) for x in f)
+
+
+def fraction_in_order_polytope(p, f):
+    return fraction_in_unit_cube(f) and all(f[u] <= f[v] for (u, v) in p.covers)
+
+
+TINY = F(1, 10 ** 30)
+ONE_F = F(1)
+
+
+def membership_candidates(p, seed):
+    """Seeded points of each polytope, their images just across a face, raw values
+    of both signs and past 1, and the same labelings with int values."""
+    rng = random.Random(f"membership:{seed}")
+    f = random_order_polytope_point(p, seed)
+    h = random_order_reversing_point(p, seed)
+    g = random_chain_polytope_point(p, seed)
+    v = rng.randrange(p.n)
+    out = [f, h, g, tuple(F(rng.randint(-4, 20), rng.randint(1, 16)) for _ in range(p.n))]
+    for x in (f, h, g):
+        for bump in (TINY, -TINY, F(1, 2)):
+            out.append(x[:v] + (x[v] + bump,) + x[v + 1:])
+    half = (F(1, 2),) * p.n  # equal labels across every cover
+    out += [half, (ONE_F,) * p.n, (F(0),) * p.n, (1,) * p.n, (0,) * p.n,
+            tuple(rng.choice((0, 1)) for _ in range(p.n)),
+            tuple(rng.choice((0, 1, F(1, 3), -1, 2, F(4, 3))) for _ in range(p.n))]
+    out += [tuple(int(x) for x in indicator(p, s.members))
+            for s in (all_ideals(p)[seed % 3], all_filters(p)[seed % 3],
+                      all_antichains(p)[seed % 3])]
+    return out
+
+
+@pytest.mark.parametrize("p", oracle_posets(), ids=repr)
+def test_integer_membership_matches_fraction_comparisons(p):
+    outcomes = {member: set() for member in ("cube", "order", "reversing", "chain")}
+    for seed in range(6):
+        for f in membership_candidates(p, seed):
+            got = {"cube": in_unit_cube(f), "order": in_order_polytope(p, f),
+                   "reversing": in_order_reversing(p, f), "chain": in_chain_polytope(p, f)}
+            assert got == {"cube": fraction_in_unit_cube(f),
+                           "order": fraction_in_order_polytope(p, f),
+                           "reversing": oracle_in_order_reversing(p, f),
+                           "chain": oracle_in_chain_polytope(p, f)}, f
+            for member, result in got.items():
+                outcomes[member].add(result)
+    assert all(seen == {True, False} for seen in outcomes.values())
+
+
+def test_integer_membership_boundary_values(p22):
+    # p22's covers are 0 < 1, 0 < 2, 1 < 3 and 2 < 3; its maximal chains are 0, 1, 3
+    # and 0, 2, 3.  Each row: in the order, order-reversing and chain polytopes.
+    assert in_unit_cube(()) and in_unit_cube((0, 1, True, F(0), F(1)))
+    for outside in ((ONE_F + TINY,), (-TINY,), (2,), (-1,), (F(-1, 2), F(1, 2))):
+        assert not in_unit_cube(outside)
+    cases = {
+        (F(0), F(0), F(0), F(0)): (True, True, True),
+        (F(1), F(1), F(1), F(1)): (True, True, False),
+        (0, 0, 1, 1): (True, False, False),
+        (1, 1, 0, 0): (False, True, False),
+        (F(1, 2), F(1, 2), 0, 0): (False, True, True),
+        (0, F(1, 3), F(1, 3), 1): (True, False, False),
+        (F(1, 3), F(1, 3), F(1, 3), F(1, 3)): (True, True, True),
+        (F(1, 3), F(1, 3), F(1, 3), F(1, 3) + TINY): (True, False, False),
+        (F(1, 2), F(1, 2) - TINY, F(1, 2), F(1, 2)): (False, False, False),
+        (0, 0, 0, ONE_F + TINY): (False, False, False),
+        (-TINY, 0, 0, 0): (False, False, False),
+        (F(1, 2), 0, 0, F(1, 2)): (False, False, True),
+    }
+    for f, (order, reversing, chain) in cases.items():
+        assert (in_order_polytope(p22, f), in_order_reversing(p22, f),
+                in_chain_polytope(p22, f)) == (order, reversing, chain), f
+        assert (order, reversing, chain) == (
+            fraction_in_order_polytope(p22, f), oracle_in_order_reversing(p22, f),
+            oracle_in_chain_polytope(p22, f)), f
 
 
 def test_antichain_maps_never_enumerate_chains():
