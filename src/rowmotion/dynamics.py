@@ -54,7 +54,7 @@ def inverse_word(word):
 
 class Dynamics:
     """Toggle and transfer dynamics for one poset over one backend.  It keeps no
-    state: what its sweeps derive from the poset alone is kept on the poset."""
+    state and writes nothing to its poset."""
 
     def __init__(self, poset, backend):
         self.poset = poset
@@ -156,14 +156,16 @@ class Dynamics:
         return self._order_sweep(f, (v,), elggot=True)
 
     def _order_sweep(self, f, toggled, elggot):
-        """Toggle the elements of ``toggled`` in turn on one list of labels.
+        """Toggle the elements of ``toggled`` in turn on one list of labels, top-down:
+        no element comes after one of its lower covers.
 
         The toggle at v is L·f(v)⁻¹·R, the elggot R·f(v)⁻¹·L, with L the
         lower-cover sum and R the parallel sum of the upper covers (C at a
         maximal element); at a minimal element L is the identity and is left out.
-        Each label is inverted at most once per sweep: the inverse of the label
-        an element holds is kept until that label is rewritten, so the parallel
-        sums of an element's lower covers, and its own toggle, share one inversion.
+        Each label is inverted at most once per sweep: an upper cover's inverse is
+        kept, so the parallel sums of its lower covers share it.  Top-down, each
+        element is toggled before a lower cover reads it, so no kept inverse is
+        read after its label is rewritten.
         """
         b = self.backend
         add, mul, invert = b.add, b.mul, b.invert
@@ -182,10 +184,7 @@ class Dynamics:
                         x = inverse[w] = invert(out[w])
                     right = x if right is None else add(right, x)
                 right = b.constant_c() if right is None else invert(right)
-                inv = inverse[v]
-                inverse[v] = None
-                if inv is None:
-                    inv = invert(out[v])
+                inv = invert(out[v])
                 if elggot:
                     out[v] = mul(right, inv)
                     if lower is not None:
@@ -200,75 +199,50 @@ class Dynamics:
     # -- antichain toggles --------------------------------------------------------
 
     def antichain_toggle(self, v, g):
-        """C over the rotated chain sum through v."""
+        """C·(L·U[v])⁻¹: C over the sum, over the maximal chains through v, of
+        the labels below v multiplied top-down, then the labels from the top of
+        the chain down to v.  U is the inverse up transfer at or above v, and
+        L = Σ_{u⋖v} D[u], with D the inverse down transfer strictly below v; at
+        a minimal element U[v] stands alone."""
         self._require_element("tau", v)
-        return self._antichain_sweep(g, frozenset((v,)), self.extension, elggot=False)
-
-    def antichain_elggot(self, v, g):
-        """Inverse of the antichain toggle (opposite rotation split)."""
-        self._require_element("eps", v)
-        return self._antichain_sweep(g, frozenset((v,)), self.extension, elggot=True)
-
-    def _antichain_sweep(self, g, toggled, extension, elggot):
-        """Toggle each element of the set ``toggled``, bottom-up along ``extension``.
-
-        The toggle at v is C over the sum, over the maximal chains through
-        v, of the labels below v multiplied top-down, then the labels from
-        the top of the chain down to v.  That sum is L·U[v]: U is the
-        inverse up transfer of the starting labels, run once on the
-        elements at or above some toggled one, which are untoggled above v
-        when v's turn comes; L = Σ_{u⋖v} D[u] (the identity at a minimal
-        element, so there the sum is U[v] itself), where D, the inverse down
-        transfer of the new labels, grows along the sweep on the elements
-        below some toggled one.  The elggot is the same sweep, top-down over
-        the dual poset with every product reversed, so v's own label comes first.
-        So a sweep is the single toggles of ``toggled`` in extension order,
-        with the same inversions in the same order.  Its set-up reads no label
-        and is kept on the poset, keyed by all three arguments.
-        """
-        b = self.backend
-        add, invert, c = b.add, b.invert, b.constant_c()
-        plans, key = self.poset._plans, (toggled, extension, elggot)
-        plan = plans.get(key)
-        if plan is None:
-            plan = plans[key] = self._antichain_plan(toggled, extension, elggot)
-        up_order, steps = plan
-        mul = (lambda x, y: b.mul(y, x)) if elggot else b.mul
-        up = self._inv_transfer(g, up_order, down=elggot)
-        down = [None] * self.poset.n
+        p, ext, c = self.poset, self.extension, self.backend.constant_c()
+        at_or_above, below = p._above[v] | 1 << v, p._below[v]
+        up = self._inv_transfer(g, [x for x in reversed(ext) if at_or_above >> x & 1], down=False)
+        down = self._inv_transfer(g, [x for x in ext if below >> x & 1], down=True)
         out = list(g)
-        for x, near, toggles, read_later in steps:
-            acc = None
-            for u in near:
-                acc = down[u] if acc is None else add(acc, down[u])
-            if toggles:
-                try:
-                    out[x] = b.mul(c, invert(up[x] if acc is None else mul(acc, up[x])))
-                except NotInvertible as exc:
-                    kind = "elggot" if elggot else "toggle"
-                    raise NotInvertible(context=f"antichain {kind} at {self._name(x)}") from exc
-            if read_later:
-                down[x] = out[x] if acc is None else mul(out[x], acc)
+        out[v] = self._antichain_label(v, c, self._cover_sum(down, p.down_adjacency[v]), up[v],
+                                       "toggle")
         return tuple(out)
 
-    def _antichain_plan(self, toggled, extension, elggot):
-        """The elements at or above a toggled one, top-down, for U; then for each
-        element at or below one, bottom-up: its lower covers, whether it is
-        toggled, and whether a later element reads its D value."""
-        lower, upper = self.poset.down_adjacency, self.poset.up_adjacency
-        if elggot:
-            extension = extension[::-1]
-            lower, upper = upper, lower
-        above, below = set(toggled), set(toggled)  # at or above / at or below a toggled one
-        for x in extension:
-            if x not in above and not above.isdisjoint(lower[x]):
-                above.add(x)
-        for x in reversed(extension):
-            if x not in below and not below.isdisjoint(upper[x]):
-                below.add(x)
-        return ([x for x in reversed(extension) if x in above],
-                [(x, lower[x], x in toggled, not below.isdisjoint(upper[x]))
-                 for x in extension if x in below])
+    def antichain_elggot(self, v, g):
+        """Inverse of the antichain toggle, its dual with every product reversed:
+        C·(U′[v]·L′)⁻¹, with U′ the inverse down transfer at or below v and
+        L′ = Σ_{w⋗v} D′[w], D′ the inverse up transfer strictly above v."""
+        self._require_element("eps", v)
+        p, ext, c = self.poset, self.extension, self.backend.constant_c()
+        at_or_below, above = p._below[v] | 1 << v, p._above[v]
+        up = self._inv_transfer(g, [x for x in ext if at_or_below >> x & 1], down=True)
+        down = self._inv_transfer(g, [x for x in reversed(ext) if above >> x & 1], down=False)
+        out = list(g)
+        out[v] = self._antichain_label(v, c, up[v], self._cover_sum(down, p.up_adjacency[v]),
+                                       "elggot")
+        return tuple(out)
+
+    def _cover_sum(self, values, covers):
+        """Σ values[y] over ``covers``, or None (the boundary identity) when empty."""
+        acc = None
+        for y in covers:
+            acc = values[y] if acc is None else self.backend.add(acc, values[y])
+        return acc
+
+    def _antichain_label(self, v, c, left, right, kind):
+        """C·(left·right)⁻¹, a None factor being the identity and left out."""
+        b = self.backend
+        try:
+            return b.mul(c, b.invert(right if left is None else
+                                     left if right is None else b.mul(left, right)))
+        except NotInvertible as exc:
+            raise NotInvertible(context=f"antichain {kind} at {self._name(v)}") from exc
 
     # -- rowmotion ----------------------------------------------------------------
 
@@ -278,11 +252,24 @@ class Dynamics:
         return self._order_sweep(f, ext[::-1], elggot=False)
 
     def antichain_rowmotion(self, g, extension=None):
-        """Antichain toggles along a linear extension, applied bottom-up, as
-        one sweep: O(n + covers) backend operations, where toggling element
-        by element reruns both inverse transfer recurrences for each one."""
+        """Antichain toggles along a linear extension, applied bottom-up, as one
+        sweep of O(n + covers) backend operations, where toggling element by
+        element reruns both inverse transfer recurrences for each one.  The
+        elements above v are untoggled when v's turn comes, so U is the inverse
+        up transfer of the starting labels, taken once; D, the inverse down
+        transfer of the new labels, grows along the sweep where a later toggle
+        reads it.  The single toggles in turn take the same inversions."""
         ext = self.extension if extension is None else self._linear_extension(extension)
-        return self._antichain_sweep(g, self.poset.elements, ext, elggot=False)
+        mul, c = self.backend.mul, self.backend.constant_c()
+        lower_covers, upper_covers = self.poset.down_adjacency, self.poset.up_adjacency
+        up = self._inv_transfer(g, reversed(ext), down=False)
+        down, out = [None] * self.poset.n, list(g)
+        for v in ext:
+            lower = self._cover_sum(down, lower_covers[v])
+            out[v] = self._antichain_label(v, c, lower, up[v], "toggle")
+            if upper_covers[v]:
+                down[v] = out[v] if lower is None else mul(out[v], lower)
+        return tuple(out)
 
     def _linear_extension(self, extension):
         """``extension`` as a tuple; ValueError unless it lists each element once,

@@ -3,9 +3,8 @@
 Elements are dense integer indices ``0..n-1`` with a display-name table.
 Relations supplied to the constructor may be any strict order relations;
 one topological sweep checks them for cycles and reduces them to the cover
-relation.  At most ``MAX_ELEMENTS`` elements are accepted.  The order never
-changes after construction, and ``dynamics.py`` fills a label-free plan store
-on first use, so instances are safe to share: a race computes a plan twice.
+relation.  At most ``MAX_ELEMENTS`` elements are accepted.  Instances never
+change after construction, so they are safe to share between threads.
 Maximal chains are enumerated afresh on each call; they are a reference
 enumeration that the toggle calculus itself never reads.
 """
@@ -107,7 +106,6 @@ class Poset:
         self.down_adjacency = tuple(down)
         self.default_linear_extension = tuple(order)
         self.rank = self._compute_rank()
-        self._plans = {}  # dynamics.py's antichain sweep plans, by (toggled, extension, elggot)
 
     # -- order queries ------------------------------------------------
 

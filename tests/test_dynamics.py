@@ -8,9 +8,12 @@ directly with Fraction / matrix arithmetic and compared against the
 library's maps at random substitutions.
 """
 
+import ast
 import functools
 import operator
+import pathlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -29,8 +32,10 @@ from rowmotion.backends import (
 )
 from rowmotion.dynamics import Atom, Dynamics, detect_order, inverse_word
 from rowmotion.errors import LabelsTooLarge, NotGraded, NotInvertible
+from rowmotion.harness import _Recorder
 from rowmotion.matrices import RationalMatrix
 from rowmotion.poset import chain_product, chain_product_index, root_poset_a_index
+from test_report_digests import RANK_ORDER_POSET, SHUFFLED_POSET
 
 F = Fraction
 IDX23 = chain_product_index(2, 3)
@@ -1110,6 +1115,127 @@ def test_antichain_rowmotion_sweep_singular_matrix_label(p23, linear_extensions)
             assert sweep == _outcome(lambda: toggle_loop_rowmotion(dyn, g, ext))
 
 
+# -- planned-sweep oracle for the antichain maps --------------------------------------
+
+
+class PlannedSweepDynamics(Dynamics):
+    """The antichain maps as they ran before they were written as their transfer
+    formulas: one sweep along an extension, driven by a label-free plan that is
+    built once per poset and key and kept here, not on the poset."""
+
+    plans = weakref.WeakKeyDictionary()  # poset: {(toggled, extension, elggot): plan}
+
+    def antichain_toggle(self, v, g):
+        self._require_element("tau", v)
+        return self.planned_sweep(g, frozenset((v,)), self.extension, elggot=False)
+
+    def antichain_elggot(self, v, g):
+        self._require_element("eps", v)
+        return self.planned_sweep(g, frozenset((v,)), self.extension, elggot=True)
+
+    def antichain_rowmotion(self, g, extension=None):
+        ext = self.extension if extension is None else self._linear_extension(extension)
+        return self.planned_sweep(g, self.poset.elements, ext, elggot=False)
+
+    def planned_sweep(self, g, toggled, extension, elggot):
+        """Toggle each element of the set ``toggled``, bottom-up along ``extension``:
+        U, the inverse up transfer of the starting labels, on the elements at or
+        above a toggled one; D, that of the new labels, on those below one.  The
+        elggot is the same sweep, top-down over the dual poset, products reversed."""
+        b = self.backend
+        add, invert, c = b.add, b.invert, b.constant_c()
+        plans, key = self.plans.setdefault(self.poset, {}), (toggled, extension, elggot)
+        if key not in plans:
+            plans[key] = self.sweep_plan(toggled, extension, elggot)
+        up_order, steps = plans[key]
+        mul = (lambda x, y: b.mul(y, x)) if elggot else b.mul
+        up = self._inv_transfer(g, up_order, down=elggot)
+        down = [None] * self.poset.n
+        out = list(g)
+        for x, near, toggles, read_later in steps:
+            acc = None
+            for u in near:
+                acc = down[u] if acc is None else add(acc, down[u])
+            if toggles:
+                try:
+                    out[x] = b.mul(c, invert(up[x] if acc is None else mul(acc, up[x])))
+                except NotInvertible as exc:
+                    kind = "elggot" if elggot else "toggle"
+                    raise NotInvertible(context=f"antichain {kind} at {self._name(x)}") from exc
+            if read_later:
+                down[x] = out[x] if acc is None else mul(out[x], acc)
+        return tuple(out)
+
+    def sweep_plan(self, toggled, extension, elggot):
+        """The elements at or above a toggled one, top-down, for U; then for each
+        element at or below one, bottom-up: its lower covers, whether it is
+        toggled, and whether a later element reads its D value."""
+        lower, upper = self.poset.down_adjacency, self.poset.up_adjacency
+        if elggot:
+            extension = extension[::-1]
+            lower, upper = upper, lower
+        above, below = set(toggled), set(toggled)  # at or above / at or below a toggled one
+        for x in extension:
+            if x not in above and not above.isdisjoint(lower[x]):
+                above.add(x)
+        for x in reversed(extension):
+            if x not in below and not below.isdisjoint(upper[x]):
+                below.add(x)
+        return ([x for x in reversed(extension) if x in above],
+                [(x, lower[x], x in toggled, not below.isdisjoint(upper[x]))
+                 for x in extension if x in below])
+
+
+def planned_sweep_posets():
+    from rowmotion.poset import parse_poset, random_graded_poset, random_poset, root_poset_a
+    return ([random_poset(12, 3)] + [random_graded_poset(seed) for seed in (1, 5, 10)]
+            + [root_poset_a(4), chain_product(3, 4), parse_poset(RANK_ORDER_POSET),
+               parse_poset(SHUFFLED_POSET)])
+
+
+@pytest.mark.parametrize("backend_name", sorted(ORACLE_BACKENDS))
+def test_antichain_maps_match_the_planned_sweep(backend_name, linear_extensions):
+    # Generic labelings, then central labels in ±1, ±2, whose chain sums cancel
+    # often: each call gives the same labeling or fails at the same stage, and
+    # both sides record the same ops in the same order.
+    degenerate, graded = set(), 0
+    for p in planned_sweep_posets():
+        backend = ORACLE_BACKENDS[backend_name]()
+        rng = random.Random(derive_seed("planned-sweep", p.serialize(), backend_name))
+        exts = linear_extensions(p, limit=2)
+        assert len(exts) == 2
+        word = tuple(Atom(rng.choice(("tau", "eps")), rng.randrange(p.n)) for _ in range(6))
+        calls = [lambda d, g: d.antichain_rowmotion(g), lambda d, g: d.apply_word(word, g)]
+        calls += [lambda d, g, e=e: d.antichain_rowmotion(g, e) for e in exts]
+        calls += [lambda d, g, v=v: d.antichain_toggle(v, g) for v in range(p.n)]
+        calls += [lambda d, g, v=v: d.antichain_elggot(v, g) for v in range(p.n)]
+        if p.is_graded:
+            graded += 1
+            calls += [lambda d, g, i=i: d.apply_word((Atom("rank_tau", i),), g)
+                      for i in range(p.top_rank + 1)]
+        dyn, ref = Dynamics(p, backend), PlannedSweepDynamics(p, backend)
+        labelings = [dyn.random_labeling(derive_seed("planned-sweep", p.serialize(), pt))
+                     for pt in range(2)]
+        labelings += [tuple(backend.central_from_rational(rng.choice((-2, -1, 1, 2)))
+                            for _ in range(p.n)) for _ in range(4)]
+        for g in labelings:
+            for call in calls:
+                got, want = _outcome(lambda: call(dyn, g)), _outcome(lambda: call(ref, g))
+                assert got == want
+                if isinstance(want, str):
+                    degenerate.add(want.rsplit(" at ", 1)[0])
+        for call in calls:
+            recorded = []
+            for dynamics in (Dynamics, PlannedSweepDynamics):
+                rec = _Recorder(backend, p.n)
+                call(dynamics(p, rec), rec.labels)
+                recorded.append(rec.steps)
+            assert recorded[0] == recorded[1]
+    assert graded >= 5
+    assert degenerate == ({"antichain toggle", "antichain elggot"} if backend_name != "tropical"
+                          else set())  # max-plus inversion is total
+
+
 # -- tuple-rebuilding oracle for the order sweep -------------------------------------
 
 
@@ -1217,14 +1343,14 @@ def fresh_inverse_posets():
 
 def _order_sweep_calls(p, rng):
     """Rowmotion, every single toggle and elggot, a seeded word of T and E atoms, and
-    the sweeps u, v, u' for each two lower covers u, u' of v, as calls on a Dynamics
-    and a labeling.  Only such a sweep reads, at u', an inverse kept at u for a
-    label that v has since rewritten; no public map sweeps that way."""
+    the top-down sweeps v, u, u' for each two lower covers u, u' of v, as calls on a
+    Dynamics and a labeling.  In such a sweep the parallel sums at u and u' read v's
+    new label through one kept inverse."""
     word = tuple(Atom(rng.choice(("T", "E")), rng.randrange(p.n)) for _ in range(2 * p.n))
     calls = [lambda d, g: d.order_rowmotion(g), lambda d, g: d.apply_word(word, g)]
     for v, lower in enumerate(p.down_adjacency):
         if len(lower) >= 2:
-            calls += [lambda d, g, s=(lower[0], v, lower[1]), e=e: d._order_sweep(g, s, e)
+            calls += [lambda d, g, s=(v, lower[0], lower[1]), e=e: d._order_sweep(g, s, e)
                       for e in (False, True)]
     calls += [lambda d, g, v=v: d.order_toggle(v, g) for v in range(p.n)]
     calls += [lambda d, g, v=v: d.order_elggot(v, g) for v in range(p.n)]
@@ -1318,7 +1444,7 @@ def test_order_sweep_inverts_each_label_at_most_once(backend_name):
         dyn, ref = Dynamics(p, counting), FreshInverseDynamics(p, counting)
         g = _generic_labeling(counting.inner, p, derive_seed("invert-once", p.serialize()))
         ext = p.default_linear_extension
-        sweeps = [lambda d: d.order_rowmotion(g), lambda d: d._order_sweep(g, ext, False)]
+        sweeps = [lambda d: d.order_rowmotion(g), lambda d: d._order_sweep(g, ext[::-1], True)]
         sweeps += [lambda d, v=v: d.order_toggle(v, g) for v in range(p.n)]
         sweeps += [lambda d, v=v: d.order_elggot(v, g) for v in range(p.n)]
         for sweep in sweeps:
@@ -1357,7 +1483,8 @@ class IdentityCountingBackend:
 
 class IdentityMultiplyingDynamics(Dynamics):
     """The sweeps written with the boundary identity multiplied in, where the
-    library leaves it out: a reference that shares no sweep code with it."""
+    library leaves it out: a reference that shares no arithmetic with it.  Its
+    antichain maps keep only the library's choice of elements and their order."""
 
     def _transfer(self, f, down):
         b = self.backend
@@ -1387,38 +1514,16 @@ class IdentityMultiplyingDynamics(Dynamics):
     def _order_sweep(self, f, toggled, elggot):
         return rebuilt_order_toggles(self, tuple(f), toggled, elggot)
 
-    def _antichain_sweep(self, g, toggled, extension, elggot):
+    def _cover_sum(self, values, covers):
+        near = [values[y] for y in covers]
+        return self.backend.sum(near) if near else self.backend.one()
+
+    def _antichain_label(self, v, c, left, right, kind):
         b = self.backend
-        lower, upper = self.poset.down_adjacency, self.poset.up_adjacency
-        if elggot:
-            extension = extension[::-1]
-            lower, upper = upper, lower
-        mul = (lambda x, y: b.mul(y, x)) if elggot else b.mul
-        toggled = set(toggled)
-        above, below = set(toggled), set(toggled)
-        for x in extension:
-            if x not in above and not above.isdisjoint(lower[x]):
-                above.add(x)
-        for x in reversed(extension):
-            if x not in below and not below.isdisjoint(upper[x]):
-                below.add(x)
-        up = self._inv_transfer(g, [x for x in reversed(extension) if x in above], down=elggot)
-        down = [None] * self.poset.n
-        out = list(g)
-        for x in extension:
-            if x not in below:
-                continue
-            near = [down[u] for u in lower[x]]
-            acc = b.sum(near) if near else b.one()
-            if x in toggled:
-                try:
-                    out[x] = b.mul(b.constant_c(), b.invert(mul(acc, up[x])))
-                except NotInvertible as exc:
-                    kind = "elggot" if elggot else "toggle"
-                    raise NotInvertible(context=f"antichain {kind} at {self._name(x)}") from exc
-            if not below.isdisjoint(upper[x]):
-                down[x] = mul(out[x], acc)
-        return tuple(out)
+        try:
+            return b.mul(c, b.invert(b.mul(left, right)))
+        except NotInvertible as exc:
+            raise NotInvertible(context=f"antichain {kind} at {self._name(v)}") from exc
 
 
 def _sweep_runs(dyn):
@@ -1506,48 +1611,22 @@ def test_a_bad_atom_raises_after_the_atoms_before_it(backend_spec):
         flat.apply_word((Atom("E", 0), Atom("rank_T", 0)), flat.random_labeling(1))
 
 
-def test_antichain_sweep_plans_are_kept_apart(linear_extensions):
-    # One poset's plan store serves single toggles, toggle words, rank atoms and
-    # rowmotion along two extensions, interleaved: each call must give what the
-    # same call gives on a rebuilt copy of the poset, whose store is empty,
-    # labeling or failing stage alike.
-    from rowmotion.poset import Poset, random_poset, root_poset_a
-
-    def rebuilt(p):
-        copy = Poset(p.n, p.covers, p.element_names)
-        assert copy.covers == p.covers and not copy._plans
-        return copy
-    apart = 0
-    for p in (_rank_order_poset(), chain_product(2, 3), root_poset_a(3), random_poset(7, 5)):
-        one, two = linear_extensions(p, limit=2)
-        ext = p.default_linear_extension
-        calls = [lambda d, g: d.antichain_rowmotion(g, one),
-                 lambda d, g: d.antichain_rowmotion(g, two),
-                 lambda d, g: d.order_rowmotion(g, two),
-                 lambda d, g: d.apply_word(tuple(Atom("tau", v) for v in ext[1:]), g),
-                 lambda d, g: d.apply_word(tuple(Atom("eps", v) for v in reversed(ext)), g)]
-        calls += [lambda d, g, v=v: d.antichain_toggle(v, g) for v in range(p.n)]
-        calls += [lambda d, g, v=v: d.antichain_elggot(v, g) for v in range(p.n)]
-        calls += [lambda d, g, i=i: d.apply_word((Atom("rank_tau", i),), g)
-                  for i in range(p.top_rank + 1 if p.is_graded else 0)]
-        for spec in ("rational", "matrix:2"):
-            dyn = Dynamics(p, parse_backend(spec))
-            b = dyn.backend
-            rng = random.Random(derive_seed("plans", p.serialize(), spec))
-            labelings = [dyn.random_labeling(derive_seed("plans", p.serialize()))]
-            labelings += [tuple(b.central_from_rational(rng.choice((-2, -1, 1, 2)))
-                                for _ in range(p.n)) for _ in range(30)]
-            if p.n == 4:
-                labelings.append(tuple(b.central_from_rational(x) for x in (1, 0, 0, 1)))
-            for g in labelings:
-                rng.shuffle(calls)
-                for call in calls:
-                    assert _outcome(lambda: call(dyn, g)) == \
-                        _outcome(lambda: call(Dynamics(rebuilt(p), b), g))
-                apart += (_outcome(lambda: dyn.antichain_rowmotion(g, one))
-                          != _outcome(lambda: dyn.antichain_rowmotion(g, two)))
-    assert apart > 0  # some labeling fails at a different stage along each extension
-
+def test_test_local_dynamics_override_only_methods_the_library_has():
+    # A test-local subclass whose private method the library no longer has would
+    # run the library's own code in its place, without any error.
+    overrides = []
+    for path in sorted(pathlib.Path(__file__).parent.glob("test_*.py")):
+        subclasses = {"Dynamics"}
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Name) and base.id in subclasses for base in node.bases):
+                subclasses.add(node.name)
+                overrides += [(path.name, node.name, item.name) for item in node.body
+                              if isinstance(item, ast.FunctionDef)
+                              and item.name.startswith("_") and not item.name.startswith("__")]
+    assert {name for name, _, _ in overrides} >= {"test_dynamics.py", "test_harness.py"}
+    assert ("test_dynamics.py", "IdentityMultiplyingDynamics", "_antichain_label") in overrides
+    assert [o for o in overrides if not hasattr(Dynamics, o[2])] == []
 
 
 # -- the label-size stop: a stored-integer bound first, label_bits past it ------------

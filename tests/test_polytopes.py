@@ -521,51 +521,12 @@ def test_antichain_maps_never_enumerate_chains():
     assert in_chain_polytope(p, pl_antichain_rowmotion(p, g))
 
 
-def test_sweep_plans_are_built_once_per_poset_and_key(monkeypatch):
-    # PL orbits, a fresh Dynamics per call and several backends on one poset all
-    # read the poset's plans: each distinct key is planned once, whoever asks.
-    built = []
-    plan = Dynamics._antichain_plan
-
-    def counting_plan(self, toggled, extension, elggot):
-        built.append((self.poset, toggled, extension, elggot))
-        return plan(self, toggled, extension, elggot)
-    monkeypatch.setattr(Dynamics, "_antichain_plan", counting_plan)
-    tropical = TropicalSemiring(const_c=1)
-    posets = [random_poset(n, seed) for n in range(3, 9) for seed in (n, 20 + n)]
-    for p in posets:
-        g = random_chain_polytope_point(p, p.n)
-        f = random_order_polytope_point(p, p.n)
-        ext = p.default_linear_extension
-        word = tuple(Atom("tau", v) for v in reversed(ext))
-        for k in range(p.n + 3):  # each step checks its domain, then runs on a fresh Dynamics
-            fresh = Dynamics(p, tropical)
-            g, expected = pl_apply(p, "antichain_rowmotion", g), fresh.antichain_rowmotion(g)
-            assert g == expected
-            f, expected = pl_apply(p, "order_rowmotion", f), fresh.order_rowmotion(f)
-            assert f == expected
-            assert pl_apply(p, word, g) == fresh.apply_word(word, g)
-            for backend in (RationalField(), MatrixRing(2)):
-                dyn = Dynamics(p, backend)
-                h = dyn.random_labeling(k)
-                assert dyn.antichain_rowmotion(h, ext) == dyn.antichain_rowmotion(h)
-                assert dyn.antichain_elggot(ext[k % p.n], h) == \
-                    dyn.apply_word((Atom("eps", ext[k % p.n]),), h)
-        keys = {key[1:] for key in built if key[0] is p}
-        assert keys == set(p._plans) and len(keys) == 2 * p.n + 1
-    assert len(built) == len(set(built))  # and none twice
-
-
 def test_pl_dynamics_goes_with_its_poset():
-    # A PL step leaves its sweep plans on the poset, and nothing else holds the
-    # poset: it and its plans go when the last outside reference goes.
-    class Plans(dict):  # a plan store that a weak reference can watch
-        pass
+    # A PL step keeps nothing that holds the poset: it goes when the last outside
+    # reference goes.
     p = chain_product(2, 3)
-    p._plans = Plans()
     pl_antichain_rowmotion(p, random_chain_polytope_point(p, 1))
-    assert p._plans
-    refs = weakref.ref(p), weakref.ref(p._plans)
+    ref = weakref.ref(p)
     del p
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert ref() is None

@@ -1,9 +1,13 @@
+import copy
 import itertools
 import random
 
 import pytest
 
+from rowmotion import polytopes, subsets
 from rowmotion import poset as poset_module
+from rowmotion.backends import parse_backend
+from rowmotion.dynamics import Atom, Dynamics
 from rowmotion.errors import (
     ChainBudgetExceeded,
     CycleDetected,
@@ -21,6 +25,8 @@ from rowmotion.poset import (
     root_poset_a,
     root_poset_a_index,
 )
+from rowmotion.subsets import Kind
+from test_report_digests import RANK_ORDER_POSET
 
 
 def brute_force_covers(n, relations):
@@ -430,3 +436,88 @@ def test_ungraded_poset_detected():
     assert q.is_graded
     r = parse_poset("4\n0<1\n1<2\n3<2\n")  # maximal elements at unequal depth
     assert not r.is_graded
+
+
+
+# -- a built poset is never written to --------------------------------------------------
+
+
+def _dynamics_calls(dyn, g):
+    """Every public Dynamics method, by name, as a call on the labeling g."""
+    p, b = dyn.poset, dyn.backend
+    n, top, ext = p.n, p.top_rank, p.default_linear_extension
+    other = next(e for e in itertools.permutations(range(n))
+                 if e != ext and all(e.index(u) < e.index(v) for u, v in p.covers))
+    word = tuple(Atom(kind, v) for v in (0, n - 1) for kind in ("T", "tau", "E", "eps"))
+    word += tuple(Atom(kind, i) for i in (0, top) for kind in ("rank_T", "rank_tau"))
+
+    def each(single):
+        return [single(v, g) for v in range(n)]
+    return {
+        "labeling": lambda: dyn.labeling(g),
+        "random_labeling": lambda: dyn.random_labeling(3),
+        "theta": lambda: dyn.theta(g),
+        "down_transfer": lambda: dyn.down_transfer(g),
+        "up_transfer": lambda: dyn.up_transfer(g),
+        "inv_down_transfer": lambda: dyn.inv_down_transfer(g),
+        "inv_up_transfer": lambda: dyn.inv_up_transfer(g),
+        "order_toggle": lambda: each(dyn.order_toggle),
+        "order_elggot": lambda: each(dyn.order_elggot),
+        "antichain_toggle": lambda: each(dyn.antichain_toggle),
+        "antichain_elggot": lambda: each(dyn.antichain_elggot),
+        "order_rowmotion": lambda: (dyn.order_rowmotion(g), dyn.order_rowmotion(g, other)),
+        "antichain_rowmotion": lambda: (dyn.antichain_rowmotion(g),
+                                        dyn.antichain_rowmotion(g, other)),
+        "order_rowmotion_via_transfers": lambda: dyn.order_rowmotion_via_transfers(g),
+        "antichain_rowmotion_via_transfers": lambda: dyn.antichain_rowmotion_via_transfers(g),
+        "apply_word": lambda: dyn.apply_word(word, g),
+        "star_word": lambda: dyn.apply_word(dyn.star_word(word), g),
+        "eta_word": lambda: dyn.apply_word(dyn.eta_word((n - 1,)), g),
+        "order_gyration_word": lambda: dyn.apply_word(dyn.order_gyration_word(), g),
+        "antichain_gyration_word": lambda: dyn.apply_word(dyn.antichain_gyration_word(), g),
+        "graded_rescale": lambda: dyn.graded_rescale(
+            [b.central_from_rational(i + 2) for i in range(top + 1)], g),
+    }
+
+
+ATOM_KINDS = ("T", "E", "tau", "eps", "rank_T", "rank_tau")
+
+
+def test_no_library_code_writes_to_a_built_poset():
+    # Every Dynamics map and word on four backends, each PL step by name and by
+    # word, and every subsets map: the poset's attributes stay as they were built.
+    for p in (chain_product(2, 3), parse_poset(RANK_ORDER_POSET)):
+        built = copy.deepcopy(vars(p))
+        for spec in ("rational", "tropical", "matrix:2", "matrix:3"):
+            dyn = Dynamics(p, parse_backend(spec))
+            calls = _dynamics_calls(dyn, dyn.random_labeling(1))
+            assert calls.keys() == {name for name in dir(Dynamics) if not name.startswith("_")
+                                    and callable(getattr(Dynamics, name))}
+            for name, call in calls.items():
+                call()
+                assert vars(p) == built, (spec, name)
+        points = {"order polytope": polytopes.random_order_polytope_point(p, 1),
+                  "order-reversing polytope": polytopes.random_order_reversing_point(p, 1),
+                  "chain polytope": polytopes.random_chain_polytope_point(p, 1)}
+        points[None] = points["chain polytope"]
+        for step, polytope in polytopes._DOMAIN.items():
+            if step in ATOM_KINDS:
+                count = p.top_rank + 1 if step.startswith("rank_") else p.n
+                step = tuple(Atom(step, i) for i in range(count))
+            polytopes.pl_apply(p, step, points[polytope])
+            assert vars(p) == built, step
+        single = {Kind.IDEAL: (subsets.complement, subsets.up_transfer),
+                  Kind.FILTER: (subsets.complement, subsets.down_transfer),
+                  Kind.ANTICHAIN: (subsets.inverse_up_transfer, subsets.inverse_down_transfer)}
+        for kind, states in ((Kind.IDEAL, subsets.all_ideals(p)),
+                             (Kind.FILTER, subsets.all_filters(p)),
+                             (Kind.ANTICHAIN, subsets.all_antichains(p))):
+            toggle = getattr(subsets, f"toggle_{kind.value}")
+            for s in states:
+                for m in single[kind]:
+                    m(p, s)
+                for v in range(p.n):
+                    toggle(p, v, s)
+                subsets.rowmotion(p, kind, s)
+            subsets.orbit_partition(p, getattr(subsets, f"rowmotion_{kind.value}"), states)
+            assert vars(p) == built, kind

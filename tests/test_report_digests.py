@@ -291,6 +291,28 @@ def test_comb_report_digest_on_a_poset_file_out_of_index_order(tmp_path, monkeyp
     assert digest == COMB_FILE_DIGESTS[command, poset_file, map_id]
 
 
+# Single antichain toggles and elggots (involution's noncommutative inverse pairs,
+# meteor-gorge) and antichain rowmotion along two extensions, on the shuffled poset
+# file and on a poset with four upper covers at one element.  Taken while the
+# antichain maps still ran as sweeps planned once per poset.  CI pins them too.
+VERIFY_SHUFFLED_ARGV = ("--theorem", "involution", "--theorem", "meteor-gorge",
+                        "--theorem", "extension-independence", "--theorem", "bar-transfer",
+                        "--poset", "shuffled.poset", "--poset", "random 12 3", "--points", "20")
+VERIFY_SHUFFLED_DIGESTS = {
+    "matrix:2": "a70ac9857218a89c754775dcf18cdee91a93a83d646d94f66cdcf54487a9dbb5",
+    "rational": "3502ac0278cbbfd89bec37a376462d4230db26d7fe5946c6c285c7d4fd0196af",
+}
+
+
+@pytest.mark.parametrize("backend", sorted(VERIFY_SHUFFLED_DIGESTS))
+def test_verify_antichain_report_digest_on_a_poset_file_out_of_index_order(tmp_path, monkeypatch,
+                                                                           backend):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "shuffled.poset").write_text(SHUFFLED_POSET, encoding="utf-8")
+    digest = unseeded_report_digest(tmp_path, "verify", *VERIFY_SHUFFLED_ARGV, "--backend", backend)
+    assert digest == VERIFY_SHUFFLED_DIGESTS[backend]
+
+
 # Combinatorial tables in the other two formats, on a poset that is not a grid.
 COMB_TABLE_DIGESTS = {
     ("orbit", "rowF", "csv"): "1d1d750d17c5d7d13b2ea1a43da1616d8e815bd4e61b00249560af42cfbdc8a1",
