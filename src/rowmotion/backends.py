@@ -23,15 +23,28 @@ and fall back to the ``numerator`` and ``denominator`` properties on an
 ``int`` or ``bool`` operand.  Against the properties, with fresh sampled
 operands (same host, median of 5 processes): rational mul 0.67 → 0.49 µs,
 add 0.65 → 0.48 µs, invert 0.34 → 0.24 µs.
+
+Tropical orbits and the piecewise-linear maps skip even those kernels.
+Max, + and negation create no denominator, so with L the least common
+denominator of a labeling and C, x ↦ L·x is an exact isomorphism of the
+max-plus semiring on those values onto a max-plus semiring on integers,
+``_IntegralMaxPlus``: add is ``max``, mul is int ``+``, invert is negation,
+one() is 0 and C is C·L.  Equality holds on the image exactly when it holds
+on the Fractions.  ``_to_max_plus_image`` and ``_from_max_plus_image`` are
+the one pair of conversions; the way back reduces each X/L by one gcd.  The
+image is private: every value a caller passes in or gets back is a
+``Fraction``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from math import gcd
+from itertools import repeat
+from math import gcd, lcm
 
 from .errors import NotInvertible
 from .matrices import RationalMatrix, _from_fractions, _trusted
@@ -307,6 +320,54 @@ class TropicalSemiring(AlgebraBackend):
 
     def sample_generic(self, seed):
         return unit_interval_fraction(random.Random(seed), TROPICAL_DENOMINATOR_BOUND)
+
+
+class _IntegralMaxPlus(AlgebraBackend):
+    """The max-plus semiring on integers: add = max, mul = +, invert = negation.
+
+    It runs the image of a ``TropicalSemiring`` labeling under x ↦ L·x, which
+    ``_to_max_plus_image`` builds; C is C·L there and one() is 0.
+    """
+
+    name = "integral max-plus"
+    add = max
+    mul = operator.add
+    invert = operator.neg
+
+    def __init__(self, const_c):
+        self._c = const_c
+
+    def one(self):
+        return 0
+
+    def constant_c(self):
+        return self._c
+
+    def sample_generic(self, seed):
+        raise TypeError("the integral max-plus image draws no samples")
+
+
+def _to_max_plus_image(values, const_c):
+    """The image of rational ``values`` and C under x ↦ L·x, L the least common
+    denominator of them all: (the integral max-plus backend, the integers L·x, L).
+
+    Max, + and negation create no denominator, so every map over the tropical
+    semiring with this C, run on the image, gives L times its rational result
+    exactly, and two labelings are equal exactly when their images are.
+    """
+    try:
+        nums, dens = [x._numerator for x in values], [x._denominator for x in values]
+    except AttributeError:  # an int or bool value
+        nums, dens = [x.numerator for x in values], [x.denominator for x in values]
+    scale = lcm(const_c.denominator, *dens)
+    image = tuple([n * (scale // d) for n, d in zip(nums, dens)])
+    return _IntegralMaxPlus(const_c.numerator * (scale // const_c.denominator)), image, scale
+
+
+def _from_max_plus_image(image, scale):
+    """The reduced Fractions X/L of integers on the max-plus image with L = ``scale``."""
+    return tuple([_fraction(x // g, scale // g)
+                  for x, g in zip(image, map(gcd, image, repeat(scale)))])
 
 
 def label_bits(x):

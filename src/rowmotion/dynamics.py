@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .backends import _label_bits_bound, label_bits, random_labeling
+from .backends import _from_max_plus_image, _label_bits_bound, label_bits, random_labeling
 from .errors import LabelsTooLarge, NotCentral, NotGraded, NotInvertible
 
 MAX_LABEL_BITS = 2**14  # orbits stop once a label needs more bits than this
@@ -388,7 +388,7 @@ class Dynamics:
         return self.poset.element_names[v]
 
 
-def detect_order(step: Callable, start, equal, max_iter=64):
+def detect_order(step: Callable, start, equal, max_iter=64, *, denominator=1):
     """Least k <= max_iter with step^k(start) == start, else None.
 
     Minimality is inherent: the first return is reported, and no smaller
@@ -398,15 +398,22 @@ def detect_order(step: Callable, start, equal, max_iter=64):
     bounds the labels by the bits of the integers they store, and measures
     them exactly by ``label_bits``, one gcd per matrix entry, only when that
     bound passes the limit; so it stops at the same step as the exact rule.
+
+    A ``denominator`` L other than 1 says the labels are integers X on the
+    max-plus image x ↦ L·x (``backends._to_max_plus_image``), each measured
+    as the Fraction X/L: bits(X) + bits(L) bounds it, and the labels are
+    mapped back, one gcd each, and measured only when that bound passes.
     """
+    bound, extra = (_label_bits_bound, 0) if denominator == 1 else \
+        (int.bit_length, denominator.bit_length())
     current = start
     for k in range(1, max_iter + 1):
         current = step(current)
-        if max(map(_label_bits_bound, current), default=0) > MAX_LABEL_BITS and \
-                max(map(label_bits, current)) > MAX_LABEL_BITS:
-            raise LabelsTooLarge(f"a label outgrew MAX_LABEL_BITS = {MAX_LABEL_BITS} bits "
-                                 f"at step {k}", iterates=k)
+        if max(map(bound, current), default=0) + extra > MAX_LABEL_BITS:
+            labels = current if denominator == 1 else _from_max_plus_image(current, denominator)
+            if max(map(label_bits, labels), default=0) > MAX_LABEL_BITS:
+                raise LabelsTooLarge(f"a label outgrew MAX_LABEL_BITS = {MAX_LABEL_BITS} bits "
+                                     f"at step {k}", iterates=k)
         if equal(current, start):
             return k
     return None
-

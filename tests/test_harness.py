@@ -348,7 +348,7 @@ def test_orbit_report_genericity_failure(monkeypatch):
 
     starts = []
 
-    def always_degenerate(step, start, equal, max_iter=64):
+    def always_degenerate(step, start, equal, max_iter=64, **image):
         starts.append(start)
         raise NotInvertible(context="forced")
 
@@ -363,11 +363,11 @@ def test_orbit_report_counts_degenerate_starts(monkeypatch):
     real = harness.detect_order
     starts = []
 
-    def degenerate_first(step, start, equal, max_iter=64):
+    def degenerate_first(step, start, equal, max_iter=64, **image):
         starts.append(start)
         if len(starts) == 1:
             raise NotInvertible(context="first start only")
-        return real(step, start, equal, max_iter=max_iter)
+        return real(step, start, equal, max_iter=max_iter, **image)
 
     monkeypatch.setattr(harness, "detect_order", degenerate_first)
     rep = labeling_orbit_report(chain_product(2, 2), RationalField(), "bar", seed=0)

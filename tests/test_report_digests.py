@@ -31,6 +31,20 @@ ORBIT_DIGESTS = {
     ("rootA 4", "matrix:2", "bor"): "858f0c8ac9af77f51dd5117b00feda414de35ebc7ffe80b1b1731840d2c114de",
     ("rootA 4", "matrix:3", "bar"): "674bda6e95c5f37cc37f9777dcc6ba9e4092c6194294c3d627e286f18d42ec7b",
     ("rootA 4", "matrix:3", "bor"): "f7b9263575b78b670ec0f100792f0426aad6bdad305cf433fb3f0b94f5a29420",
+    # A poset with four lower and four upper covers at some element, taken while
+    # tropical orbits still ran on Fractions.
+    ("random 12 3", "tropical", "bar"): "9628255fb694013e18186cf8d2f8d58f3903fce86666cb600a9be7b53ae2b174",
+    ("random 12 3", "tropical", "bor"): "b730b52e08fe4321f88ca6be670c4ce5ab2ff12869b599b34bca75cc82796346",
+}
+
+# Tropical orbits on chain 2x2 from seed 1 with a C at the label-size stop: at 1e-4300
+# a label outgrows MAX_LABEL_BITS at step 1 ("exceeded"); 1e-2465 is the largest power
+# of ten whose orbit completes (order 4), and 1e-2466 stops like 1e-4300.  Taken while
+# tropical orbits still ran on Fractions.  CI pins the first two.
+CONST_C_ORBIT_DIGESTS = {
+    "1e-4300": "3959ade740d1ce78b8b5b5fcb41a1c407ead3b342fc583ce10d527286c376a3b",
+    "1e-2466": "3959ade740d1ce78b8b5b5fcb41a1c407ead3b342fc583ce10d527286c376a3b",
+    "1e-2465": "42a00be3b4022bc79ee8f857a3f6b861f0d41a2f7fdf2cdce2780f81837b4c32",
 }
 
 # `verify --points 5 --theorem ID`, on its default backends and, for the identities
@@ -53,6 +67,21 @@ VERIFY_DIGESTS = {
 PL_DIGEST = "7410ba9c85b9565b29583e561da7106505693e46a376461d7e6b271a89bac20a"
 # the order-map PL orbit, taken before the PL maps shared one applier
 PL_ORDER_DIGEST = "a90d48a2a16e1f19e774940a1a6bbca5e1ad0df83b4e1c4237e5385aa23654a1"
+# PL orbits on a poset with four covers at some element, and from given labelings
+# with denominators up to about 10^30, taken while the PL maps still ran on Fractions.
+# CI pins them too.
+PL_RANDOM_DIGESTS = {
+    "antichain": "4717923c1700700ccd4500643bbc7d83190c75e8093e533accd64d66bd84e511",
+    "order": "b660fa8ee88cca79cf1be678f5ddbf2a73d044003cb7c9e915bacc57e55a8199",
+}
+PL_LABELING_DIGESTS = {
+    ("antichain", '["1/1000003","2/999983","0","1/7","3/1000000000000000000000000000057",'
+                  '"1/6","1/11","0","1/5"]'):
+        "48c8ffaccee9429826d69a00fb5ebd1d516fd0cbe1e1b39cebed618e4236767d",
+    ("order", '["1/1000003","5/999983","5/999983","1/7","1/7","1/6","1/7","1/7",'
+              '"999999/1000003"]'):
+        "12637cffc73395b3f60667160a2f43719f97f4b29b8f19fca90d5735c9e6f4f5",
+}
 
 # Combinatorial reports, taken while filters still had their own toggle body.
 COMB_ORBIT_DIGESTS = {
@@ -175,6 +204,27 @@ def test_pl_order_orbit_report_digest(tmp_path):
     digest = report_digest(tmp_path, "orbit", "--realm", "pl", "--map", "order",
                            "--poset", "chain 3x3")
     assert digest == PL_ORDER_DIGEST
+
+
+@pytest.mark.parametrize("map_id", sorted(PL_RANDOM_DIGESTS))
+def test_pl_orbit_report_digest_on_a_random_poset(tmp_path, map_id):
+    digest = report_digest(tmp_path, "orbit", "--realm", "pl", "--map", map_id,
+                           "--poset", "random 12 3")
+    assert digest == PL_RANDOM_DIGESTS[map_id]
+
+
+@pytest.mark.parametrize("map_id,labeling", sorted(PL_LABELING_DIGESTS))
+def test_pl_orbit_report_digest_from_large_denominators(tmp_path, map_id, labeling):
+    digest = unseeded_report_digest(tmp_path, "orbit", "--realm", "pl", "--map", map_id,
+                                    "--poset", "chain 3x3", "--labeling", labeling)
+    assert digest == PL_LABELING_DIGESTS[map_id, labeling]
+
+
+@pytest.mark.parametrize("const_c", sorted(CONST_C_ORBIT_DIGESTS))
+def test_tropical_orbit_report_digest_at_the_label_size_stop(tmp_path, const_c):
+    digest = unseeded_report_digest(tmp_path, "orbit", "--realm", "tropical", "--poset",
+                                    "chain 2x2", "--const-c", const_c, "--seed", "1")
+    assert digest == CONST_C_ORBIT_DIGESTS[const_c]
 
 
 @pytest.mark.parametrize("argv", sorted(VERIFY_DIGESTS), ids=" ".join)
